@@ -22,21 +22,6 @@ ConstByteSpan sqe_bytes(const nvme::SubmissionQueueEntry& sqe) {
   return {reinterpret_cast<const Byte*>(&sqe), sizeof(sqe)};
 }
 
-/// Takes the SQ submit lock unless the ring is exclusively owned
-/// (reactor mode, where the owner thread is the only submitter and the
-/// lock would be pure overhead on the hot path).
-class SqGuard {
- public:
-  explicit SqGuard(nvme::SqRing& sq) {
-    if (!sq.exclusive_owner()) {
-      lock_ = std::unique_lock<std::mutex>(sq.lock());
-    }
-  }
-
- private:
-  std::unique_lock<std::mutex> lock_;
-};
-
 }  // namespace
 
 NvmeDriver::NvmeDriver(DmaMemory& memory, pcie::PcieLink& link,
@@ -390,7 +375,7 @@ void NvmeDriver::gate_release(Pending& pending, bool completed) noexcept {
   }
 }
 
-StatusOr<NvmeDriver::ResolvedMethod> NvmeDriver::resolve_method(
+StatusOr<ResolvedMethod> NvmeDriver::resolve_method(
     const IoRequest& request, std::uint16_t qid) const {
   ResolvedMethod resolved;
   TransferMethod method = request.method;
@@ -449,10 +434,6 @@ StatusOr<NvmeDriver::ResolvedMethod> NvmeDriver::resolve_method(
             : (config_.io_queue_depth - 2) * nvme::kChunkSize;
     if (!is_write_direction(request.opcode) || len == 0 ||
         len > config_.max_inline_bytes || len > max_ring_payload) {
-      if (!config_.auto_fallback_to_prp) {
-        return failed_precondition(
-            "payload cannot go inline and PRP fallback is disabled");
-      }
       method = TransferMethod::kPrp;
       resolved.feasibility_fallback = true;
       inline_like = false;
@@ -526,11 +507,9 @@ nvme::SubmissionQueueEntry NvmeDriver::build_base_sqe(
   return sqe;
 }
 
-Status NvmeDriver::attach_data_prp(QueuePair& qp,
-                                   nvme::SubmissionQueueEntry& sqe,
+Status NvmeDriver::attach_data_prp(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  (void)qp;
   const bool read_dir = is_read_direction(request.opcode);
   const std::uint64_t len =
       read_dir ? request.read_buffer.size() : request.write_data.size();
@@ -552,11 +531,9 @@ Status NvmeDriver::attach_data_prp(QueuePair& qp,
   return Status::ok();
 }
 
-Status NvmeDriver::attach_data_sgl(QueuePair& qp,
-                                   nvme::SubmissionQueueEntry& sqe,
+Status NvmeDriver::attach_data_sgl(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  (void)qp;
   const bool read_dir = is_read_direction(request.opcode);
 
   if (read_dir && request.discard_read_data) {
@@ -634,50 +611,6 @@ std::uint32_t NvmeDriver::allocate_payload_id() noexcept {
   }
 }
 
-Status NvmeDriver::submit_plain(QueuePair& qp,
-                                const nvme::SubmissionQueueEntry& sqe,
-                                SubmitMarks* marks) {
-  const Nanoseconds entry_time = link_.clock().now();
-  int idle_spins = 0;
-  for (;;) {
-    {
-      SqGuard lock(*qp.sq);
-      if (qp.sq->free_slots() >= 1) {
-        const Nanoseconds start = link_.clock().now();
-        link_.clock().advance(config_.timing.sqe_insert_ns);
-        qp.sq->push_slot(sqe_bytes(sqe));
-        qp.sq_occupancy.set(qp.sq->occupancy());
-        last_submit_cost_ns_.store(link_.clock().now() - start,
-                                   std::memory_order_relaxed);
-        if (marks != nullptr) {
-          marks->acquire_ns = start;
-          marks->slot_wait_ns +=
-              static_cast<std::uint64_t>(start - entry_time);
-          marks->push_end_ns = link_.clock().now();
-        }
-        // Ring while still holding the ring lock: if the doorbell moved
-        // outside, a submitter that pushed a later tail could ring first
-        // and a stale earlier tail would then regress the BAR register,
-        // hiding entries from the device.
-        const bool aux = sqe.opcode == static_cast<std::uint8_t>(
-                             nvme::IoOpcode::kVendorBandSlimFragment);
-        ring_sq_traced(qp.sq->qid(), qp.sq->tail(), /*entries=*/1, sqe.cid,
-                       aux ? obs::kFlagAuxCommand : 0);
-        if (marks != nullptr) marks->bell_end_ns = link_.clock().now();
-        return Status::ok();
-      }
-    }
-    // Ring full: reap and let the device drain, bounded so a wedged
-    // device surfaces as an error instead of a hang.
-    poll_completions(qp.sq->qid());
-    if (pump_once()) {
-      idle_spins = 0;
-    } else if (++idle_spins > 10000) {
-      return resource_exhausted("SQ full and device made no progress");
-    }
-  }
-}
-
 std::uint32_t NvmeDriver::push_command_locked(
     QueuePair& qp, const nvme::SubmissionQueueEntry& sqe,
     ConstByteSpan inline_payload) {
@@ -714,94 +647,40 @@ std::uint32_t NvmeDriver::push_command_locked(
   return 1 + chunks;
 }
 
-bool NvmeDriver::submit_inline_locked(QueuePair& qp,
-                                      const nvme::SubmissionQueueEntry& sqe,
-                                      ConstByteSpan payload,
-                                      SubmitMarks* marks) {
-  const bool ooo = nvme::inline_chunk::sqe_is_ooo(sqe);
-  const std::uint32_t chunks =
-      ooo ? nvme::inline_chunk::ooo_chunks_for(payload.size())
-          : nvme::inline_chunk::raw_chunks_for(payload.size());
-  {
-    // §3.3.2: command + chunks inserted under one hold of the SQ lock, so
-    // the entries are consecutive and in order.
-    SqGuard lock(*qp.sq);
-    if (qp.sq->free_slots() < 1 + chunks) return false;
-    const Nanoseconds start = link_.clock().now();
-    const std::uint32_t pushed = push_command_locked(qp, sqe, payload);
-    qp.sq_occupancy.set(qp.sq->occupancy());
-    last_submit_cost_ns_.store(link_.clock().now() - start,
-                               std::memory_order_relaxed);
-    if (marks != nullptr) {
-      marks->acquire_ns = start;
-      marks->push_end_ns = link_.clock().now();
-    }
-    // One doorbell for the command and all of its chunks, rung before the
-    // lock drops so racing submitters cannot regress the tail register.
-    ring_sq_traced(qp.sq->qid(), qp.sq->tail(),
-                   /*entries=*/pushed, sqe.cid,
-                   ooo ? obs::kFlagOooCommand : 0);
-    if (marks != nullptr) marks->bell_end_ns = link_.clock().now();
-  }
-  return true;
-}
-
-Status NvmeDriver::submit_bandslim(QueuePair& qp,
-                                   nvme::SubmissionQueueEntry sqe,
-                                   const IoRequest& request,
-                                   SubmitMarks* marks) {
-  const ConstByteSpan payload = request.write_data;
-  const std::uint16_t stream = allocate_stream_id();
-
-  const std::uint32_t embedded =
-      nvme::bandslim::encode_header(sqe, stream, payload);
-  BX_RETURN_IF_ERROR(submit_plain(qp, sqe, marks));
-
-  // Dedicated fragment commands, serialized by the host ordering layer
-  // (§3.2: "payload fragments must be sent through serialized CMDs").
-  std::uint32_t offset = embedded;
-  std::uint16_t index = 0;
-  while (offset < payload.size()) {
-    link_.clock().advance(config_.timing.bandslim_gap_ns);
-    nvme::bandslim::Fragment fragment;
-    fragment.stream_id = stream;
-    fragment.index = index++;
-    fragment.offset = offset;
-    fragment.length = static_cast<std::uint32_t>(
-        std::min<std::size_t>(nvme::bandslim::kFragmentCapacity,
-                              payload.size() - offset));
-    fragment.last = offset + fragment.length == payload.size();
-    const auto frag_sqe = nvme::bandslim::encode_fragment(
-        fragment, /*cid=*/0, payload.subspan(offset, fragment.length));
-    BX_RETURN_IF_ERROR(submit_plain(qp, frag_sqe, marks));
-    offset += fragment.length;
-  }
-  return Status::ok();
-}
-
-StatusOr<Submitted> NvmeDriver::submit_with_method(const IoRequest& request,
-                                                   std::uint16_t qid,
-                                                   ResolvedMethod resolved,
-                                                   std::uint8_t submit_flags) {
+StatusOr<NvmeDriver::Prepared> NvmeDriver::prepare(
+    const IoRequest& request, std::uint16_t qid,
+    const ResolvedMethod* forced) {
   QueuePair& qp = queue(qid);
-  const TransferMethod method = resolved.method;
+  Prepared command;
+  command.request = &request;
+  if (forced != nullptr) {
+    command.resolved = *forced;
+  } else {
+    auto resolved = resolve_method(request, qid);
+    BX_RETURN_IF_ERROR(resolved.status());
+    command.resolved = *resolved;
+    if (resolved->feasibility_fallback) inline_fallbacks_.increment();
+  }
+  ResolvedMethod& resolved = command.resolved;
+  if (resolved.feasibility_fallback || resolved.degraded) {
+    command.submit_flags = obs::kFlagMethodFallback;
+  }
+  if (resolved.auto_decided) command.submit_flags |= obs::kFlagAutoPolicy;
 
   // Validate block I/O geometry up front.
-  if (request.opcode == nvme::IoOpcode::kWrite) {
-    if (request.write_data.size() !=
-        std::uint64_t{request.block_count} * kBlockSize) {
-      return invalid_argument("write_data must be block_count * 4096 bytes");
-    }
+  if (request.opcode == nvme::IoOpcode::kWrite &&
+      request.write_data.size() !=
+          std::uint64_t{request.block_count} * kBlockSize) {
+    return invalid_argument("write_data must be block_count * 4096 bytes");
   }
-  if (request.opcode == nvme::IoOpcode::kRead) {
-    if (request.read_buffer.size() !=
-        std::uint64_t{request.block_count} * kBlockSize) {
-      return invalid_argument("read_buffer must be block_count * 4096 bytes");
-    }
+  if (request.opcode == nvme::IoOpcode::kRead &&
+      request.read_buffer.size() !=
+          std::uint64_t{request.block_count} * kBlockSize) {
+    return invalid_argument("read_buffer must be block_count * 4096 bytes");
   }
 
-  nvme::SubmissionQueueEntry sqe = build_base_sqe(request);
-
+  nvme::SubmissionQueueEntry& sqe = command.sqe;
+  sqe = build_base_sqe(request);
   Pending pending;
   const Nanoseconds entry_time = link_.clock().now();
   // Reactor-posted requests backdate the latency window to the instant the
@@ -809,14 +688,14 @@ StatusOr<Submitted> NvmeDriver::submit_with_method(const IoRequest& request,
   // is measured and attributed as kRingWait instead of silently vanishing.
   // The timeout deadline still runs from driver entry: queueing ahead of
   // the driver must not consume the command's execution budget.
-  const Nanoseconds submit_time =
+  command.submit_time =
       request.origin_ns != 0 && request.origin_ns <= entry_time
           ? request.origin_ns
           : entry_time;
-  pending.submit_time_ns = submit_time;
+  pending.submit_time_ns = command.submit_time;
   pending.ring_wait_ns =
-      static_cast<std::uint64_t>(entry_time - submit_time);
-  pending.method = method;
+      static_cast<std::uint64_t>(entry_time - command.submit_time);
+  pending.method = resolved.method;
   pending.tenant = request.tenant;
   if (config_.command_timeout_ns > 0) {
     pending.deadline_ns = entry_time + config_.command_timeout_ns;
@@ -832,167 +711,256 @@ StatusOr<Submitted> NvmeDriver::submit_with_method(const IoRequest& request,
       pending.inline_read = true;
       pending.read_slots_reserved = chunks;
       inline_read_attempts_.increment();
+      // No PRP/SGL staging: the payload arrives through the completion
+      // ring, so the command crosses the link bare.
+      inr::mark_sqe_inline_read(sqe);
+      pending.read_target = request.read_buffer;
+      pending.read_length =
+          static_cast<std::uint32_t>(read_length_of(request));
     } else {
       resolved.inline_read = false;
       inline_read_fallbacks_.increment();
-      submit_flags |= obs::kFlagMethodFallback;
+      command.submit_flags |= obs::kFlagMethodFallback;
     }
   }
 
-  if (pending.inline_read) {
-    // No PRP/SGL staging: the payload arrives through the completion
-    // ring, so the command crosses the link bare.
-    inr::mark_sqe_inline_read(sqe);
-    pending.read_target = request.read_buffer;
-    pending.read_length =
-        static_cast<std::uint32_t>(read_length_of(request));
-  } else {
-    switch (method) {
-      case TransferMethod::kPrp: {
-        BX_RETURN_IF_ERROR(attach_data_prp(qp, sqe, pending, request));
+  if (!pending.inline_read) {
+    switch (resolved.method) {
+      case TransferMethod::kPrp:
+        BX_RETURN_IF_ERROR(attach_data_prp(sqe, pending, request));
         break;
-      }
-      case TransferMethod::kSgl: {
-        BX_RETURN_IF_ERROR(attach_data_sgl(qp, sqe, pending, request));
+      case TransferMethod::kSgl:
+        BX_RETURN_IF_ERROR(attach_data_sgl(sqe, pending, request));
         break;
-      }
       case TransferMethod::kByteExpress:
-      case TransferMethod::kByteExpressOoo: {
+      case TransferMethod::kByteExpressOoo:
         sqe.set_inline_length(
             static_cast<std::uint32_t>(request.write_data.size()));
-        if (method == TransferMethod::kByteExpressOoo) {
+        if (resolved.method == TransferMethod::kByteExpressOoo) {
           nvme::inline_chunk::mark_sqe_ooo(sqe, allocate_payload_id());
+          command.submit_flags |= obs::kFlagOooCommand;
         }
+        command.inline_payload = request.write_data;
+        command.slots = 1 + inline_slots_for(resolved.method,
+                                             request.write_data.size());
         break;
-      }
       case TransferMethod::kBandSlim:
+        command.slots = 0;
         break;
       case TransferMethod::kHybrid:
       case TransferMethod::kAuto:
-        return internal_error(
-            "hybrid/auto must be resolved before submission");
+        return internal_error("hybrid/auto must be resolved before submission");
     }
   }
 
   // One admission decision per command, taken before any ring slot is
   // claimed; a rejection surfaces the gate's status unchanged (staging is
   // undone by Pending's RAII — nothing was published).
-  {
-    const Nanoseconds gate_start = link_.clock().now();
-    const Status admitted = gate_admit(request, qid, resolved, pending);
-    if (!admitted.is_ok()) {
-      release_read_slots(qp, pending);
-      return admitted;
-    }
-    pending.gate_wait_ns =
-        static_cast<std::uint64_t>(link_.clock().now() - gate_start);
+  const Nanoseconds gate_start = link_.clock().now();
+  const Status admitted = gate_admit(request, qid, resolved, pending);
+  if (!admitted.is_ok()) {
+    release_read_slots(qp, pending);
+    return admitted;
   }
+  pending.gate_wait_ns =
+      static_cast<std::uint64_t>(link_.clock().now() - gate_start);
+  sqe.cid = register_pending(qp, std::move(pending));
+  return command;
+}
 
-  const std::uint16_t cid = register_pending(qp, std::move(pending));
-  sqe.cid = cid;
-
-  const auto abandon = [this, &qp, cid] {
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    auto it = qp.pending.find(cid);
-    if (it != qp.pending.end()) {
-      gate_release(it->second, /*completed=*/false);
-      release_read_slots(qp, it->second);
-      qp.pending.erase(it);
+std::size_t NvmeDriver::push_run(QueuePair& qp, std::span<Prepared> commands,
+                                 Nanoseconds since) {
+  std::lock_guard<std::mutex> lock(qp.sq->lock());
+  const Nanoseconds start = link_.clock().now();
+  std::size_t pushed = 0;
+  std::uint64_t entries = 0;
+  std::uint8_t bell_flags = 0;
+  while (pushed < commands.size() && commands[pushed].slots > 0 &&
+         qp.sq->free_slots() >= commands[pushed].slots) {
+    Prepared& command = commands[pushed++];
+    push_command_locked(qp, command.sqe, command.inline_payload);
+    // Time since `since` is ring backpressure: the reap/pump drains that
+    // ran before this run secured its slots.
+    command.marks.slot_wait_ns = static_cast<std::uint64_t>(start - since);
+    command.marks.push_end_ns = link_.clock().now();
+    entries += command.slots;
+    // The doorbell carries the command-shape bits only.
+    bell_flags |= command.submit_flags &
+                  (obs::kFlagAuxCommand | obs::kFlagOooCommand);
+    // Counted before the bell that publishes it, so the doorbells/op
+    // gauge the bell refreshes is exact.
+    if (command.request != nullptr) {
+      qp.commands.increment();
+      total_commands_.increment();
     }
-    qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
-  };
+  }
+  if (pushed == 0) return 0;
+  qp.sq_occupancy.set(qp.sq->occupancy());
+  last_submit_cost_ns_.store(link_.clock().now() - start,
+                             std::memory_order_relaxed);
+  // ONE doorbell for every SQE and chunk of the run, rung while still
+  // holding the ring lock: if the doorbell moved outside, a submitter that
+  // pushed a later tail could ring first and a stale earlier tail would
+  // then regress the BAR register, hiding entries from the device.
+  ring_sq_traced(qp.sq->qid(), qp.sq->tail(), entries,
+                 commands[pushed - 1].sqe.cid, bell_flags);
+  // The shared bell closes every command's coalescing hold: a command
+  // pushed early in the run waited under the bell while the rest of the
+  // run was laid down (kBellHold).
+  const Nanoseconds bell_end = link_.clock().now();
+  for (std::size_t i = 0; i < pushed; ++i) {
+    commands[i].marks.bell_end_ns = bell_end;
+  }
+  return pushed;
+}
 
-  SubmitMarks marks;
-  const Nanoseconds publish_start = link_.clock().now();
-  switch (method) {
-    case TransferMethod::kPrp:
-    case TransferMethod::kSgl: {
-      const Status status = submit_plain(qp, sqe, &marks);
+bool NvmeDriver::drain(QueuePair& qp, int& idle_spins) {
+  poll_completions(qp.sq->qid());
+  if (pump_once()) {
+    idle_spins = 0;
+    return true;
+  }
+  return ++idle_spins <= 10000;
+}
+
+Status NvmeDriver::push_one(QueuePair& qp, Prepared& command) {
+  const Nanoseconds since = link_.clock().now();
+  int idle_spins = 0;
+  while (push_run(qp, {&command, 1}, since) == 0) {
+    if (!drain(qp, idle_spins)) {
+      return resource_exhausted("SQ full and device made no progress");
+    }
+  }
+  return Status::ok();
+}
+
+Status NvmeDriver::publish_bandslim(QueuePair& qp, Prepared& command) {
+  const ConstByteSpan payload = command.request->write_data;
+  const std::uint16_t stream = allocate_stream_id();
+  Prepared header = command;
+  header.slots = 1;
+  const std::uint32_t embedded =
+      nvme::bandslim::encode_header(header.sqe, stream, payload);
+  BX_RETURN_IF_ERROR(push_one(qp, header));
+  command.marks = header.marks;
+
+  // Dedicated fragment commands, serialized by the host ordering layer
+  // (§3.2: "payload fragments must be sent through serialized CMDs").
+  Prepared fragment;
+  fragment.submit_flags = obs::kFlagAuxCommand;
+  std::uint32_t offset = embedded;
+  std::uint16_t index = 0;
+  while (offset < payload.size()) {
+    link_.clock().advance(config_.timing.bandslim_gap_ns);
+    nvme::bandslim::Fragment wire;
+    wire.stream_id = stream;
+    wire.index = index++;
+    wire.offset = offset;
+    wire.length = static_cast<std::uint32_t>(std::min<std::size_t>(
+        nvme::bandslim::kFragmentCapacity, payload.size() - offset));
+    wire.last = offset + wire.length == payload.size();
+    fragment.sqe = nvme::bandslim::encode_fragment(
+        wire, /*cid=*/0, payload.subspan(offset, wire.length));
+    BX_RETURN_IF_ERROR(push_one(qp, fragment));
+    // The command is only fully handed off once its last fragment is
+    // published; backpressure accumulates across the whole sequence.
+    command.marks.slot_wait_ns += fragment.marks.slot_wait_ns;
+    command.marks.push_end_ns = fragment.marks.push_end_ns;
+    command.marks.bell_end_ns = fragment.marks.bell_end_ns;
+    offset += wire.length;
+  }
+  return Status::ok();
+}
+
+Status NvmeDriver::publish(QueuePair& qp, std::span<Prepared> commands,
+                           bool batched) {
+  const Nanoseconds since = link_.clock().now();
+  std::size_t done = 0;
+  int idle_spins = 0;
+  while (done < commands.size()) {
+    std::size_t run = 1;
+    if (commands[done].slots == 0) {
+      // BandSlim: header + serialized fragment commands, one doorbell
+      // each by construction (§3.2) — it can never share a bell.
+      const Status status = publish_bandslim(qp, commands[done]);
       if (!status.is_ok()) {
-        abandon();
+        abandon(qp, commands.subspan(done));
         return status;
       }
-      break;
-    }
-    case TransferMethod::kByteExpress:
-    case TransferMethod::kByteExpressOoo: {
-      // Wait for ring space if the queue is saturated with inline chunks.
-      int idle_spins = 0;
-      while (!submit_inline_locked(qp, sqe, request.write_data, &marks)) {
-        poll_completions(qid);
-        if (pump_once()) {
-          idle_spins = 0;
-        } else if (++idle_spins > 10000) {
-          abandon();
-          return resource_exhausted("SQ too shallow for inline payload");
-        }
+    } else {
+      run = push_run(qp, commands.subspan(done), since);
+      if (run == 0) {
+        // The next command does not fit: reap and let the device drain,
+        // bounded so a wedged device surfaces as an error, not a hang.
+        if (drain(qp, idle_spins)) continue;
+        abandon(qp, commands.subspan(done));
+        return resource_exhausted("SQ full and device made no progress");
       }
-      // Backpressure spent in the retry loop above = time from the first
-      // attempt until ring space was finally secured.
-      marks.slot_wait_ns = marks.acquire_ns >= publish_start
-                               ? static_cast<std::uint64_t>(
-                                     marks.acquire_ns - publish_start)
-                               : 0;
-      break;
-    }
-    case TransferMethod::kBandSlim: {
-      const Status status = submit_bandslim(qp, sqe, request, &marks);
-      if (!status.is_ok()) {
-        abandon();
-        return status;
+      idle_spins = 0;
+      if (batched) {
+        batches_.increment();
+        if (batch_size_metric_ != nullptr) batch_size_metric_->record(run);
       }
-      break;
     }
-    case TransferMethod::kHybrid:
-    case TransferMethod::kAuto:
-      return internal_error("unreachable");
+    if (batched) batched_commands_.add(run);
+    if (submit_cost_metric_ != nullptr) {
+      submit_cost_metric_->record(
+          static_cast<std::uint64_t>(last_submit_cost()));
+    }
+    note_published(qp, commands.subspan(done, run));
+    done += run;
   }
+  return Status::ok();
+}
+
+void NvmeDriver::note_published(QueuePair& qp,
+                                std::span<const Prepared> commands) {
   {
-    // Publish the attribution marks into the registered pending. The
-    // device may already have completed the command (reap sets done but
-    // never erases; only the waiter erases, and the handle has not been
-    // returned yet), so the entry is still present.
+    // Publish the attribution marks into the registered pendings. The
+    // device may already have completed a command (reap sets done but
+    // never erases; only the waiter erases, and no handle has been
+    // returned yet), so every entry is still present.
     std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    auto it = qp.pending.find(cid);
-    if (it != qp.pending.end()) {
-      it->second.slot_wait_ns = marks.slot_wait_ns;
-      it->second.push_end_ns = marks.push_end_ns;
-      it->second.bell_end_ns = marks.bell_end_ns;
+    for (const Prepared& command : commands) {
+      auto it = qp.pending.find(command.sqe.cid);
+      if (it != qp.pending.end()) it->second.marks = command.marks;
     }
   }
-
-  if (telemetry_ != nullptr && is_write_direction(request.opcode)) {
-    telemetry_->on_payload(request.write_data.size());
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    obs::TraceEvent event;
-    event.stage = obs::TraceStage::kSubmit;
-    event.start = submit_time;
-    event.end = link_.clock().now();
-    event.qid = qid;
-    event.cid = cid;
-    event.tenant = request.tenant;
-    event.aux = static_cast<std::uint64_t>(method);
-    event.bytes = request.write_data.size();
-    event.flags = submit_flags;
-    if (method == TransferMethod::kByteExpressOoo) {
-      event.flags |= obs::kFlagOooCommand;
+  for (const Prepared& command : commands) {
+    const IoRequest* request = command.request;
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      obs::TraceEvent event;
+      event.stage = obs::TraceStage::kSubmit;
+      event.start = command.submit_time;
+      event.end = link_.clock().now();
+      event.qid = qp.sq->qid();
+      event.cid = command.sqe.cid;
+      event.flags = command.submit_flags;
+      event.aux = static_cast<std::uint64_t>(command.resolved.method);
+      if (request != nullptr) {
+        event.tenant = request->tenant;
+        event.bytes = request->write_data.size();
+      }
+      tracer_->record(event);
     }
-    tracer_->record(event);
+    if (request == nullptr) continue;  // admin commands stop at the trace
+    if (telemetry_ != nullptr && is_write_direction(request->opcode)) {
+      telemetry_->on_payload(request->write_data.size());
+    }
+    if (submissions_metric_ != nullptr) submissions_metric_->increment();
   }
-  if (submissions_metric_ != nullptr) {
-    submissions_metric_->increment();
-    submit_cost_metric_->record(
-        static_cast<std::uint64_t>(last_submit_cost()));
-  }
-  qp.commands.increment();
-  total_commands_.increment();
+}
 
-  Submitted handle;
-  handle.qid = qid;
-  handle.cid = cid;
-  handle.submit_time_ns = submit_time;
-  return handle;
+void NvmeDriver::abandon(QueuePair& qp, std::span<const Prepared> commands) {
+  std::lock_guard<std::mutex> lock(qp.pending_mutex);
+  for (const Prepared& command : commands) {
+    auto it = qp.pending.find(command.sqe.cid);
+    if (it == qp.pending.end()) continue;
+    gate_release(it->second, /*completed=*/false);
+    release_read_slots(qp, it->second);
+    qp.pending.erase(it);
+  }
+  qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
 }
 
 StatusOr<Submitted> NvmeDriver::submit(const IoRequest& request,
@@ -1000,15 +968,42 @@ StatusOr<Submitted> NvmeDriver::submit(const IoRequest& request,
   if (qid == 0 || qid > io_queues_.size()) {
     return invalid_argument("bad I/O qid " + std::to_string(qid));
   }
-  auto resolved = resolve_method(request, qid);
-  BX_RETURN_IF_ERROR(resolved.status());
-  std::uint8_t flags = 0;
-  if (resolved->feasibility_fallback || resolved->degraded) {
-    flags = obs::kFlagMethodFallback;
+  auto command = prepare(request, qid);
+  BX_RETURN_IF_ERROR(command.status());
+  BX_RETURN_IF_ERROR(publish(queue(qid), {&*command, 1}, /*batched=*/false));
+  return Submitted{qid, command->sqe.cid, command->submit_time,
+                   command->resolved};
+}
+
+StatusOr<NvmeDriver::BatchResult> NvmeDriver::submit_batch(
+    std::span<const IoRequest> requests, std::uint16_t qid) {
+  if (qid == 0 || qid > io_queues_.size()) {
+    return invalid_argument("bad I/O qid " + std::to_string(qid));
   }
-  if (resolved->auto_decided) flags |= obs::kFlagAutoPolicy;
-  if (resolved->feasibility_fallback) inline_fallbacks_.increment();
-  return submit_with_method(request, qid, *resolved, flags);
+  if (requests.empty()) return invalid_argument("empty batch");
+  QueuePair& qp = queue(qid);
+  const std::uint64_t bells_before = bar_.sq_doorbell_writes(qid);
+  std::vector<Prepared> commands;
+  commands.reserve(requests.size());
+  for (const IoRequest& request : requests) {
+    auto command = prepare(request, qid);
+    if (!command.is_ok()) {
+      // Preparation is all-or-nothing: nothing is on the ring yet.
+      abandon(qp, commands);
+      return command.status();
+    }
+    commands.push_back(std::move(*command));
+  }
+  BX_RETURN_IF_ERROR(publish(qp, commands, /*batched=*/true));
+  BatchResult result;
+  result.handles.reserve(commands.size());
+  for (const Prepared& command : commands) {
+    result.handles.push_back(Submitted{qid, command.sqe.cid,
+                                       command.submit_time, command.resolved});
+    result.entries += command.slots;
+  }
+  result.doorbells = bar_.sq_doorbell_writes(qid) - bells_before;
+  return result;
 }
 
 void NvmeDriver::consume_inline_read_locked(QueuePair& qp,
@@ -1123,11 +1118,12 @@ void NvmeDriver::attribute_completion(std::uint16_t qid, std::uint16_t cid,
   };
   want[seg(obs::WaitSegment::kGateWait)] = pending.gate_wait_ns;
   want[seg(obs::WaitSegment::kRingWait)] = pending.ring_wait_ns;
-  want[seg(obs::WaitSegment::kSlotWait)] = pending.slot_wait_ns;
-  const Nanoseconds bell_end = pending.bell_end_ns;
+  want[seg(obs::WaitSegment::kSlotWait)] = pending.marks.slot_wait_ns;
+  const Nanoseconds bell_end = pending.marks.bell_end_ns;
+  const Nanoseconds push_end = pending.marks.push_end_ns;
   const std::uint64_t hold =
-      pending.push_end_ns != 0 && bell_end > pending.push_end_ns
-          ? static_cast<std::uint64_t>(bell_end - pending.push_end_ns)
+      push_end != 0 && bell_end > push_end
+          ? static_cast<std::uint64_t>(bell_end - push_end)
           : 0;
   want[seg(obs::WaitSegment::kBellHold)] = hold;
   // Host-side build cost between entering the driver and the doorbell,
@@ -1241,17 +1237,94 @@ StatusOr<Completion> NvmeDriver::wait_resolved(const IoRequest& request,
   if (handle.qid == 0 || handle.qid > io_queues_.size()) {
     return invalid_argument("bad I/O qid " + std::to_string(handle.qid));
   }
-  auto completion = wait(handle);
-  BX_RETURN_IF_ERROR(completion.status());
-  // Re-resolve for the retry tail: if the queue degraded while this
-  // command was in flight, retries route through PRP and their failed
-  // attempts classify as degraded — the same view execute() would take
-  // for a command submitted now.
-  auto resolved = resolve_method(request, handle.qid);
-  BX_RETURN_IF_ERROR(resolved.status());
-  return finish_with_retries(request, handle.qid, *std::move(completion),
-                             *resolved);
+  auto first = wait(handle);
+  BX_RETURN_IF_ERROR(first.status());
+  Completion completion = *std::move(first);
+  ResolvedMethod resolved = handle.resolved;
+  QueuePair& qp = queue(handle.qid);
+  std::uint32_t failed_attempts = 0;
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    const bool inline_attempt = is_inline_method(resolved.method);
+    if (completion.status.is_success()) {
+      if (inline_attempt) {
+        qp.inline_failures.store(0, std::memory_order_relaxed);
+      }
+      if (resolved.inline_read) {
+        qp.read_inline_failures.store(0, std::memory_order_relaxed);
+      }
+      // Every failed attempt that this success redeems was one injected
+      // fault; classify it so injected == recovered + degraded + failed.
+      if (failed_attempts > 0) {
+        if (resolved.degraded) {
+          faults_degraded_.add(failed_attempts);
+        } else {
+          faults_recovered_.add(failed_attempts);
+        }
+      }
+      return completion;
+    }
+    ++failed_attempts;
+    if (inline_attempt && config_.degrade_threshold > 0) {
+      const std::uint32_t fails =
+          qp.inline_failures.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (fails >= config_.degrade_threshold) {
+        qp.degraded_until.store(
+            link_.clock().now() + config_.degrade_reprobe_ns,
+            std::memory_order_relaxed);
+        qp.inline_failures.store(0, std::memory_order_relaxed);
+        degradations_.increment();
+      }
+    }
+    // Read-side degradation mirrors the write-inline path: N consecutive
+    // failed inline-read attempts route the queue's reads through PRP
+    // until the re-probe time passes.
+    if (resolved.inline_read && config_.degrade_threshold > 0) {
+      const std::uint32_t fails =
+          qp.read_inline_failures.fetch_add(1, std::memory_order_relaxed) +
+          1;
+      if (fails >= config_.degrade_threshold) {
+        qp.read_degraded_until.store(
+            link_.clock().now() + config_.degrade_reprobe_ns,
+            std::memory_order_relaxed);
+        qp.read_inline_failures.store(0, std::memory_order_relaxed);
+        inline_read_degradations_.increment();
+      }
+    }
+    if (!is_retryable(completion.status) || attempt >= config_.max_retries) {
+      faults_failed_.add(failed_attempts);
+      return completion;
+    }
+    retries_.increment();
+    // Deterministic sim-clock exponential backoff before the next attempt.
+    // Saturate BEFORE shifting: base << shift can wrap 64 bits when the
+    // configured base is large, and a wrapped product slips under the cap
+    // comparison (a 2^62 base at attempt 2 used to back off by 0 ns). The
+    // shift is safe exactly when base <= cap >> shift; otherwise the true
+    // product exceeds the cap and the cap wins without ever computing it.
+    const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
+    const Nanoseconds backoff =
+        config_.retry_backoff_base_ns > (config_.retry_backoff_cap_ns >> shift)
+            ? config_.retry_backoff_cap_ns
+            : config_.retry_backoff_base_ns << shift;
+    link_.clock().advance(backoff);
+
+    // A retry that cannot even be submitted (method resolution failure,
+    // gate rejection, wedged device) still ends the command — classify
+    // the accumulated failed attempts before surfacing the error, or the
+    // injected == recovered + degraded + failed invariant would leak.
+    const auto fail_with = [&](const Status& status) {
+      faults_failed_.add(failed_attempts);
+      return status;
+    };
+    auto retry = submit(request, handle.qid);
+    if (!retry.is_ok()) return fail_with(retry.status());
+    resolved = retry->resolved;
+    auto next = wait(*retry);
+    if (!next.is_ok()) return fail_with(next.status());
+    completion = *std::move(next);
+  }
 }
+
 
 StatusOr<Completion> NvmeDriver::recover_timed_out(QueuePair& qp,
                                                    const Submitted& handle) {
@@ -1331,7 +1404,7 @@ std::size_t NvmeDriver::poll_completions(std::uint16_t qid) {
 void NvmeDriver::reap_one(QueuePair& qp,
                           const nvme::CompletionQueueEntry& cqe) {
   {
-    SqGuard lock(*qp.sq);
+    std::lock_guard<std::mutex> lock(qp.sq->lock());
     qp.sq->note_head(cqe.sq_head);
     qp.sq_occupancy.set(qp.sq->occupancy());
   }
@@ -1347,456 +1420,9 @@ void NvmeDriver::reap_one(QueuePair& qp,
 
 StatusOr<Completion> NvmeDriver::execute(const IoRequest& request,
                                          std::uint16_t qid) {
-  if (qid == 0 || qid > io_queues_.size()) {
-    return invalid_argument("bad I/O qid " + std::to_string(qid));
-  }
-  auto resolved = resolve_method(request, qid);
-  BX_RETURN_IF_ERROR(resolved.status());
-  std::uint8_t flags = 0;
-  if (resolved->feasibility_fallback || resolved->degraded) {
-    flags = obs::kFlagMethodFallback;
-  }
-  if (resolved->auto_decided) flags |= obs::kFlagAutoPolicy;
-  if (resolved->feasibility_fallback) inline_fallbacks_.increment();
-  auto handle = submit_with_method(request, qid, *resolved, flags);
+  auto handle = submit(request, qid);
   BX_RETURN_IF_ERROR(handle.status());
-  auto completion = wait(*handle);
-  BX_RETURN_IF_ERROR(completion.status());
-  return finish_with_retries(request, qid, *std::move(completion), *resolved);
-}
-
-StatusOr<Completion> NvmeDriver::finish_with_retries(const IoRequest& request,
-                                                     std::uint16_t qid,
-                                                     Completion completion,
-                                                     ResolvedMethod resolved) {
-  QueuePair& qp = queue(qid);
-  std::uint32_t failed_attempts = 0;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    const bool inline_attempt = is_inline_method(resolved.method);
-    if (completion.status.is_success()) {
-      if (inline_attempt) {
-        qp.inline_failures.store(0, std::memory_order_relaxed);
-      }
-      if (resolved.inline_read) {
-        qp.read_inline_failures.store(0, std::memory_order_relaxed);
-      }
-      // Every failed attempt that this success redeems was one injected
-      // fault; classify it so injected == recovered + degraded + failed.
-      if (failed_attempts > 0) {
-        if (resolved.degraded) {
-          faults_degraded_.add(failed_attempts);
-        } else {
-          faults_recovered_.add(failed_attempts);
-        }
-      }
-      return completion;
-    }
-    ++failed_attempts;
-    if (inline_attempt && config_.degrade_threshold > 0) {
-      const std::uint32_t fails =
-          qp.inline_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (fails >= config_.degrade_threshold) {
-        qp.degraded_until.store(
-            link_.clock().now() + config_.degrade_reprobe_ns,
-            std::memory_order_relaxed);
-        qp.inline_failures.store(0, std::memory_order_relaxed);
-        degradations_.increment();
-      }
-    }
-    // Read-side degradation mirrors the write-inline path: N consecutive
-    // failed inline-read attempts route the queue's reads through PRP
-    // until the re-probe time passes.
-    if (resolved.inline_read && config_.degrade_threshold > 0) {
-      const std::uint32_t fails =
-          qp.read_inline_failures.fetch_add(1, std::memory_order_relaxed) +
-          1;
-      if (fails >= config_.degrade_threshold) {
-        qp.read_degraded_until.store(
-            link_.clock().now() + config_.degrade_reprobe_ns,
-            std::memory_order_relaxed);
-        qp.read_inline_failures.store(0, std::memory_order_relaxed);
-        inline_read_degradations_.increment();
-      }
-    }
-    if (!is_retryable(completion.status) || attempt >= config_.max_retries) {
-      faults_failed_.add(failed_attempts);
-      return completion;
-    }
-    retries_.increment();
-    // Deterministic sim-clock exponential backoff before the next attempt.
-    // Saturate BEFORE shifting: base << shift can wrap 64 bits when the
-    // configured base is large, and a wrapped product slips under the cap
-    // comparison (a 2^62 base at attempt 2 used to back off by 0 ns). The
-    // shift is safe exactly when base <= cap >> shift; otherwise the true
-    // product exceeds the cap and the cap wins without ever computing it.
-    const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
-    const Nanoseconds backoff =
-        config_.retry_backoff_base_ns > (config_.retry_backoff_cap_ns >> shift)
-            ? config_.retry_backoff_cap_ns
-            : config_.retry_backoff_base_ns << shift;
-    link_.clock().advance(backoff);
-
-    // A retry that cannot even be submitted (method resolution failure,
-    // gate rejection, wedged device) still ends the command — classify
-    // the accumulated failed attempts before surfacing the error, or the
-    // injected == recovered + degraded + failed invariant would leak.
-    const auto fail_with = [&](const Status& status) {
-      faults_failed_.add(failed_attempts);
-      return status;
-    };
-    auto next_resolved = resolve_method(request, qid);
-    if (!next_resolved.is_ok()) return fail_with(next_resolved.status());
-    resolved = *next_resolved;
-    std::uint8_t flags = 0;
-    if (resolved.feasibility_fallback || resolved.degraded) {
-      flags = obs::kFlagMethodFallback;
-    }
-    if (resolved.auto_decided) flags |= obs::kFlagAutoPolicy;
-    if (resolved.feasibility_fallback) inline_fallbacks_.increment();
-    auto handle = submit_with_method(request, qid, resolved, flags);
-    if (!handle.is_ok()) return fail_with(handle.status());
-    auto next = wait(*handle);
-    if (!next.is_ok()) return fail_with(next.status());
-    completion = *std::move(next);
-  }
-}
-
-StatusOr<NvmeDriver::BatchResult> NvmeDriver::submit_batch(
-    std::span<const IoRequest> requests, std::uint16_t qid) {
-  if (qid == 0 || qid > io_queues_.size()) {
-    return invalid_argument("bad I/O qid " + std::to_string(qid));
-  }
-  if (requests.empty()) return invalid_argument("empty batch");
-  QueuePair& qp = queue(qid);
-  const std::uint64_t bar_db_before = bar_.sq_doorbell_writes(qid);
-
-  // ---- phase 1: prepare every request outside the ring lock — method
-  // resolution, geometry validation, PRP/SGL staging, CID registration.
-  struct Prepared {
-    nvme::SubmissionQueueEntry sqe{};
-    const IoRequest* request = nullptr;
-    ResolvedMethod resolved{};
-    std::uint8_t submit_flags = 0;
-    /// Ring slots (SQE + inline chunks); 0 marks a BandSlim request,
-    /// which cannot coalesce and goes through its serialized path.
-    std::uint32_t slots = 0;
-    ConstByteSpan inline_payload{};
-    Nanoseconds submit_time = 0;
-    std::uint16_t cid = 0;
-    /// Attribution marks gathered during phase 2 and published into the
-    /// registered Pending once the whole batch is on the ring.
-    std::uint64_t slot_wait_ns = 0;
-    Nanoseconds push_end_ns = 0;
-    Nanoseconds bell_end_ns = 0;
-  };
-  std::vector<Prepared> prepared;
-  prepared.reserve(requests.size());
-
-  // Registered-but-unsubmitted pendings must not leak on an error exit
-  // (and their gate admissions must be paid back).
-  const auto abandon_from = [&](std::size_t first_unsubmitted) {
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    for (std::size_t j = first_unsubmitted; j < prepared.size(); ++j) {
-      auto it = qp.pending.find(prepared[j].cid);
-      if (it == qp.pending.end()) continue;
-      gate_release(it->second, /*completed=*/false);
-      release_read_slots(qp, it->second);
-      qp.pending.erase(it);
-    }
-    qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
-  };
-
-  for (const IoRequest& request : requests) {
-    Prepared prep;
-    prep.request = &request;
-    auto resolved = resolve_method(request, qid);
-    if (!resolved.is_ok()) {
-      abandon_from(0);
-      return resolved.status();
-    }
-    prep.resolved = *resolved;
-    if (prep.resolved.feasibility_fallback || prep.resolved.degraded) {
-      prep.submit_flags = obs::kFlagMethodFallback;
-    }
-    if (prep.resolved.auto_decided) {
-      prep.submit_flags |= obs::kFlagAutoPolicy;
-    }
-    if (prep.resolved.feasibility_fallback) inline_fallbacks_.increment();
-
-    if (request.opcode == nvme::IoOpcode::kWrite &&
-        request.write_data.size() !=
-            std::uint64_t{request.block_count} * kBlockSize) {
-      abandon_from(0);
-      return invalid_argument("write_data must be block_count * 4096 bytes");
-    }
-    if (request.opcode == nvme::IoOpcode::kRead &&
-        request.read_buffer.size() !=
-            std::uint64_t{request.block_count} * kBlockSize) {
-      abandon_from(0);
-      return invalid_argument("read_buffer must be block_count * 4096 bytes");
-    }
-
-    prep.sqe = build_base_sqe(request);
-    Pending pending;
-    // Same backdating rule as the unbatched path: a reactor-posted request
-    // measures (and attributes) its MPSC-ring residency as kRingWait.
-    const Nanoseconds entry_time = link_.clock().now();
-    prep.submit_time =
-        request.origin_ns != 0 && request.origin_ns <= entry_time
-            ? request.origin_ns
-            : entry_time;
-    pending.submit_time_ns = prep.submit_time;
-    pending.ring_wait_ns =
-        static_cast<std::uint64_t>(entry_time - prep.submit_time);
-    pending.method = prep.resolved.method;
-    pending.tenant = request.tenant;
-    if (config_.command_timeout_ns > 0) {
-      pending.deadline_ns = entry_time + config_.command_timeout_ns;
-    }
-
-    // ByteExpress-R reservation, same point in the lifecycle as the
-    // unbatched path; a full ring falls back to the resolved PRP/SGL
-    // staging below.
-    if (prep.resolved.inline_read) {
-      const std::uint32_t chunks =
-          inr::read_chunks_for(read_length_of(request));
-      if (reserve_read_slots(qp, chunks)) {
-        pending.inline_read = true;
-        pending.read_slots_reserved = chunks;
-        inline_read_attempts_.increment();
-        inr::mark_sqe_inline_read(prep.sqe);
-        pending.read_target = request.read_buffer;
-        pending.read_length =
-            static_cast<std::uint32_t>(read_length_of(request));
-      } else {
-        prep.resolved.inline_read = false;
-        inline_read_fallbacks_.increment();
-        prep.submit_flags |= obs::kFlagMethodFallback;
-      }
-    }
-
-    if (pending.inline_read) {
-      // Bare SQE; the payload returns through the completion ring.
-      prep.slots = 1;
-    } else {
-      switch (prep.resolved.method) {
-        case TransferMethod::kPrp: {
-          const Status status =
-              attach_data_prp(qp, prep.sqe, pending, request);
-          if (!status.is_ok()) {
-            abandon_from(0);
-            return status;
-          }
-          prep.slots = 1;
-          break;
-        }
-        case TransferMethod::kSgl: {
-          const Status status =
-              attach_data_sgl(qp, prep.sqe, pending, request);
-          if (!status.is_ok()) {
-            abandon_from(0);
-            return status;
-          }
-          prep.slots = 1;
-          break;
-        }
-        case TransferMethod::kByteExpress:
-        case TransferMethod::kByteExpressOoo: {
-          prep.sqe.set_inline_length(
-              static_cast<std::uint32_t>(request.write_data.size()));
-          std::uint32_t chunks;
-          if (prep.resolved.method == TransferMethod::kByteExpressOoo) {
-            nvme::inline_chunk::mark_sqe_ooo(prep.sqe,
-                                             allocate_payload_id());
-            chunks = nvme::inline_chunk::ooo_chunks_for(
-                request.write_data.size());
-          } else {
-            chunks = nvme::inline_chunk::raw_chunks_for(
-                request.write_data.size());
-          }
-          prep.inline_payload = request.write_data;
-          prep.slots = 1 + chunks;
-          break;
-        }
-        case TransferMethod::kBandSlim:
-          prep.slots = 0;
-          break;
-        case TransferMethod::kHybrid:
-        case TransferMethod::kAuto:
-          abandon_from(0);
-          return internal_error(
-              "hybrid/auto must be resolved before submission");
-      }
-    }
-
-    // Per-command admission, same point in the lifecycle as the unbatched
-    // path: after staging, before the command can claim ring slots. A
-    // rejection fails the whole batch before anything is published
-    // (preparation is all-or-nothing), releasing the earlier commands'
-    // admissions.
-    const Nanoseconds gate_start = link_.clock().now();
-    const Status admitted = gate_admit(request, qid, prep.resolved, pending);
-    if (!admitted.is_ok()) {
-      release_read_slots(qp, pending);
-      abandon_from(0);
-      return admitted;
-    }
-    pending.gate_wait_ns =
-        static_cast<std::uint64_t>(link_.clock().now() - gate_start);
-
-    prep.cid = register_pending(qp, std::move(pending));
-    prep.sqe.cid = prep.cid;
-    prepared.push_back(prep);
-  }
-
-  // Per-command bookkeeping (trace, telemetry, counters) happens once per
-  // command regardless of how many doorbells the batch ends up needing.
-  for (const Prepared& prep : prepared) {
-    const IoRequest& request = *prep.request;
-    if (telemetry_ != nullptr && is_write_direction(request.opcode)) {
-      telemetry_->on_payload(request.write_data.size());
-    }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      obs::TraceEvent event;
-      event.stage = obs::TraceStage::kSubmit;
-      event.start = prep.submit_time;
-      event.end = link_.clock().now();
-      event.qid = qid;
-      event.cid = prep.cid;
-      event.tenant = request.tenant;
-      event.aux = static_cast<std::uint64_t>(prep.resolved.method);
-      event.bytes = request.write_data.size();
-      event.flags = prep.submit_flags;
-      if (prep.resolved.method == TransferMethod::kByteExpressOoo) {
-        event.flags |= obs::kFlagOooCommand;
-      }
-      tracer_->record(event);
-    }
-    if (submissions_metric_ != nullptr) submissions_metric_->increment();
-    qp.commands.increment();
-    total_commands_.increment();
-    batched_commands_.increment();
-  }
-
-  // ---- phase 2: lay the SQEs plus their inline chunk runs back-to-back
-  // under one lock hold and publish each contiguous run with a single
-  // doorbell MWr. Ring backpressure (or a BandSlim request) ends a run;
-  // the remainder coalesces under the next bell.
-  BatchResult result;
-  result.handles.reserve(requests.size());
-  result.resolved.reserve(requests.size());
-  std::size_t i = 0;
-  int idle_spins = 0;
-  const Nanoseconds phase2_start = link_.clock().now();
-  while (i < prepared.size()) {
-    if (prepared[i].slots == 0) {
-      // BandSlim: header + serialized fragment commands, one doorbell
-      // each by construction (§3.2) — it can never share a bell.
-      SubmitMarks marks;
-      const Status status =
-          submit_bandslim(qp, prepared[i].sqe, *prepared[i].request, &marks);
-      if (!status.is_ok()) {
-        abandon_from(i);
-        return status;
-      }
-      prepared[i].slot_wait_ns = marks.slot_wait_ns;
-      prepared[i].push_end_ns = marks.push_end_ns;
-      prepared[i].bell_end_ns = marks.bell_end_ns;
-      ++i;
-      continue;
-    }
-    std::uint64_t run_entries = 0;
-    std::uint64_t run_commands = 0;
-    {
-      SqGuard guard(*qp.sq);
-      const Nanoseconds start = link_.clock().now();
-      const std::size_t run_first = i;
-      std::uint16_t last_cid = 0;
-      std::uint8_t bell_flags = 0;
-      while (i < prepared.size() && prepared[i].slots > 0 &&
-             qp.sq->free_slots() >= prepared[i].slots) {
-        Prepared& prep = prepared[i];
-        // Every command of the run secured its slots when the run's lock
-        // hold began; time since phase-2 start is ring backpressure (the
-        // reap/pump drains between runs).
-        prep.slot_wait_ns =
-            static_cast<std::uint64_t>(start - phase2_start);
-        push_command_locked(qp, prep.sqe, prep.inline_payload);
-        prep.push_end_ns = link_.clock().now();
-        run_entries += prep.slots;
-        ++run_commands;
-        last_cid = prep.cid;
-        if (prep.resolved.method == TransferMethod::kByteExpressOoo) {
-          bell_flags |= obs::kFlagOooCommand;
-        }
-        ++i;
-      }
-      if (run_commands > 0) {
-        qp.sq_occupancy.set(qp.sq->occupancy());
-        last_submit_cost_ns_.store(link_.clock().now() - start,
-                                   std::memory_order_relaxed);
-        // ONE doorbell covers every command and chunk of the run, rung
-        // before the lock drops (tail-regression rule unchanged).
-        ring_sq_traced(qid, qp.sq->tail(), run_entries, last_cid,
-                       bell_flags);
-        // The shared bell closes every command's coalescing hold: a
-        // command pushed early in the run waited under the bell while the
-        // rest of the run was laid down (kBellHold).
-        const Nanoseconds bell_end = link_.clock().now();
-        for (std::size_t j = run_first; j < i; ++j) {
-          prepared[j].bell_end_ns = bell_end;
-        }
-      }
-    }
-    if (run_commands > 0) {
-      idle_spins = 0;
-      batches_.increment();
-      if (batch_size_metric_ != nullptr) {
-        batch_size_metric_->record(run_commands);
-      }
-      if (submit_cost_metric_ != nullptr) {
-        submit_cost_metric_->record(
-            static_cast<std::uint64_t>(last_submit_cost()));
-      }
-      result.entries += run_entries;
-    } else if (i < prepared.size() && prepared[i].slots > 0) {
-      // The next command does not fit: reap and let the device drain,
-      // bounded so a wedged device surfaces as an error, not a hang.
-      poll_completions(qid);
-      if (pump_once()) {
-        idle_spins = 0;
-      } else if (++idle_spins > 10000) {
-        abandon_from(i);
-        return resource_exhausted(
-            "SQ full and device made no progress during batch");
-      }
-    }
-  }
-
-  {
-    // Publish the attribution marks into the registered pendings under one
-    // lock hold. Completions may already be reaped (done set) but never
-    // erased — only the waiter erases, and no handle has been returned.
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    for (const Prepared& prep : prepared) {
-      auto it = qp.pending.find(prep.cid);
-      if (it == qp.pending.end()) continue;
-      it->second.slot_wait_ns = prep.slot_wait_ns;
-      it->second.push_end_ns = prep.push_end_ns;
-      it->second.bell_end_ns = prep.bell_end_ns;
-    }
-  }
-
-  for (const Prepared& prep : prepared) {
-    Submitted handle;
-    handle.qid = qid;
-    handle.cid = prep.cid;
-    handle.submit_time_ns = prep.submit_time;
-    result.handles.push_back(handle);
-    result.resolved.push_back(prep.resolved);
-  }
-  result.doorbells = bar_.sq_doorbell_writes(qid) - bar_db_before;
-  return result;
+  return wait_resolved(request, *handle);
 }
 
 StatusOr<std::vector<Completion>> NvmeDriver::execute_batch(
@@ -1806,15 +1432,12 @@ StatusOr<std::vector<Completion>> NvmeDriver::execute_batch(
   std::vector<Completion> completions;
   completions.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto first = wait(batch->handles[i]);
-    BX_RETURN_IF_ERROR(first.status());
     // The shared retry tail: a fault on command i recovers (or degrades,
     // or fails) exactly as execute() would, without touching the other
     // commands of the batch.
-    auto final_completion = finish_with_retries(
-        requests[i], qid, *std::move(first), batch->resolved[i]);
-    BX_RETURN_IF_ERROR(final_completion.status());
-    completions.push_back(*std::move(final_completion));
+    auto completion = wait_resolved(requests[i], batch->handles[i]);
+    BX_RETURN_IF_ERROR(completion.status());
+    completions.push_back(*std::move(completion));
   }
   return completions;
 }
@@ -1862,18 +1485,6 @@ StatusOr<NvmeDriver::PipelineResult> NvmeDriver::write_pipeline(
   return result;
 }
 
-void NvmeDriver::claim_exclusive(std::uint16_t qid) {
-  queue(qid).sq->set_exclusive_owner(true);
-}
-
-void NvmeDriver::release_exclusive(std::uint16_t qid) {
-  queue(qid).sq->set_exclusive_owner(false);
-}
-
-bool NvmeDriver::is_exclusive(std::uint16_t qid) {
-  return queue(qid).sq->exclusive_owner();
-}
-
 StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     const IoRequest& request, const std::vector<std::uint16_t>& qids) {
   if (qids.empty()) return invalid_argument("no queues given");
@@ -1902,46 +1513,13 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     }
   }
 
-  QueuePair& home = queue(qids.front());
-  nvme::SubmissionQueueEntry sqe = build_base_sqe(request);
-  sqe.set_inline_length(static_cast<std::uint32_t>(request.write_data.size()));
-  const std::uint32_t payload_id = allocate_payload_id();
-  nvme::inline_chunk::mark_sqe_ooo(sqe, payload_id);
-
-  Pending initial;
-  initial.submit_time_ns = link_.clock().now();
-  initial.method = TransferMethod::kByteExpressOoo;
-  initial.tenant = request.tenant;
-  if (config_.command_timeout_ns > 0) {
-    initial.deadline_ns = initial.submit_time_ns + config_.command_timeout_ns;
-  }
   ResolvedMethod striped;
   striped.method = TransferMethod::kByteExpressOoo;
-  const Nanoseconds gate_start = link_.clock().now();
-  BX_RETURN_IF_ERROR(gate_admit(request, qids.front(), striped, initial));
-  initial.gate_wait_ns =
-      static_cast<std::uint64_t>(link_.clock().now() - gate_start);
-  const std::uint16_t cid = register_pending(home, std::move(initial));
-  sqe.cid = cid;
-
-  // Undoes the registration (and pays back the gate admission) on the
-  // refusal paths below, before anything was published.
-  const auto abandon = [this, &home, cid] {
-    std::lock_guard<std::mutex> plock(home.pending_mutex);
-    auto it = home.pending.find(cid);
-    if (it != home.pending.end()) {
-      gate_release(it->second, /*completed=*/false);
-      home.pending.erase(it);
-    }
-    home.inflight.set(static_cast<std::int64_t>(home.pending.size()));
-  };
-
-  const Nanoseconds submit_time = link_.clock().now();
-  const std::uint32_t chunks =
-      nvme::inline_chunk::ooo_chunks_for(request.write_data.size());
-
-  Nanoseconds stripe_push_end = 0;
-  Nanoseconds stripe_bell_end = 0;
+  auto prepared = prepare(request, qids.front(), &striped);
+  BX_RETURN_IF_ERROR(prepared.status());
+  Prepared& command = *prepared;
+  QueuePair& home = queue(qids.front());
+  const std::uint32_t chunks = command.slots - 1;
   {
     // Hold every stripe queue's SQ lock for the whole capacity check +
     // push + doorbell sequence, acquired in ascending qid order (the one
@@ -1957,20 +1535,6 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     for (const std::uint16_t qid : ordered) {
       locks.emplace_back(queue(qid).sq->lock());
     }
-    // Exclusively-owned queues elide their SQ lock on the owner path, so
-    // holding the mutex does not exclude a reactor — refuse, with a typed
-    // status the caller can branch on. Checked UNDER the locks so a
-    // claim_exclusive() that raced the acquisition above is still seen;
-    // claiming a queue after this point while the stripe submit is in
-    // flight violates the reactor ownership contract (see the header).
-    for (const std::uint16_t qid : ordered) {
-      if (queue(qid).sq->exclusive_owner()) {
-        abandon();
-        return failed_precondition(
-            "stripe queue " + std::to_string(qid) +
-            " is exclusively owned by a reactor");
-      }
-    }
 
     // Capacity check: the command occupies one slot on the home queue, and
     // the chunks round-robin across the stripe set. Unlike the queue-local
@@ -1982,17 +1546,20 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
                            (j < chunks % qids.size() ? 1 : 0);
       if (j == 0) ++need;  // the command itself
       if (queue(qids[j]).sq->free_slots() < need) {
-        abandon();
+        abandon(home, {&command, 1});
         return resource_exhausted("stripe queue " +
                                   std::to_string(qids[j]) + " lacks space");
       }
     }
 
     // Command into the home queue.
+    const Nanoseconds start = link_.clock().now();
     link_.clock().advance(config_.timing.sqe_insert_ns);
-    home.sq->push_slot(sqe_bytes(sqe));
+    home.sq->push_slot(sqe_bytes(command.sqe));
 
     // Chunks striped round-robin across the whole queue set.
+    const std::uint32_t payload_id =
+        nvme::inline_chunk::sqe_ooo_payload_id(command.sqe);
     std::size_t offset = 0;
     for (std::uint32_t i = 0; i < chunks; ++i) {
       QueuePair& target = queue(qids[i % qids.size()]);
@@ -2007,9 +1574,11 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
       target.sq->push_slot({slot.raw, sizeof(slot.raw)});
       offset += take;
     }
-    last_submit_cost_ns_.store(link_.clock().now() - submit_time,
+    last_submit_cost_ns_.store(link_.clock().now() - start,
                                std::memory_order_relaxed);
-    stripe_push_end = link_.clock().now();
+    command.marks.push_end_ns = link_.clock().now();
+    home.commands.increment();
+    total_commands_.increment();
 
     // Entries published per queue by this submission: the command on the
     // home queue, chunks round-robin over the (possibly repeating) stripe
@@ -2024,92 +1593,38 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     for (const std::uint16_t qid : ordered) {
       QueuePair& touched = queue(qid);
       touched.sq_occupancy.set(touched.sq->occupancy());
-      ring_sq_traced(qid, touched.sq->tail(), published[qid], cid,
-                     obs::kFlagOooCommand);
+      ring_sq_traced(qid, touched.sq->tail(), published[qid],
+                     command.sqe.cid, obs::kFlagOooCommand);
     }
     // The command is only fully handed off once every stripe queue's bell
     // has rung; until then the earlier bells coalesce under the lock hold.
-    stripe_bell_end = link_.clock().now();
+    command.marks.bell_end_ns = link_.clock().now();
   }
-  {
-    std::lock_guard<std::mutex> plock(home.pending_mutex);
-    auto it = home.pending.find(cid);
-    if (it != home.pending.end()) {
-      it->second.push_end_ns = stripe_push_end;
-      it->second.bell_end_ns = stripe_bell_end;
-    }
-  }
-
-  if (telemetry_ != nullptr) {
-    telemetry_->on_payload(request.write_data.size());
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    obs::TraceEvent event;
-    event.stage = obs::TraceStage::kSubmit;
-    event.start = submit_time;
-    event.end = link_.clock().now();
-    event.flags = obs::kFlagOooCommand;
-    event.qid = qids.front();
-    event.cid = cid;
-    event.tenant = request.tenant;
-    event.aux = static_cast<std::uint64_t>(TransferMethod::kByteExpressOoo);
-    event.bytes = request.write_data.size();
-    tracer_->record(event);
-  }
-  if (submissions_metric_ != nullptr) {
-    submissions_metric_->increment();
+  if (submit_cost_metric_ != nullptr) {
     submit_cost_metric_->record(
         static_cast<std::uint64_t>(last_submit_cost()));
   }
-  home.commands.increment();
-  total_commands_.increment();
-
-  Submitted handle;
-  handle.qid = qids.front();
-  handle.cid = cid;
-  handle.submit_time_ns = submit_time;
-  return wait(handle);
+  note_published(home, {&command, 1});
+  return wait(Submitted{qids.front(), command.sqe.cid, command.submit_time,
+                        command.resolved});
 }
 
 StatusOr<Completion> NvmeDriver::execute_admin(
     nvme::SubmissionQueueEntry sqe) {
   if (!pump_) return failed_precondition("no device attached");
-  const Nanoseconds submit_time = link_.clock().now();
+  Prepared command;
+  command.submit_time = link_.clock().now();
   Pending initial;
-  initial.submit_time_ns = submit_time;
-  const std::uint16_t cid = register_pending(admin_, std::move(initial));
-  sqe.cid = cid;
-  SubmitMarks marks;
-  const Status status = submit_plain(admin_, sqe, &marks);
+  initial.submit_time_ns = command.submit_time;
+  command.sqe = sqe;
+  command.sqe.cid = register_pending(admin_, std::move(initial));
+  const Status status = push_one(admin_, command);
   if (!status.is_ok()) {
-    std::lock_guard<std::mutex> lock(admin_.pending_mutex);
-    admin_.pending.erase(cid);
-    admin_.inflight.set(static_cast<std::int64_t>(admin_.pending.size()));
+    abandon(admin_, {&command, 1});
     return status;
   }
-  {
-    std::lock_guard<std::mutex> lock(admin_.pending_mutex);
-    auto it = admin_.pending.find(cid);
-    if (it != admin_.pending.end()) {
-      it->second.slot_wait_ns = marks.slot_wait_ns;
-      it->second.push_end_ns = marks.push_end_ns;
-      it->second.bell_end_ns = marks.bell_end_ns;
-    }
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    obs::TraceEvent event;
-    event.stage = obs::TraceStage::kSubmit;
-    event.start = submit_time;
-    event.end = link_.clock().now();
-    event.qid = 0;
-    event.cid = cid;
-    tracer_->record(event);
-  }
-
-  Submitted handle;
-  handle.qid = 0;
-  handle.cid = cid;
-  return wait(handle);
+  note_published(admin_, {&command, 1});
+  return wait(Submitted{0, command.sqe.cid, command.submit_time, {}});
 }
 
 bool NvmeDriver::pump_once() { return pump_ ? pump_() : false; }

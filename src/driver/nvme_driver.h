@@ -3,10 +3,19 @@
 // This is the analog of the Linux kernel PCIe NVMe driver the paper patched:
 // queue management, the nvme_queue_rq() submission path with its per-SQ
 // lock, PRP/SGL construction, and the passthrough execute() entry point.
-// The ByteExpress host-side change lives in submit_inline_locked(): while
-// holding the SQ lock it pushes the command (with the payload length
-// re-encoded into the reserved CDW2) and then the payload itself as
-// consecutive 64-byte SQ slots, then rings the doorbell once (§3.3).
+//
+// Every I/O submission runs two private steps. prepare() resolves the
+// transfer method, validates, builds the SQE, reserves inline-read ring
+// slots or stages PRP/SGL data, admits through the gate and registers the
+// CID. publish() lays prepared commands on the SQ in runs: one SQ-lock hold
+// pushes each SQE with its 64-byte inline chunks right behind it (the
+// payload length re-encoded into the reserved CDW2, push_command_locked())
+// and rings ONE doorbell for the run before the lock drops — the
+// ByteExpress host change of §3.3. submit() publishes a batch of one;
+// submit_batch() prepares every request, then publishes once, so a batch
+// coalesces under one doorbell (RDMAbox-style merging). execute(),
+// execute_batch() and write_pipeline() (the npu-nvme write_pipeline shape)
+// wait through the same retry tail, wait_resolved().
 //
 // The driver is transport only — it never interprets vendor command
 // semantics; that is the device's job.
@@ -25,20 +34,6 @@
 // qid order. Doorbells are rung while the ring lock is held, so BAR tail
 // values never regress when two submitters race.
 // Command/stream/payload identifiers come from atomic allocators.
-//
-// Reactor ownership (sharded per-core model, see driver/reactor.h): a
-// queue claimed with claim_exclusive(qid) elides the SQ submit lock —
-// the owner thread is then the only thread allowed to submit, poll or
-// wait on that queue; cross-core work reaches it through the reactor's
-// MPSC ring. execute_ooo_striped() must never include a claimed queue
-// in its stripe set.
-//
-// Batched submission (§3.3 doorbell coalescing): submit_batch() prepares
-// every request of a batch, then lays the SQEs and their inline chunk
-// runs back-to-back in the ring under a single lock hold and rings ONE
-// doorbell MWr covering all of them. write_pipeline() slices a large
-// payload into inline commands and keeps `depth` of them per doorbell,
-// the npu-nvme write_pipeline(depth 4-8) shape.
 #pragma once
 
 #include <array>
@@ -80,11 +75,9 @@ class NvmeDriver {
     nvme::HostTimingModel timing{};
     /// kHybrid: payloads at or below this go inline, above go PRP (§4.2).
     std::uint32_t hybrid_threshold_bytes = 256;
-    /// The driver refuses to inline payloads above this (SQ depth bound).
+    /// Payloads above this (or too large for the ring, or read-direction)
+    /// cannot go inline and fall back to PRP.
     std::uint32_t max_inline_bytes = 8192;
-    /// Fall back to PRP instead of failing when a payload cannot go inline
-    /// (read-direction command, too large, queue too shallow).
-    bool auto_fallback_to_prp = true;
 
     // ---- ByteExpress-R inline read completions (docs/READPATH.md) ----
 
@@ -201,7 +194,7 @@ class NvmeDriver {
   StatusOr<Completion> execute(const IoRequest& request,
                                std::uint16_t qid = 1);
 
-  /// Asynchronous submission; pair with wait().
+  /// Asynchronous submission (a batch of one); pair with wait().
   StatusOr<Submitted> submit(const IoRequest& request, std::uint16_t qid);
   StatusOr<Completion> wait(const Submitted& handle);
 
@@ -211,49 +204,29 @@ class NvmeDriver {
   /// keep the faults.injected == recovered + degraded + failed equality
   /// exact. `request` must be the request passed to submit(), with its
   /// payload spans still valid (retries resubmit it; each resubmission
-  /// is re-admitted through the submission gate). The transfer method is
-  /// re-resolved per attempt, same as the execute() tail.
+  /// is re-admitted through the submission gate). The first attempt is
+  /// classified by the method recorded in `handle`; each retry resolves
+  /// its method afresh when it is submitted.
   StatusOr<Completion> wait_resolved(const IoRequest& request,
                                      const Submitted& handle);
 
   // ---- batched submission (doorbell coalescing) ----
 
-  /// How resolve_method() arrived at the transfer method actually used.
-  struct ResolvedMethod {
-    TransferMethod method = TransferMethod::kPrp;
-    /// The inline request could not go inline (read direction, too large,
-    /// ring too shallow) and fell back to PRP.
-    bool feasibility_fallback = false;
-    /// The queue is in degraded mode, so the inline request went PRP.
-    bool degraded = false;
-    /// ByteExpress-R: the read returns inline through the queue's
-    /// completion ring (no PRP/SGL staging; `method` is what the read
-    /// would fall back to). Cleared at submit time when the ring-slot
-    /// reservation fails (ring full -> PRP fallback).
-    bool inline_read = false;
-    /// The method was chosen by the attached MethodPolicy (the request
-    /// came in as kAuto) — sets kFlagAutoPolicy on the kSubmit event.
-    bool auto_decided = false;
-  };
-
   struct BatchResult {
     /// One handle per request, in request order; pair each with wait().
     std::vector<Submitted> handles;
-    /// How each request's method was resolved (execute_batch's retry
-    /// classification needs the first-attempt view).
-    std::vector<ResolvedMethod> resolved;
     /// SQ doorbell MWr writes this batch rang. 1 when the whole batch
     /// coalesced under one bell; more when ring backpressure split it or
     /// a BandSlim request forced its serialized per-command path.
     std::uint64_t doorbells = 0;
-    /// Ring slots published (SQEs + inline chunks) by the batch.
+    /// Ring slots published in coalesced runs (SQEs + inline chunks).
     std::uint64_t entries = 0;
   };
 
   /// Prepares every request (method resolution, PRP/SGL staging, CID
-  /// registration) outside the ring lock, then pushes all SQEs plus
-  /// their inline chunk runs contiguously under one SQ lock hold and
-  /// rings a single doorbell covering the whole batch. Preparation is
+  /// registration) outside the ring lock, then publishes them all: SQEs
+  /// plus their inline chunk runs go contiguously under one SQ lock hold
+  /// with a single doorbell covering the run. Preparation is
   /// all-or-nothing: a request that fails validation fails the batch
   /// before anything is pushed. BandSlim requests cannot coalesce (their
   /// fragments are serialized commands by construction); they flush the
@@ -286,24 +259,12 @@ class NvmeDriver {
       std::uint16_t qid = 1,
       TransferMethod method = TransferMethod::kByteExpress);
 
-  // ---- reactor queue ownership ----
-
-  /// Marks `qid`'s SQ as exclusively owned: submit paths skip the SQ
-  /// lock. From claim until release, only the owning thread may submit,
-  /// poll or wait on this queue (the reactor contract); other threads
-  /// must hand requests to the owner via its MPSC ring.
-  void claim_exclusive(std::uint16_t qid);
-  void release_exclusive(std::uint16_t qid);
-  [[nodiscard]] bool is_exclusive(std::uint16_t qid);
-
   /// Reaps any ready completions on `qid`; returns how many were reaped.
   std::size_t poll_completions(std::uint16_t qid);
 
   /// §3.3.2 OOO extension: the command goes to `qids.front()` and the
   /// self-describing chunks are striped round-robin across all of `qids`.
-  /// Fails with kFailedPrecondition (checked under the stripe locks) when
-  /// any stripe queue is exclusively owned by a reactor, and with
-  /// kResourceExhausted when a stripe queue lacks ring space.
+  /// Fails with kResourceExhausted when a stripe queue lacks ring space.
   StatusOr<Completion> execute_ooo_striped(
       const IoRequest& request, const std::vector<std::uint16_t>& qids);
 
@@ -345,6 +306,11 @@ class NvmeDriver {
     telemetry_ = telemetry;
   }
 
+  /// Inline-chunk slots a command of `method` occupies beyond its SQE —
+  /// what the submission gate charges against the inline budget.
+  static std::uint32_t inline_slots_for(TransferMethod method,
+                                        std::uint64_t payload_len) noexcept;
+
   /// Direct ring access for white-box tests (ordering invariants).
   [[nodiscard]] nvme::SqRing& sq_for_test(std::uint16_t qid);
   /// Direct CQ access for trace-reconciliation tests.
@@ -373,6 +339,16 @@ class NvmeDriver {
   }
 
  private:
+  /// Sim-time marks publish() measures per command: ring backpressure
+  /// (accumulated across a BandSlim command's fragments), the instant the
+  /// SQE and its chunk run were fully pushed, and the instant its
+  /// doorbell rang.
+  struct SubmitMarks {
+    std::uint64_t slot_wait_ns = 0;
+    Nanoseconds push_end_ns = 0;
+    Nanoseconds bell_end_ns = 0;
+  };
+
   struct Pending {
     bool done = false;
     nvme::CompletionQueueEntry cqe{};
@@ -400,26 +376,30 @@ class NvmeDriver {
     std::uint32_t read_slots_reserved = 0;
     /// Latency-attribution marks (obs/attribution.h). The resolved
     /// transfer method keys the per-method wait histograms; the wait
-    /// durations are measured by the submit path and bell_end_ns anchors
-    /// the host->device handoff (0 = never rung, e.g. admin commands).
+    /// durations are measured by prepare()/publish() and the bell mark
+    /// anchors the host->device handoff (0 = never rung).
     TransferMethod method = TransferMethod::kPrp;
     std::uint64_t gate_wait_ns = 0;
     std::uint64_t ring_wait_ns = 0;
-    std::uint64_t slot_wait_ns = 0;
-    Nanoseconds push_end_ns = 0;
-    Nanoseconds bell_end_ns = 0;
+    SubmitMarks marks;
   };
 
-  /// Sim-time marks a submission primitive reports back so the caller can
-  /// fill the Pending's attribution fields: backpressure wait spent
-  /// inside the call (accumulates across calls — BandSlim fragments), the
-  /// instant ring space was secured, the instant the SQE (+ chunk run)
-  /// was fully pushed, and the instant its doorbell was rung.
-  struct SubmitMarks {
-    std::uint64_t slot_wait_ns = 0;
-    Nanoseconds acquire_ns = 0;
-    Nanoseconds push_end_ns = 0;
-    Nanoseconds bell_end_ns = 0;
+  /// One command between prepare() and publish(): its SQE (cid set), the
+  /// inline chunk run that follows it, and what publish() measured.
+  struct Prepared {
+    /// Null for commands that are not I/O requests (admin commands and
+    /// BandSlim fragments): they count in no driver.* counter.
+    const IoRequest* request = nullptr;
+    ResolvedMethod resolved{};
+    nvme::SubmissionQueueEntry sqe{};
+    ConstByteSpan inline_payload{};
+    /// Ring slots (SQE + inline chunks); 0 marks a BandSlim request,
+    /// which cannot coalesce and goes through its serialized path.
+    std::uint32_t slots = 1;
+    /// kSubmit flags; the OOO/auxiliary bits also go on the doorbell.
+    std::uint8_t submit_flags = 0;
+    Nanoseconds submit_time = 0;
+    SubmitMarks marks{};
   };
 
   struct QueuePair {
@@ -477,9 +457,8 @@ class NvmeDriver {
 
   [[nodiscard]] QueuePair& queue(std::uint16_t qid);
   /// Resolves hybrid switching, inline-feasibility fallbacks and queue
-  /// degradation (all reported in the result); fails with
-  /// kFailedPrecondition when the payload cannot go inline and
-  /// auto_fallback_to_prp is disabled.
+  /// degradation (all reported in the result); fails only when the
+  /// attached policy sheds a kAuto request.
   [[nodiscard]] StatusOr<ResolvedMethod> resolve_method(
       const IoRequest& request, std::uint16_t qid) const;
   static bool is_write_direction(nvme::IoOpcode opcode) noexcept;
@@ -492,10 +471,10 @@ class NvmeDriver {
   /// Builds the opcode/nsid/cdw fields common to every method.
   nvme::SubmissionQueueEntry build_base_sqe(const IoRequest& request) const;
 
-  Status attach_data_prp(QueuePair& qp, nvme::SubmissionQueueEntry& sqe,
-                         Pending& pending, const IoRequest& request);
-  Status attach_data_sgl(QueuePair& qp, nvme::SubmissionQueueEntry& sqe,
-                         Pending& pending, const IoRequest& request);
+  Status attach_data_prp(nvme::SubmissionQueueEntry& sqe, Pending& pending,
+                         const IoRequest& request);
+  Status attach_data_sgl(nvme::SubmissionQueueEntry& sqe, Pending& pending,
+                         const IoRequest& request);
 
   /// Atomically allocates a CID unique among `qp`'s in-flight commands and
   /// registers `pending` under it — one pending_mutex hold, so two racing
@@ -514,53 +493,46 @@ class NvmeDriver {
   /// Atomic OOO payload-id allocation (returns 1..0x7fffffff).
   std::uint32_t allocate_payload_id() noexcept;
 
-  /// Pushes `sqe` (and nothing else) under the SQ lock and rings the bell
-  /// before releasing it. Applies backpressure when the ring is full:
-  /// reaps/pumps until a slot frees, failing with kResourceExhausted only
-  /// if the device stops making progress. `marks`, when given, receives
-  /// the attribution marks (slot wait accumulates across calls).
-  Status submit_plain(QueuePair& qp, const nvme::SubmissionQueueEntry& sqe,
-                      SubmitMarks* marks = nullptr);
-
-  /// The ByteExpress host path: SQE + raw chunks under one lock hold, one
-  /// doorbell (rung before the lock is released). Returns false if the
-  /// ring lacks space; on success fills `marks` (push/bell instants).
-  bool submit_inline_locked(QueuePair& qp,
-                            const nvme::SubmissionQueueEntry& sqe,
-                            ConstByteSpan payload,
-                            SubmitMarks* marks = nullptr);
-
   /// Pushes one SQE and (when `inline_payload` is non-empty) its inline
   /// chunk run at the tail; returns slots pushed. Requires the SQ lock
-  /// (or exclusive ownership) and prior free_slots() headroom.
+  /// and prior free_slots() headroom.
   std::uint32_t push_command_locked(QueuePair& qp,
                                     const nvme::SubmissionQueueEntry& sqe,
                                     ConstByteSpan inline_payload);
 
-  /// The shared retry/degradation tail of execute()/execute_batch():
-  /// classifies `completion` (and every later attempt) into the
-  /// faults.{recovered,degraded,failed} trio, resubmitting with backoff
-  /// while the status is retryable.
-  StatusOr<Completion> finish_with_retries(const IoRequest& request,
-                                           std::uint16_t qid,
-                                           Completion completion,
-                                           ResolvedMethod resolved);
-
-  /// BandSlim: header command + serialized fragment commands. `marks`
-  /// accumulates the slot wait across the whole serialized sequence; the
-  /// final fragment's push/bell instants win (the command is only fully
-  /// handed off once its last fragment is published).
-  Status submit_bandslim(QueuePair& qp, nvme::SubmissionQueueEntry sqe,
-                         const IoRequest& request,
-                         SubmitMarks* marks = nullptr);
-
-  /// `submit_flags` is OR-ed into the kSubmit trace event's flags
-  /// (kFlagMethodFallback when the method was changed by the driver).
-  /// `resolved.inline_read` may be cleared here (ring-full fallback).
-  StatusOr<Submitted> submit_with_method(const IoRequest& request,
-                                         std::uint16_t qid,
-                                         ResolvedMethod resolved,
-                                         std::uint8_t submit_flags = 0);
+  /// Step 1 of every I/O submission: resolves the method (or takes
+  /// `forced`), validates, builds the SQE, reserves inline-read ring slots
+  /// or stages PRP/SGL data, admits through the gate and registers the
+  /// CID. Nothing is on the ring yet; a failure leaves nothing behind.
+  StatusOr<Prepared> prepare(const IoRequest& request, std::uint16_t qid,
+                             const ResolvedMethod* forced = nullptr);
+  /// Step 2: lays `commands` on `qp` in doorbell runs (push_run), sends
+  /// BandSlim through its serialized path, and drains the device while the
+  /// next command does not fit. After each run's bell it records the
+  /// marks, counters and kSubmit of the commands that bell published.
+  /// `batched` adds the driver.batches/batch_size/batched_commands books.
+  /// On failure the unpublished commands are abandoned.
+  Status publish(QueuePair& qp, std::span<Prepared> commands, bool batched);
+  /// One run: under one SQ lock hold, pushes the longest prefix of
+  /// `commands` that fits the ring (stopping at BandSlim) and rings one
+  /// doorbell for it. Returns how many commands it published (0 = the
+  /// first does not fit yet); slot waits are measured from `since`.
+  std::size_t push_run(QueuePair& qp, std::span<Prepared> commands,
+                       Nanoseconds since);
+  /// Publishes `command` alone in its own run, draining until it fits.
+  Status push_one(QueuePair& qp, Prepared& command);
+  /// Ring-full backpressure: reaps `qp` and pumps the device once. False
+  /// once the device has made no progress for 10000 consecutive calls.
+  bool drain(QueuePair& qp, int& idle_spins);
+  /// BandSlim: header command + serialized fragment commands, each in its
+  /// own run; the final fragment's marks close the command.
+  Status publish_bandslim(QueuePair& qp, Prepared& command);
+  /// After a command's doorbell: publishes its marks into the pending and
+  /// records its kSubmit event, payload telemetry and submission counters.
+  void note_published(QueuePair& qp, std::span<const Prepared> commands);
+  /// Undoes prepare() for commands that never (fully) reached the ring:
+  /// pays back gate admissions and inline-read slots, erases the pendings.
+  void abandon(QueuePair& qp, std::span<const Prepared> commands);
 
   /// ByteExpress-R: read length a request declares (read_buffer size, or
   /// the block length for LBA reads).
@@ -618,10 +590,6 @@ class NvmeDriver {
   std::atomic<std::uint32_t> next_payload_id_{1};  // OOO payload ids
   std::atomic<Nanoseconds> last_submit_cost_ns_{0};
 
-  /// Inline-chunk slots a command of `method` occupies beyond its SQE —
-  /// what the submission gate charges against the inline budget.
-  static std::uint32_t inline_slots_for(TransferMethod method,
-                                        std::uint64_t payload_len) noexcept;
   /// Consults the gate (when attached) for one command about to claim
   /// ring slots; fills `pending`'s gate bookkeeping on admission. Inline
   /// reads are charged their completion-ring slot count against the same

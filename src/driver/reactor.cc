@@ -6,9 +6,7 @@
 namespace bx::driver {
 
 Reactor::Reactor(NvmeDriver& driver, ReactorConfig config)
-    : driver_(driver), config_(config), ring_(config.ring_capacity) {
-  if (config_.claim_queue) driver_.claim_exclusive(config_.qid);
-}
+    : driver_(driver), config_(config), ring_(config.ring_capacity) {}
 
 Reactor::~Reactor() {
   stop();
@@ -25,7 +23,6 @@ Reactor::~Reactor() {
   // cannot refill behind us.
   while (poll_once() > 0) {
   }
-  if (config_.claim_queue) driver_.release_exclusive(config_.qid);
 }
 
 void Reactor::bind_metrics(obs::MetricsRegistry& metrics,

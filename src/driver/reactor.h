@@ -1,11 +1,10 @@
 // Sharded per-core reactor: the shared-nothing host path.
 //
-// SPDK-style ownership model: one Reactor exclusively owns one SQ/CQ pair
-// and is the only thread that touches its cursors — the per-SQ mutex is
-// elided on this path (SqRing::set_exclusive_owner). Other cores never
-// submit directly; they hand requests to the owner through a bounded
-// lock-free MPSC ring (mpsc_ring.h) and get their completion delivered by
-// callback from the owner thread.
+// SPDK-style ownership model: one Reactor drives one SQ/CQ pair and is
+// the only thread that submits to it, so the per-SQ lock it takes is
+// uncontended. Other cores never submit directly; they hand requests to
+// the owner through a bounded lock-free MPSC ring (mpsc_ring.h) and get
+// their completion delivered by callback from the owner thread.
 //
 // The reactor is deliberately threadless: the owner drives it either with
 // poll_once() (deterministic tests, manual event loops) or run() (a
@@ -44,9 +43,6 @@ struct ReactorConfig {
   /// Max requests drained per poll_once() — the execute_batch size cap,
   /// i.e. the doorbell coalescing window.
   std::uint32_t batch_depth = 8;
-  /// Claim exclusive SQ ownership (elide the per-SQ lock). Leave false
-  /// only if non-reactor threads still submit to this qid directly.
-  bool claim_queue = true;
 };
 
 /// Completion delivery: invoked on the reactor (owner) thread. Receives

@@ -91,11 +91,32 @@ struct Completion {
   [[nodiscard]] bool ok() const noexcept { return status.is_success(); }
 };
 
+/// How the driver resolved one submission's transfer method.
+struct ResolvedMethod {
+  TransferMethod method = TransferMethod::kPrp;
+  /// The inline request could not go inline (read direction, too large,
+  /// ring too shallow) and fell back to PRP.
+  bool feasibility_fallback = false;
+  /// The queue is in degraded mode, so the inline request went PRP.
+  bool degraded = false;
+  /// ByteExpress-R: the read returns inline through the queue's
+  /// completion ring (no PRP/SGL staging; `method` is what the read
+  /// would fall back to). Cleared at submit time when the ring-slot
+  /// reservation fails (ring full -> PRP fallback).
+  bool inline_read = false;
+  /// The method was chosen by the attached MethodPolicy (the request
+  /// came in as kAuto) — sets kFlagAutoPolicy on the kSubmit event.
+  bool auto_decided = false;
+};
+
 /// Handle for an in-flight asynchronous command.
 struct Submitted {
   std::uint16_t qid = 0;
   std::uint16_t cid = 0;
   Nanoseconds submit_time_ns = 0;
+  /// The method this attempt was submitted with; the retry tail
+  /// (NvmeDriver::wait_resolved) classifies the attempt by it.
+  ResolvedMethod resolved{};
 };
 
 }  // namespace bx::driver

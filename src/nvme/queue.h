@@ -7,7 +7,6 @@
 // guarantees the chunks land contiguously after the SQE.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -65,31 +64,12 @@ class SqRing {
   /// spinlock, but the mutual-exclusion semantics are what matters).
   [[nodiscard]] std::mutex& lock() noexcept { return mutex_; }
 
-  // --- exclusive ownership (reactor model) ---
-  //
-  // In the sharded reactor model exactly one thread owns a queue pair, so
-  // the per-submit mutex above is pure overhead on the owner path. A
-  // claimed ring skips the lock in the driver's submit/reap paths; the
-  // contract is that while claimed, *all* cursor-touching calls on this
-  // ring (push_slot/free_slots/tail/note_head/occupancy) come from the
-  // owning thread. Cross-core submitters must hand their requests to the
-  // owner via the reactor's MPSC ring instead of touching the SQ.
-  // Claim/release are release/acquire so cursor state written before a
-  // hand-over is visible to the thread that observes the new mode.
-  void set_exclusive_owner(bool owner) noexcept {
-    exclusive_owner_.store(owner, std::memory_order_release);
-  }
-  [[nodiscard]] bool exclusive_owner() const noexcept {
-    return exclusive_owner_.load(std::memory_order_acquire);
-  }
-
  private:
   DmaMemory& memory_;
   std::uint16_t qid_;
   std::uint32_t depth_;
   DmaBuffer ring_;
   std::mutex mutex_;
-  std::atomic<bool> exclusive_owner_{false};
   std::uint32_t tail_ = 0;        // host writes here
   std::uint32_t head_cache_ = 0;  // last head reported by the device
   std::uint64_t slots_pushed_ = 0;

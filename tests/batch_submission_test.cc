@@ -286,12 +286,23 @@ TEST(BatchSubmissionTest, SeededRandomBatchShapes) {
 }
 
 TEST(BatchSubmissionTest, DoorbellsPerKopGaugeDropsUnderBatching) {
-  Testbed bed(test::small_testbed_config());
   std::vector<ByteVec> payloads(8, ByteVec(256, Byte{0x44}));
   std::vector<driver::IoRequest> requests;
   for (const ByteVec& payload : payloads) {
     requests.push_back(make_write(payload, TransferMethod::kByteExpress));
   }
+  // Unbatched: one bell per command. Each command is counted before the
+  // bell that publishes it, so the gauge reads exactly 1000.
+  Testbed unbatched(test::small_testbed_config());
+  for (int i = 0; i < 100; ++i) {
+    auto completion = unbatched.driver().execute(requests[0], 1);
+    ASSERT_TRUE(completion.is_ok());
+  }
+  EXPECT_EQ(unbatched.metrics().counter_value("driver.sq_doorbells"), 100u);
+  EXPECT_EQ(unbatched.metrics().gauge_value("driver.doorbells_per_kop"),
+            1000);
+
+  Testbed bed(test::small_testbed_config());
   for (int i = 0; i < 10; ++i) {
     auto completions = bed.driver().execute_batch(
         {requests.data(), requests.size()}, 1);

@@ -1,8 +1,8 @@
 // Deterministic tests for the sharded reactor host path: the MPSC
 // cross-core handoff ring (FIFO per producer, no loss, no duplication,
 // never blocks on a mid-fill cell) and the Reactor event loop (batched
-// drain, callback ordering, graceful shutdown drain, exclusive queue
-// ownership). The multi-producer cases run real OS threads and double as
+// drain, callback ordering, graceful shutdown drain, one reactor per
+// queue). The multi-producer cases run real OS threads and double as
 // ThreadSanitizer targets: the CI TSan job runs this binary with
 // -fsanitize=thread.
 #include <gtest/gtest.h>
@@ -266,16 +266,6 @@ TEST(ReactorTest, OneDoorbellPerDrainedBatch) {
   EXPECT_EQ(bed.bar().sq_doorbell_writes(1) - bells_before, 1u);
 }
 
-TEST(ReactorTest, ClaimsAndReleasesExclusiveOwnership) {
-  Testbed bed(test::small_testbed_config());
-  {
-    Reactor reactor(bed.driver(), ReactorConfig{});
-    EXPECT_TRUE(bed.driver().is_exclusive(1));
-  }
-  EXPECT_FALSE(bed.driver().is_exclusive(1))
-      << "destruction must release the claim";
-}
-
 TEST(ReactorTest, GracefulDrainOnStop) {
   Testbed bed(test::small_testbed_config());
   ReactorConfig config;
@@ -361,8 +351,6 @@ TEST(ReactorTest, TwoReactorsOwnDisjointQueues) {
   second.qid = 2;
   Reactor r1(bed.driver(), first);
   Reactor r2(bed.driver(), second);
-  EXPECT_TRUE(bed.driver().is_exclusive(1));
-  EXPECT_TRUE(bed.driver().is_exclusive(2));
 
   const ByteVec payload(256, Byte{0x9d});
   std::thread t1([&] { r1.run(); });
@@ -387,34 +375,6 @@ TEST(ReactorTest, TwoReactorsOwnDisjointQueues) {
   EXPECT_EQ(completed.load(), 64);
   EXPECT_EQ(bed.driver().pending_count_for_test(1), 0u);
   EXPECT_EQ(bed.driver().pending_count_for_test(2), 0u);
-}
-
-TEST(ReactorTest, OooStripingRefusesClaimedQueues) {
-  // A claimed queue's owner elides the SQ lock, so striping chunks into
-  // it from another path must be rejected, not raced.
-  Testbed bed(test::small_testbed_config());
-  bed.driver().claim_exclusive(2);
-
-  driver::IoRequest request;
-  request.opcode = nvme::IoOpcode::kVendorRawWrite;
-  request.method = driver::TransferMethod::kByteExpressOoo;
-  const ByteVec payload(512, Byte{0x31});
-  request.write_data = {payload.data(), payload.size()};
-
-  auto striped = bed.driver().execute_ooo_striped(request, {1, 2});
-  ASSERT_FALSE(striped.is_ok());
-  // Typed contract: a claimed stripe queue is a wiring error
-  // (kFailedPrecondition), not generic internal failure — callers route
-  // on this code to re-plan the stripe set.
-  EXPECT_EQ(striped.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(bed.driver().pending_count_for_test(1), 0u);
-  EXPECT_EQ(bed.driver().pending_count_for_test(2), 0u);
-
-  // Unclaimed stripe sets still work, and release restores striping.
-  bed.driver().release_exclusive(2);
-  auto ok = bed.driver().execute_ooo_striped(request, {1, 2});
-  ASSERT_TRUE(ok.is_ok()) << ok.status().message();
-  EXPECT_TRUE(ok->ok());
 }
 
 }  // namespace

@@ -216,6 +216,52 @@ TEST(TenantScheduler, VirtualQueueBoundsInFlightLocally) {
   EXPECT_EQ(vq.in_flight(), 0u);
 }
 
+// The adaptive policy decides a kAuto tenant write once, at submission.
+// A burst deep enough to cross the shed watermark sheds the late submits,
+// but every write it admitted completes: waiting must not ask the policy
+// again (which would shed a command the device already finished).
+TEST(TenantScheduler, AdmittedAutoWritesAreNotShedAtWait) {
+  core::TestbedConfig config = test::small_testbed_config(1, 32);
+  config.policy_enabled = true;
+  core::Testbed bed(config);
+  SchedulerConfig sched_config;
+  TenantConfig t1;
+  t1.id = 1;
+  sched_config.tenants = {t1};
+  sched_config.vqueue_depth = 64;
+  TenantScheduler sched(bed, sched_config);
+
+  ByteVec payload(96, Byte{0x3c});
+  VirtualQueue& vq = sched.vqueue(1);
+  std::vector<std::uint64_t> admitted;
+  for (int i = 0; i < 40; ++i) {
+    auto vcid = vq.submit_write(ConstByteSpan(payload), TransferMethod::kAuto);
+    if (vcid.is_ok()) {
+      admitted.push_back(*vcid);
+    } else {
+      EXPECT_EQ(vcid.status().code(), StatusCode::kResourceExhausted);
+    }
+  }
+  ASSERT_EQ(admitted.size(), 10u) << "the burst must cross the watermark";
+  for (const std::uint64_t vcid : admitted) {
+    auto completion = vq.wait(vcid);
+    ASSERT_TRUE(completion.is_ok()) << completion.status().to_string();
+    EXPECT_TRUE(completion->ok());
+  }
+  // The same writes one at a time: one decision per command throughout.
+  for (int i = 0; i < 40; ++i) {
+    auto completion =
+        sched.execute_write(1, ConstByteSpan(payload), TransferMethod::kAuto);
+    ASSERT_TRUE(completion.is_ok()) << completion.status().to_string();
+    EXPECT_TRUE(completion->ok());
+  }
+  const obs::MetricsRegistry& metrics = bed.metrics();
+  EXPECT_EQ(metrics.counter_value("driver.commands"), 50u);
+  EXPECT_EQ(metrics.counter_value("policy.decisions.inline") +
+                metrics.counter_value("policy.decisions.dma"),
+            50u);
+}
+
 // ---- WRR conformance -----------------------------------------------------
 
 /// Submits `ops` PRP writes per queue asynchronously (each op is exactly

@@ -5,6 +5,8 @@
 // figure-level shape tests might miss.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/testbed.h"
 #include "test_util.h"
 
@@ -74,7 +76,14 @@ std::vector<MethodSize> law_cases() {
         TransferMethod::kByteExpress, TransferMethod::kByteExpressOoo,
         TransferMethod::kBandSlim, TransferMethod::kHybrid}) {
     for (const std::uint32_t size : {1u, 24u, 64u, 100u, 256u, 4096u}) {
-      cases.push_back({method, size});
+      // gtest prints a struct parameter as its raw bytes, padding included,
+      // and ctest names each case after that print: zero the padding so the
+      // names do not carry stale stack bytes that change from run to run.
+      MethodSize law_case;
+      std::memset(&law_case, 0, sizeof(law_case));
+      law_case.method = method;
+      law_case.size = size;
+      cases.push_back(law_case);
     }
   }
   return cases;
