@@ -15,7 +15,7 @@
 //      admitted p99 flat.
 //
 // The bench self-asserts all three properties (it aborts on violation,
-// so the CI smoke run already gates them); the policy-bench CI job
+// so the CI smoke run already gates them); the bench-gates CI job
 // re-checks the published BENCH_policy_adaptive.json with jq and diffs
 // it against bench/baselines/ with tools/bxdiff.
 #include <algorithm>

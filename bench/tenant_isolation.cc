@@ -5,7 +5,7 @@
 // the aggressor rate-limited, storm against an urgent-class victim — and
 // reports the p99 interference ratio (contended victim p99 / solo victim
 // p99), the saturated WRR grant share versus the weight-promised share,
-// and the admission/fault accounting. CI's tenant-isolation job gates on
+// and the admission/fault accounting. CI's bench-gates job gates on
 // the p99_interference column of BENCH_tenant_isolation.json staying
 // within the 2x isolation bound.
 //

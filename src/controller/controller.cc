@@ -40,14 +40,13 @@ Controller::Controller(DmaMemory& memory, pcie::PcieLink& link,
       bar_(bar),
       executor_(executor),
       config_(config),
-      sqs_(config.max_queues),
-      cqs_(config.max_queues),
-      arb_(config.max_queues),
-      grants_(config.max_queues, 0),
+      sqs_(kMaxQueues),
+      cqs_(kMaxQueues),
+      arb_(kMaxQueues),
+      grants_(kMaxQueues, 0),
       reassembly_(config.reassembly),
-      read_rings_(config.max_queues) {
-  BX_ASSERT(config.max_queues >= 2);
-  BX_ASSERT(config.max_queues <= bar.max_queues());
+      read_rings_(kMaxQueues) {
+  BX_ASSERT(kMaxQueues <= bar.max_queues());
   BX_ASSERT(config.chunk_fetch_batch >= 1);
   BX_ASSERT_MSG(config.prp_transfer_unit >= 64 &&
                     kDevicePage % config.prp_transfer_unit == 0,
@@ -70,14 +69,18 @@ std::uint32_t Controller::available(std::uint16_t qid) const noexcept {
   return (tail + sq.depth - sq.head) % sq.depth;
 }
 
-nvme::SqSlot Controller::fetch_slot(std::uint16_t qid, bool chunk) {
-  SqState& sq = sqs_[qid];
-  BX_ASSERT(sq.valid);
-  // 64-byte DMA fetch from the SQ head (data travels host->device).
+void Controller::charge_fetch(std::uint32_t entries, bool chunk) {
+  // One DMA read of `entries` 64-byte SQ entries from the SQ head (data
+  // travels host->device).
   link_.read(Direction::kDownstream, TrafficClass::kCommandFetch,
-             nvme::kSqeSize);
+             std::uint64_t{entries} * nvme::kSqeSize);
   link_.clock().advance(chunk ? config_.timing.chunk_fetch_fw_ns
                               : config_.timing.cmd_fetch_fw_ns);
+}
+
+nvme::SqSlot Controller::take_slot(std::uint16_t qid) {
+  SqState& sq = sqs_[qid];
+  BX_ASSERT(sq.valid);
   nvme::SqSlot slot;
   memory_.read(sq.base + std::uint64_t{sq.head} * nvme::kSqeSize,
                {slot.raw, sizeof(slot.raw)});
@@ -106,7 +109,7 @@ int Controller::pick_wrr() {
   // bypasses arbitration entirely.
   if (available(0) > 0) return 0;
 
-  const std::uint16_t n = config_.max_queues;
+  const std::uint16_t n = kMaxQueues;
   bool any_urgent = false;
   bool any_normal = false;
   for (std::uint16_t qid = 1; qid < n; ++qid) {
@@ -160,7 +163,7 @@ bool Controller::poll_once() {
     return true;
   }
 
-  const std::uint16_t n = config_.max_queues;
+  const std::uint16_t n = kMaxQueues;
   for (std::uint16_t i = 0; i < n; ++i) {
     const auto qid = static_cast<std::uint16_t>((rr_cursor_ + i) % n);
     if (available(qid) > 0) {
@@ -231,7 +234,8 @@ void Controller::run_until_idle() {
 void Controller::process_one(std::uint16_t qid) {
   const Nanoseconds fetch_start = link_.clock().now();
   const std::uint32_t sqe_slot = sqs_[qid].head;
-  const nvme::SqSlot slot = fetch_slot(qid, /*chunk=*/false);
+  charge_fetch(1, /*chunk=*/false);
+  const nvme::SqSlot slot = take_slot(qid);
 
   if (qid != 0 && inw::is_ooo_chunk(slot)) {
     handle_ooo_chunk(slot, qid, sqe_slot, fetch_start);
@@ -448,25 +452,12 @@ void Controller::handle_io(std::uint16_t qid,
       const Nanoseconds batch_start = link_.clock().now();
       // One DMA read covers `batch` consecutive SQ entries; firmware cost
       // is charged once per DMA operation.
-      if (batch > 1) {
-        // fetch_slot charges a single entry; emulate the batched DMA by
-        // charging the extra wire bytes here and reading the extra slots.
-        link_.read(Direction::kDownstream, TrafficClass::kCommandFetch,
-                   std::uint64_t{batch - 1} * nvme::kSqeSize);
-      }
+      charge_fetch(batch, /*chunk=*/true);
       for (std::uint32_t i = 0; i < batch; ++i) {
         const Nanoseconds chunk_start =
             i == 0 ? batch_start : link_.clock().now();
         const std::uint32_t chunk_slot = sqs_[qid].head;
-        nvme::SqSlot slot;
-        if (i == 0) {
-          slot = fetch_slot(qid, /*chunk=*/true);
-        } else {
-          SqState& sq = sqs_[qid];
-          memory_.read(sq.base + std::uint64_t{sq.head} * nvme::kSqeSize,
-                       {slot.raw, sizeof(slot.raw)});
-          sq.head = (sq.head + 1) % sq.depth;
-        }
+        const nvme::SqSlot slot = take_slot(qid);
         const std::uint64_t take =
             std::min<std::uint64_t>(inw::kRawChunkCapacity,
                                     inline_len - offset);
@@ -474,7 +465,6 @@ void Controller::handle_io(std::uint16_t qid,
         std::memcpy(payload.data() + offset, slot.raw,
                     static_cast<std::size_t>(take));
         offset += take;
-        chunks_fetched_.increment();
         obs::TraceEvent chunk_event;
         chunk_event.stage = obs::TraceStage::kChunkFetch;
         chunk_event.start = chunk_start;
@@ -506,7 +496,7 @@ void Controller::handle_io(std::uint16_t qid,
 
   // Native data path.
   ByteVec payload;
-  if (length > 0 && !is_read_direction(sqe.io_opcode())) {
+  if (length > 0 && !nvme::is_read_direction(sqe.io_opcode())) {
     auto gathered = gather_host_data(qid, sqe, length);
     if (!gathered.is_ok()) {
       post_completion(
@@ -552,7 +542,6 @@ void Controller::handle_ooo_chunk(const nvme::SqSlot& slot, std::uint16_t qid,
   if (!status.is_ok() && status.code() != StatusCode::kAlreadyExists) {
     BX_LOG_WARN << "OOO chunk rejected: " << status.to_string();
   }
-  chunks_fetched_.increment();
   obs::TraceEvent e;
   e.stage = obs::TraceStage::kChunkFetch;
   e.flags = obs::kFlagOooChunk;
@@ -859,7 +848,6 @@ std::uint32_t Controller::emit_inline_read(std::uint16_t qid,
     offset += take;
     inline_read_chunks_.increment();
   }
-  inline_read_completions_.increment();
   obs::TraceEvent e;
   e.stage = obs::TraceStage::kReadChunkWrite;
   e.start = emit_start;
@@ -998,7 +986,7 @@ void Controller::post_completion_now(std::uint16_t qid,
 nvme::TransferStatsLog Controller::transfer_stats() const noexcept {
   nvme::TransferStatsLog log;
   log.commands_processed = commands_processed_.value();
-  log.inline_chunks_fetched = chunks_fetched_.value();
+  log.inline_chunks_fetched = chunks_fetched();
   log.bandslim_fragments = bandslim_fragments_.value();
   log.prp_transactions = prp_transactions_.value();
   log.sgl_transactions = sgl_transactions_.value();
@@ -1012,7 +1000,9 @@ nvme::TransferStatsLog Controller::transfer_stats() const noexcept {
 
 void Controller::bind_metrics(obs::MetricsRegistry& metrics) const {
   metrics.expose_counter("ctrl.commands_processed", &commands_processed_);
-  metrics.expose_counter("ctrl.chunks_fetched", &chunks_fetched_);
+  metrics.expose_counter(
+      "ctrl.chunks_fetched",
+      &stage_count_[std::size_t(obs::TraceStage::kChunkFetch)]);
   metrics.expose_counter("ctrl.bandslim_fragments", &bandslim_fragments_);
   metrics.expose_counter("ctrl.prp_transactions", &prp_transactions_);
   metrics.expose_counter("ctrl.sgl_transactions", &sgl_transactions_);
@@ -1024,40 +1014,41 @@ void Controller::bind_metrics(obs::MetricsRegistry& metrics) const {
   metrics.expose_counter("ctrl.reassembly_evictions",
                          &reassembly_evictions_);
   metrics.expose_counter("ctrl.commands_aborted", &commands_aborted_);
-  metrics.expose_counter("ctrl.inline_read_completions",
-                         &inline_read_completions_);
+  metrics.expose_counter(
+      "ctrl.inline_read_completions",
+      &stage_count_[std::size_t(obs::TraceStage::kReadChunkWrite)]);
   metrics.expose_counter("ctrl.inline_read_chunks", &inline_read_chunks_);
   metrics.expose_gauge("ctrl.inline_backlog", &inline_backlog_);
 }
 
+nvme::StageStatsLog Controller::stage_stats() const noexcept {
+  const auto entry = [this](obs::TraceStage stage) {
+    const auto i = static_cast<std::size_t>(stage);
+    return nvme::StageStatsLog::Entry{stage_count_[i].value(),
+                                      stage_ns_[i].value()};
+  };
+  nvme::StageStatsLog log;
+  log.sqe_fetch = entry(obs::TraceStage::kSqeFetch);
+  log.chunk_fetch = entry(obs::TraceStage::kChunkFetch);
+  log.prp_dma = entry(obs::TraceStage::kPrpDma);
+  log.sgl_dma = entry(obs::TraceStage::kSglDma);
+  log.exec = entry(obs::TraceStage::kExec);
+  log.completion = entry(obs::TraceStage::kCompletion);
+  log.read_chunk = entry(obs::TraceStage::kReadChunkWrite);
+  return log;
+}
+
+void Controller::bind_telemetry(obs::Telemetry& telemetry) const {
+  telemetry.register_controller(stage_count_, stage_ns_, &inline_backlog_);
+}
+
 void Controller::record_stage(const obs::TraceEvent& event) {
-  // The 0xC1 stage log covers I/O queues only, so Get Log Page reads do
+  // The stage ledger covers I/O queues only, so Get Log Page reads do
   // not perturb the statistics they return.
   if (event.qid != 0) {
-    nvme::StageStatsLog::Entry* entry = nullptr;
-    switch (event.stage) {
-      case obs::TraceStage::kSqeFetch: entry = &stage_log_.sqe_fetch; break;
-      case obs::TraceStage::kChunkFetch:
-        entry = &stage_log_.chunk_fetch;
-        break;
-      case obs::TraceStage::kPrpDma: entry = &stage_log_.prp_dma; break;
-      case obs::TraceStage::kSglDma: entry = &stage_log_.sgl_dma; break;
-      case obs::TraceStage::kExec: entry = &stage_log_.exec; break;
-      case obs::TraceStage::kReadChunkWrite:
-        entry = &stage_log_.read_chunk;
-        break;
-      case obs::TraceStage::kCompletion:
-        entry = &stage_log_.completion;
-        break;
-      default: break;
-    }
-    if (entry != nullptr) {
-      ++entry->count;
-      entry->total_ns += event.end - event.start;
-    }
-    if (telemetry_ != nullptr) {
-      telemetry_->on_stage(event.stage, event.end - event.start);
-    }
+    const auto i = static_cast<std::size_t>(event.stage);
+    stage_count_[i].increment();
+    stage_ns_[i].add(event.end - event.start);
   }
   if (tracer_ != nullptr && tracer_->enabled()) tracer_->record(event);
 }
@@ -1142,18 +1133,6 @@ std::uint64_t Controller::io_data_length(const SubmissionQueueEntry& sqe) {
   }
 }
 
-bool Controller::is_read_direction(nvme::IoOpcode opcode) noexcept {
-  switch (opcode) {
-    case nvme::IoOpcode::kRead:
-    case nvme::IoOpcode::kVendorRawRead:
-    case nvme::IoOpcode::kVendorKvRetrieve:
-    case nvme::IoOpcode::kVendorKvIterate:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
   const auto opcode = static_cast<nvme::AdminOpcode>(sqe.opcode);
   nvme::StatusField status = nvme::StatusField::success();
@@ -1163,7 +1142,7 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
     case nvme::AdminOpcode::kCreateIoCq: {
       const auto qid = static_cast<std::uint16_t>(sqe.cdw10 & 0xffff);
       const std::uint32_t depth = (sqe.cdw10 >> 16) + 1;
-      if (qid == 0 || qid >= config_.max_queues || cqs_[qid].valid ||
+      if (qid == 0 || qid >= kMaxQueues || cqs_[qid].valid ||
           sqe.dptr1 == 0 || depth < 2) {
         status = nvme::StatusField::generic(nvme::GenericStatus::kInvalidField);
         break;
@@ -1175,8 +1154,8 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
       const auto qid = static_cast<std::uint16_t>(sqe.cdw10 & 0xffff);
       const std::uint32_t depth = (sqe.cdw10 >> 16) + 1;
       const auto cqid = static_cast<std::uint16_t>(sqe.cdw11 >> 16);
-      if (qid == 0 || qid >= config_.max_queues || sqs_[qid].valid ||
-          sqe.dptr1 == 0 || depth < 2 || cqid >= config_.max_queues ||
+      if (qid == 0 || qid >= kMaxQueues || sqs_[qid].valid ||
+          sqe.dptr1 == 0 || depth < 2 || cqid >= kMaxQueues ||
           !cqs_[cqid].valid) {
         status = nvme::StatusField::generic(nvme::GenericStatus::kInvalidField);
         break;
@@ -1186,7 +1165,7 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
     }
     case nvme::AdminOpcode::kDeleteIoSq: {
       const auto qid = static_cast<std::uint16_t>(sqe.cdw10 & 0xffff);
-      if (qid == 0 || qid >= config_.max_queues || !sqs_[qid].valid) {
+      if (qid == 0 || qid >= kMaxQueues || !sqs_[qid].valid) {
         status = nvme::StatusField::generic(nvme::GenericStatus::kInvalidField);
         break;
       }
@@ -1196,7 +1175,7 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
     }
     case nvme::AdminOpcode::kDeleteIoCq: {
       const auto qid = static_cast<std::uint16_t>(sqe.cdw10 & 0xffff);
-      if (qid == 0 || qid >= config_.max_queues || !cqs_[qid].valid) {
+      if (qid == 0 || qid >= kMaxQueues || !cqs_[qid].valid) {
         status = nvme::StatusField::generic(nvme::GenericStatus::kInvalidField);
         break;
       }
@@ -1257,9 +1236,10 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
                          align_up(sizeof(log), 64));
         memory_.write_object(sqe.dptr1, log);
       } else if (lid == nvme::LogPageId::kVendorStageStats) {
+        const nvme::StageStatsLog log = stage_stats();
         link_.post_write(Direction::kUpstream, TrafficClass::kDataPrp,
-                         align_up(sizeof(stage_log_), 64));
-        memory_.write_object(sqe.dptr1, stage_log_);
+                         align_up(sizeof(log), 64));
+        memory_.write_object(sqe.dptr1, log);
       } else {
         status = nvme::StatusField::generic(nvme::GenericStatus::kInvalidField);
       }
@@ -1268,9 +1248,8 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
     case nvme::AdminOpcode::kSetFeatures: {
       const std::uint8_t fid = sqe.cdw10 & 0xff;
       if (fid == 0x07) {
-        // Number of queues: echo the request, capped by max_queues-1.
-        const std::uint16_t cap =
-            static_cast<std::uint16_t>(config_.max_queues - 2);
+        // Number of queues: echo the request, capped by kMaxQueues-1.
+        const std::uint16_t cap = kMaxQueues - 2;
         const std::uint16_t nsq =
             std::min<std::uint16_t>(sqe.cdw11 & 0xffff, cap);
         const std::uint16_t ncq =
@@ -1295,7 +1274,7 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
       const auto qid = static_cast<std::uint16_t>(sqe.cdw10 & 0xffff);
       const std::uint32_t slots = sqe.cdw10 >> 16;
       if (!config_.enable_inline_read || qid == 0 ||
-          qid >= config_.max_queues || !sqs_[qid].valid || sqe.dptr1 == 0 ||
+          qid >= kMaxQueues || !sqs_[qid].valid || sqe.dptr1 == 0 ||
           slots < 2 || slots > (1u << 15)) {
         status = nvme::StatusField::generic(nvme::GenericStatus::kInvalidField);
         break;
@@ -1306,7 +1285,7 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
     case nvme::AdminOpcode::kAbort: {
       const auto sqid = static_cast<std::uint16_t>(sqe.cdw10 & 0xffff);
       const auto cid = static_cast<std::uint16_t>(sqe.cdw10 >> 16);
-      if (sqid == 0 || sqid >= config_.max_queues || !sqs_[sqid].valid) {
+      if (sqid == 0 || sqid >= kMaxQueues || !sqs_[sqid].valid) {
         status = nvme::StatusField::generic(nvme::GenericStatus::kInvalidField);
         break;
       }

@@ -42,9 +42,11 @@ namespace bx::controller {
 
 class Controller {
  public:
+  /// Queue IDs the firmware supports, the admin queue (qid 0) included.
+  static constexpr std::uint16_t kMaxQueues = 64;
+
   struct Config {
     nvme::DeviceTimingModel timing{};
-    std::uint16_t max_queues = 64;
     /// Firmware support switch: with ByteExpress disabled, a non-zero
     /// inline length is an invalid field (forward-compatibility tests).
     bool byteexpress_enabled = true;
@@ -126,28 +128,25 @@ class Controller {
   [[nodiscard]] std::uint64_t commands_processed() const noexcept {
     return commands_processed_.value();
   }
-  /// Payload chunks fetched inline since construction.
+  /// Payload chunks fetched inline since construction (the stage
+  /// ledger's kChunkFetch count: one event per chunk).
   [[nodiscard]] std::uint64_t chunks_fetched() const noexcept {
-    return chunks_fetched_.value();
+    return stage_count_[std::size_t(obs::TraceStage::kChunkFetch)].value();
   }
   /// The vendor transfer-stats log (also served via Get Log Page 0xC0).
   [[nodiscard]] nvme::TransferStatsLog transfer_stats() const noexcept;
 
   /// The vendor stage-stats log (also served via Get Log Page 0xC1):
-  /// always-on per-stage firmware timing for I/O queues.
-  [[nodiscard]] const nvme::StageStatsLog& stage_stats() const noexcept {
-    return stage_log_;
-  }
+  /// always-on per-stage firmware timing for I/O queues, built on read
+  /// from the stage ledger.
+  [[nodiscard]] nvme::StageStatsLog stage_stats() const noexcept;
 
   /// Attaches the trace recorder; device-side stage events flow into it.
   void set_tracer(obs::TraceRecorder* tracer) noexcept { tracer_ = tracer; }
 
-  /// Feeds I/O-queue stage intervals and the inline-chunk backlog gauge
-  /// into the windowed sampler (pass nullptr to detach).
-  void set_telemetry(obs::Telemetry* telemetry) noexcept {
-    telemetry_ = telemetry;
-    if (telemetry_ != nullptr) telemetry_->set_backlog_gauge(&inline_backlog_);
-  }
+  /// Registers the stage ledger and the inline-chunk backlog gauge with
+  /// the windowed sampler. Assembly-time only.
+  void bind_telemetry(obs::Telemetry& telemetry) const;
 
   /// Publishes the controller's counters into `metrics` as `ctrl.*`.
   void bind_metrics(obs::MetricsRegistry& metrics) const;
@@ -266,9 +265,12 @@ class Controller {
   /// gauge (the shared tail of both arbitration modes).
   void serve(std::uint16_t qid);
 
-  /// DMA-fetches the SQ entry at the queue's head and advances the head.
-  /// `chunk` selects the cheaper chunk-fetch firmware cost.
-  nvme::SqSlot fetch_slot(std::uint16_t qid, bool chunk);
+  /// Charges one DMA read of `entries` consecutive SQ entries plus one
+  /// firmware fetch cost; `chunk` selects the cheaper chunk-fetch cost.
+  void charge_fetch(std::uint32_t entries, bool chunk);
+  /// Copies the SQ entry at the queue's head out of host memory and
+  /// advances the head (the DMA itself is charged by charge_fetch()).
+  nvme::SqSlot take_slot(std::uint16_t qid);
 
   void process_one(std::uint16_t qid);
   void handle_admin(const nvme::SubmissionQueueEntry& sqe);
@@ -344,7 +346,7 @@ class Controller {
   /// was found (Abort completion DW0 bit 0 clear).
   bool abort_command(std::uint16_t sqid, std::uint16_t cid);
 
-  /// Accumulates a device-side stage interval into the 0xC1 stage log
+  /// Accumulates a device-side stage interval into the stage ledger
   /// (I/O queues only) and forwards it to the tracer when enabled.
   void record_stage(const obs::TraceEvent& event);
 
@@ -352,7 +354,6 @@ class Controller {
   void drain_deferred();
 
   static std::uint64_t io_data_length(const nvme::SubmissionQueueEntry& sqe);
-  static bool is_read_direction(nvme::IoOpcode opcode) noexcept;
 
   DmaMemory& memory_;
   pcie::PcieLink& link_;
@@ -381,7 +382,6 @@ class Controller {
   // obs::Counter so bind_metrics() can expose the live counters without a
   // second source of truth; single-writer under the firmware mutex.
   obs::Counter commands_processed_;
-  obs::Counter chunks_fetched_;
   obs::Counter bandslim_fragments_;
   obs::Counter prp_transactions_;
   obs::Counter sgl_transactions_;
@@ -392,16 +392,19 @@ class Controller {
   obs::Counter deferred_evictions_;
   obs::Counter reassembly_evictions_;
   obs::Counter commands_aborted_;
-  obs::Counter inline_read_completions_;
   obs::Counter inline_read_chunks_;
 
-  nvme::StageStatsLog stage_log_;
+  // The stage ledger: per-stage event counts and summed durations for
+  // I/O queues, TraceStage-indexed. It serves Get Log Page 0xC1, the
+  // telemetry stage columns, ctrl.chunks_fetched (kChunkFetch) and
+  // ctrl.inline_read_completions (kReadChunkWrite).
+  obs::StageCounters stage_count_;
+  obs::StageCounters stage_ns_;
   // Inline transfer work the firmware is still holding: open BandSlim
   // streams + deferred OOO commands + reassembly payloads in flight.
   // Updated by poll_once(); sampled by the telemetry windows.
   obs::Gauge inline_backlog_;
   obs::TraceRecorder* tracer_ = nullptr;
-  obs::Telemetry* telemetry_ = nullptr;
 
   fault::FaultInjector* injector_ = nullptr;
   std::vector<DelayedCompletion> delayed_;

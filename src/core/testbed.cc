@@ -5,7 +5,7 @@ namespace bx::core {
 Testbed::Testbed(TestbedConfig config)
     : config_(config),
       link_(config.link, clock_, traffic_),
-      bar_(config.controller.max_queues) {
+      bar_(controller::Controller::kMaxQueues) {
   device_ = std::make_unique<ssd::SsdDevice>(clock_, config.ssd);
   controller_ = std::make_unique<controller::Controller>(
       memory_, link_, bar_, *device_, config.controller);
@@ -44,14 +44,15 @@ Testbed::Testbed(TestbedConfig config)
     controller_->set_fault_injector(injector_.get());
   }
 
-  // Windowed sampler: components only get the pointer when telemetry is
+  // Windowed sampler: every layer registers the counters it already
+  // keeps. The link and driver only get the pointer when telemetry is
   // enabled, so a disabled run pays one null check per link primitive.
   telemetry_.configure(config.telemetry);
   telemetry_.set_link_rate(link_.config().bytes_per_ns());
   obs::Telemetry* telemetry =
       config.telemetry.enabled ? &telemetry_ : nullptr;
   link_.set_telemetry(telemetry);
-  controller_->set_telemetry(telemetry);
+  controller_->bind_telemetry(telemetry_);
   driver_->set_telemetry(telemetry);
   // The policy learns on the window grid (EWMAs, hysteresis) and its
   // decision counters feed the per-window policy_* sample fields.
@@ -100,6 +101,8 @@ void Testbed::reset_counters() {
   traffic_.reset();
   controller_->reset_fetch_stats();
   trace_.clear();
+  // Re-bases the windows on the reset traffic counter before any window
+  // can close against the old baseline.
   telemetry_.clear(clock_.now());
 }
 

@@ -41,8 +41,9 @@ struct TestbedConfig {
   /// -DBX_OBS_TRACE). Metrics and the 0xC1 stage log stay on regardless.
   bool trace_enabled = true;
   /// Windowed time-series sampler (PCM-style link telemetry). With
-  /// `telemetry.enabled = false` no component receives a Telemetry
-  /// pointer, so the hot-path cost is one null check per link primitive.
+  /// `telemetry.enabled = false` no window ever closes and the link gets
+  /// no Telemetry pointer, so the hot-path cost is one null check per
+  /// link primitive.
   obs::TelemetryConfig telemetry{};
   /// Seeded fault-injection policy (see docs/FAULTS.md). With the default
   /// all-zero policy no injector is constructed and no component takes a
@@ -84,8 +85,8 @@ class Testbed {
   /// The named-metrics registry every layer binds its counters into.
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   /// The windowed link sampler (empty when config.telemetry.enabled is
-  /// false — no hooks fire). Call telemetry().flush(clock().now()) before
-  /// reading samples so the final partial window is closed.
+  /// false — no window closes). Call telemetry().flush(clock().now())
+  /// before reading samples so the final partial window is closed.
   [[nodiscard]] obs::Telemetry& telemetry() noexcept { return telemetry_; }
   /// The fault injector, or nullptr when config.faults is all-zero.
   [[nodiscard]] fault::FaultInjector* fault_injector() noexcept {
@@ -115,8 +116,9 @@ class Testbed {
                                          driver::TransferMethod method,
                                          std::uint16_t qid = 1);
 
-  /// Resets traffic counters, controller stage statistics and the trace
-  /// buffer (the clock keeps running — simulated time is monotonic).
+  /// Resets traffic counters, the controller's fetch-stage histogram and
+  /// the trace buffer, and restarts telemetry sampling (the clock keeps
+  /// running — simulated time is monotonic).
   void reset_counters();
 
  private:

@@ -33,10 +33,8 @@ NvmeDriver::NvmeDriver(DmaMemory& memory, pcie::PcieLink& link,
       config_(config) {
   BX_ASSERT(config_.io_queue_count >= 1);
   BX_ASSERT(config_.io_queue_count < bar.max_queues());
-  admin_.sq = std::make_unique<nvme::SqRing>(memory_, 0,
-                                             config_.admin_queue_depth);
-  admin_.cq = std::make_unique<nvme::CqRing>(memory_, 0,
-                                             config_.admin_queue_depth);
+  admin_.sq = std::make_unique<nvme::SqRing>(memory_, 0, kAdminQueueDepth);
+  admin_.cq = std::make_unique<nvme::CqRing>(memory_, 0, kAdminQueueDepth);
 }
 
 NvmeDriver::~NvmeDriver() = default;
@@ -135,8 +133,9 @@ Status NvmeDriver::init_io_queues() {
                              &created.read_ring_occupancy);
     }
     if (telemetry_ != nullptr) {
-      telemetry_->register_queue(i, &created.sq_occupancy,
-                                 &created.inflight);
+      telemetry_->register_queue(i, &created.sq_occupancy, &created.inflight,
+                                 &created.sq_doorbells, &created.sq_entries,
+                                 &created.cq_doorbells);
     }
     if (policy_ != nullptr) {
       policy_->register_queue(i, config_.io_queue_depth,
@@ -214,6 +213,13 @@ void NvmeDriver::bind_metrics(obs::MetricsRegistry& metrics) {
   }
 }
 
+void NvmeDriver::set_telemetry(obs::Telemetry* telemetry) {
+  telemetry_ = telemetry;
+  if (telemetry != nullptr) {
+    telemetry->register_driver(&payload_bytes_, &waits_, wait_ns_);
+  }
+}
+
 void NvmeDriver::ring_sq_traced(std::uint16_t qid, std::uint32_t tail,
                                 std::uint64_t entries, std::uint16_t cid,
                                 std::uint8_t flags) {
@@ -250,38 +256,12 @@ void NvmeDriver::ring_sq_traced(std::uint16_t qid, std::uint32_t tail,
           total_sq_doorbells_.value() * 1000 / commands));
     }
   }
-  if (telemetry_ != nullptr) telemetry_->on_sq_doorbell(qid, entries);
 }
 
 std::size_t NvmeDriver::pending_count_for_test(std::uint16_t qid) {
   QueuePair& qp = queue(qid);
   std::lock_guard<std::mutex> lock(qp.pending_mutex);
   return qp.pending.size();
-}
-
-bool NvmeDriver::is_write_direction(nvme::IoOpcode opcode) noexcept {
-  switch (opcode) {
-    case nvme::IoOpcode::kWrite:
-    case nvme::IoOpcode::kVendorRawWrite:
-    case nvme::IoOpcode::kVendorKvStore:
-    case nvme::IoOpcode::kVendorCsdFilter:
-    case nvme::IoOpcode::kVendorPartialWrite:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool NvmeDriver::is_read_direction(nvme::IoOpcode opcode) noexcept {
-  switch (opcode) {
-    case nvme::IoOpcode::kRead:
-    case nvme::IoOpcode::kVendorRawRead:
-    case nvme::IoOpcode::kVendorKvRetrieve:
-    case nvme::IoOpcode::kVendorKvIterate:
-      return true;
-    default:
-      return false;
-  }
 }
 
 bool NvmeDriver::is_retryable(nvme::StatusField status) noexcept {
@@ -417,9 +397,10 @@ StatusOr<ResolvedMethod> NvmeDriver::resolve_method(
     // driver.inline_fallback_prp.
     const std::uint64_t cut =
         std::min<std::uint64_t>(config_.hybrid_threshold_bytes, inline_cap);
-    method = (is_write_direction(request.opcode) && len > 0 && len <= cut)
-                 ? TransferMethod::kByteExpress
-                 : TransferMethod::kPrp;
+    method =
+        (nvme::is_write_direction(request.opcode) && len > 0 && len <= cut)
+            ? TransferMethod::kByteExpress
+            : TransferMethod::kPrp;
   }
 
   bool inline_like = is_inline_method(method);
@@ -432,7 +413,7 @@ StatusOr<ResolvedMethod> NvmeDriver::resolve_method(
         method == TransferMethod::kBandSlim
             ? UINT32_MAX  // BandSlim commands recycle slot by slot
             : (config_.io_queue_depth - 2) * nvme::kChunkSize;
-    if (!is_write_direction(request.opcode) || len == 0 ||
+    if (!nvme::is_write_direction(request.opcode) || len == 0 ||
         len > config_.max_inline_bytes || len > max_ring_payload) {
       method = TransferMethod::kPrp;
       resolved.feasibility_fallback = true;
@@ -458,11 +439,11 @@ StatusOr<ResolvedMethod> NvmeDriver::resolve_method(
   // ring-slot reservation fails at submit time, and the return path if
   // the queue's read side is degraded.
   if (config_.inline_read_enabled && inline_read_supported_ &&
-      is_read_direction(request.opcode) && !request.discard_read_data &&
+      nvme::is_read_direction(request.opcode) && !request.discard_read_data &&
       qid >= 1 && qid <= io_queues_.size()) {
     const std::uint64_t read_len = read_length_of(request);
     const QueuePair& qp = *io_queues_[qid - 1];
-    if (read_len > 0 && read_len <= config_.max_inline_read_bytes &&
+    if (read_len > 0 && read_len <= kMaxInlineReadBytes &&
         inr::read_chunks_for(read_len) <= qp.read_ring_slots) {
       if (config_.degrade_threshold > 0 &&
           link_.clock().now() <
@@ -492,8 +473,8 @@ nvme::SubmissionQueueEntry NvmeDriver::build_base_sqe(
   } else {
     nvme::VendorFields fields;
     fields.data_length = static_cast<std::uint32_t>(
-        is_read_direction(request.opcode) ? request.read_buffer.size()
-                                          : request.write_data.size());
+        nvme::is_read_direction(request.opcode) ? request.read_buffer.size()
+                                                : request.write_data.size());
     fields.aux = request.aux << 8;
     fields.apply(sqe);
     if (request.key.key_len > 0) request.key.apply(sqe);
@@ -510,7 +491,7 @@ nvme::SubmissionQueueEntry NvmeDriver::build_base_sqe(
 Status NvmeDriver::attach_data_prp(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  const bool read_dir = is_read_direction(request.opcode);
+  const bool read_dir = nvme::is_read_direction(request.opcode);
   const std::uint64_t len =
       read_dir ? request.read_buffer.size() : request.write_data.size();
   if (len == 0) return Status::ok();  // e.g. flush, delete, exist
@@ -534,7 +515,7 @@ Status NvmeDriver::attach_data_prp(nvme::SubmissionQueueEntry& sqe,
 Status NvmeDriver::attach_data_sgl(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  const bool read_dir = is_read_direction(request.opcode);
+  const bool read_dir = nvme::is_read_direction(request.opcode);
 
   if (read_dir && request.discard_read_data) {
     // §5: a bit bucket absorbs the read data on the device side; no host
@@ -944,8 +925,8 @@ void NvmeDriver::note_published(QueuePair& qp,
       tracer_->record(event);
     }
     if (request == nullptr) continue;  // admin commands stop at the trace
-    if (telemetry_ != nullptr && is_write_direction(request->opcode)) {
-      telemetry_->on_payload(request->write_data.size());
+    if (nvme::is_write_direction(request->opcode)) {
+      payload_bytes_.add(request->write_data.size());
     }
     if (submissions_metric_ != nullptr) submissions_metric_->increment();
   }
@@ -1179,7 +1160,10 @@ void NvmeDriver::attribute_completion(std::uint16_t qid, std::uint16_t cid,
           .record(completion.breakdown.ns[s]);
     }
   }
-  if (telemetry_ != nullptr) telemetry_->on_wait(completion.breakdown);
+  waits_.increment();
+  for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
+    wait_ns_[s].add(completion.breakdown.ns[s]);
+  }
   // Feed the adaptive policy's per-queue signal EWMAs. Called under
   // pending_mutex, which is why MethodPolicy::on_outcome must stay
   // innermost and never call back into the driver.
@@ -1384,7 +1368,7 @@ std::size_t NvmeDriver::poll_completions(std::uint16_t qid) {
     qp.cq->pop();
     link_.clock().advance(config_.timing.completion_handle_ns);
     doorbell_.ring_cq_head(qid, qp.cq->head());
-    if (telemetry_ != nullptr) telemetry_->on_cq_doorbell(qid);
+    qp.cq_doorbells.increment();
     if (tracer_ != nullptr && tracer_->enabled()) {
       obs::TraceEvent event;
       event.stage = obs::TraceStage::kCqDoorbell;
@@ -1493,7 +1477,8 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
       return invalid_argument("bad qid in stripe set");
     }
   }
-  if (!is_write_direction(request.opcode) || request.write_data.empty()) {
+  if (!nvme::is_write_direction(request.opcode) ||
+      request.write_data.empty()) {
     return invalid_argument("OOO striping requires a write-direction payload");
   }
   if (request.write_data.size() > config_.max_inline_bytes) {

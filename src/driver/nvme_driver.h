@@ -68,10 +68,15 @@ namespace bx::driver {
 
 class NvmeDriver {
  public:
+  /// Admin SQ/CQ depth.
+  static constexpr std::uint32_t kAdminQueueDepth = 32;
+  /// Reads at or below this many bytes return inline when completion-ring
+  /// slots are available; larger reads use the native PRP/SGL return.
+  static constexpr std::uint32_t kMaxInlineReadBytes = 4096;
+
   struct Config {
     std::uint16_t io_queue_count = 1;
     std::uint32_t io_queue_depth = 256;
-    std::uint32_t admin_queue_depth = 32;
     nvme::HostTimingModel timing{};
     /// kHybrid: payloads at or below this go inline, above go PRP (§4.2).
     std::uint32_t hybrid_threshold_bytes = 256;
@@ -83,13 +88,10 @@ class NvmeDriver {
 
     /// Master switch: allocate a per-queue host completion ring next to
     /// the CQ, advertise it via kVendorReadRing at queue creation, and
-    /// request inline return for small reads. If the controller rejects
-    /// the advertisement (firmware support off), inline reads are
-    /// disabled for the session and every read goes PRP/SGL.
+    /// request inline return for reads up to kMaxInlineReadBytes. If the
+    /// controller rejects the advertisement (firmware support off), inline
+    /// reads are disabled for the session and every read goes PRP/SGL.
     bool inline_read_enabled = true;
-    /// Reads at or below this many bytes return inline when ring slots
-    /// are available; larger reads use the native PRP/SGL return.
-    std::uint32_t max_inline_read_bytes = 4096;
     /// Completion-ring slots per I/O queue (64 B each). Bounds the
     /// inline-read data in flight per queue; reservation failure falls
     /// back to PRP. Capped at 2^15 by the CQE DW1 slot encoding.
@@ -300,11 +302,11 @@ class NvmeDriver {
   /// occupancy gauges as they are created.
   void bind_metrics(obs::MetricsRegistry& metrics);
 
-  /// Attaches the telemetry sampler: payload bytes, doorbell counts and
-  /// the per-queue gauges registered by init_io_queues() flow into it.
-  void set_telemetry(obs::Telemetry* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
+  /// Attaches the telemetry sampler: registers the payload and wait
+  /// counters now, and each queue pair's gauges and doorbell counters in
+  /// init_io_queues(); kAuto resolution rolls its windows. Assembly-time
+  /// only, before init_io_queues().
+  void set_telemetry(obs::Telemetry* telemetry);
 
   /// Inline-chunk slots a command of `method` occupies beyond its SQE —
   /// what the submission gate charges against the inline budget.
@@ -445,14 +447,15 @@ class NvmeDriver {
     /// Read-path degradation mirrors the write-inline trio above.
     std::atomic<std::uint32_t> read_inline_failures{0};
     std::atomic<Nanoseconds> read_degraded_until{0};
-    /// Per-queue doorbell accounting (exposed as driver.qN.* by
-    /// init_io_queues). sq_doorbells counts BAR MWr writes — one per
-    /// ring, NOT one per command, so coalesced batches keep
-    /// sq_entries / sq_doorbells > 1 and doorbells/op = sq_doorbells /
-    /// commands < 1.
+    /// Per-queue doorbell accounting (the SQ trio exposed as driver.qN.*
+    /// by init_io_queues; all three sampled by the telemetry windows).
+    /// sq_doorbells counts BAR MWr writes — one per ring, NOT one per
+    /// command, so coalesced batches keep sq_entries / sq_doorbells > 1
+    /// and doorbells/op = sq_doorbells / commands < 1.
     obs::Counter sq_doorbells;
     obs::Counter sq_entries;
     obs::Counter commands;
+    obs::Counter cq_doorbells;
   };
 
   [[nodiscard]] QueuePair& queue(std::uint16_t qid);
@@ -461,8 +464,6 @@ class NvmeDriver {
   /// attached policy sheds a kAuto request.
   [[nodiscard]] StatusOr<ResolvedMethod> resolve_method(
       const IoRequest& request, std::uint16_t qid) const;
-  static bool is_write_direction(nvme::IoOpcode opcode) noexcept;
-  static bool is_read_direction(nvme::IoOpcode opcode) noexcept;
   /// True for statuses the NVMe "do not retry" logic treats as transient:
   /// Data Transfer Error, Namespace Not Ready, Abort Requested.
   static bool is_retryable(nvme::StatusField status) noexcept;
@@ -528,7 +529,7 @@ class NvmeDriver {
   /// own run; the final fragment's marks close the command.
   Status publish_bandslim(QueuePair& qp, Prepared& command);
   /// After a command's doorbell: publishes its marks into the pending and
-  /// records its kSubmit event, payload telemetry and submission counters.
+  /// records its kSubmit event, payload bytes and submission counters.
   void note_published(QueuePair& qp, std::span<const Prepared> commands);
   /// Undoes prepare() for commands that never (fully) reached the ring:
   /// pays back gate admissions and inline-read slots, erases the pendings.
@@ -563,8 +564,9 @@ class NvmeDriver {
   /// Closes the command's attribution entry (device report), builds the
   /// exact wait/service breakdown for `completion` (segments sum to
   /// latency_ns by construction) and publishes it to the per-method /
-  /// per-tenant wait histograms and telemetry. Called once on every
-  /// resolution path — reaped completions and synthesized timeouts alike.
+  /// per-tenant wait histograms and the wait counters. Called once on
+  /// every resolution path — reaped completions and synthesized timeouts
+  /// alike.
   void attribute_completion(std::uint16_t qid, std::uint16_t cid,
                             const Pending& pending, Completion& completion);
 
@@ -652,6 +654,13 @@ class NvmeDriver {
   obs::Counter total_commands_;
   obs::Gauge doorbells_per_kop_;
   obs::Histogram* batch_size_metric_ = nullptr;  // registry-owned
+
+  // Sampled by the telemetry windows (set_telemetry): write-direction
+  // payload bytes at publish, and the I/O commands whose wait breakdown
+  // attribute_completion() reported, with the per-segment sums.
+  obs::Counter payload_bytes_;
+  obs::Counter waits_;
+  obs::WaitCounters wait_ns_;
 
   /// Per-method x per-segment wait-breakdown histograms
   /// ("driver.wait.<method>.<segment>", registry-owned, cached by

@@ -119,6 +119,35 @@ enum class IoOpcode : std::uint8_t {
 
 std::string_view io_opcode_name(IoOpcode op) noexcept;
 
+/// True for opcodes whose data travels host -> device (the host hands the
+/// driver a payload: the inline, PRP and SGL write paths).
+[[nodiscard]] constexpr bool is_write_direction(IoOpcode op) noexcept {
+  switch (op) {
+    case IoOpcode::kWrite:
+    case IoOpcode::kVendorRawWrite:
+    case IoOpcode::kVendorKvStore:
+    case IoOpcode::kVendorCsdFilter:
+    case IoOpcode::kVendorPartialWrite:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// True for opcodes whose data travels device -> host (PRP/SGL scatter or
+/// the inline-read completion ring).
+[[nodiscard]] constexpr bool is_read_direction(IoOpcode op) noexcept {
+  switch (op) {
+    case IoOpcode::kRead:
+    case IoOpcode::kVendorRawRead:
+    case IoOpcode::kVendorKvRetrieve:
+    case IoOpcode::kVendorKvIterate:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // ------------------------------------------------------------ status codes
 
 enum class StatusCodeType : std::uint8_t {

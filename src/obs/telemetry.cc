@@ -59,15 +59,45 @@ void Telemetry::configure(const TelemetryConfig& config) {
   window_end_.store(window_start_ + config_.window_ns, kRelaxed);
 }
 
-void Telemetry::register_queue(std::uint16_t qid, const Gauge* sq_occupancy,
-                               const Gauge* inflight) {
+void Telemetry::register_flow(LinkDir dir, TlpKind kind, const Counter* tlps,
+                              const Counter* data_bytes,
+                              const Counter* wire_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (queues_.size() <= qid) queues_.resize(qid + 1u);
-  auto source = std::make_unique<QueueSource>();
-  source->qid = qid;
-  source->sq_occupancy = sq_occupancy;
-  source->inflight = inflight;
-  queues_[qid] = std::move(source);
+  flows_.push_back({static_cast<std::size_t>(dir),
+                    static_cast<std::size_t>(kind), Tap(tlps),
+                    Tap(data_bytes), Tap(wire_bytes)});
+}
+
+void Telemetry::register_controller(const StageCounters& stage_count,
+                                    const StageCounters& stage_ns,
+                                    const Gauge* backlog) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    stage_count_[i] = Tap(&stage_count[i]);
+    stage_ns_[i] = Tap(&stage_ns[i]);
+  }
+  backlog_ = backlog;
+}
+
+void Telemetry::register_driver(const Counter* payload_bytes,
+                                const Counter* waits,
+                                const WaitCounters& wait_ns) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  payload_bytes_ = Tap(payload_bytes);
+  waits_ = Tap(waits);
+  for (std::size_t i = 0; i < kWaitSegmentCount; ++i) {
+    wait_ns_[i] = Tap(&wait_ns[i]);
+  }
+}
+
+void Telemetry::register_queue(std::uint16_t qid, const Gauge* sq_occupancy,
+                               const Gauge* inflight,
+                               const Counter* sq_doorbells,
+                               const Counter* sq_entries,
+                               const Counter* cq_doorbells) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  queues_[qid] = {sq_occupancy, inflight, Tap(sq_doorbells), Tap(sq_entries),
+                  Tap(cq_doorbells)};
 }
 
 void Telemetry::register_tenant(std::uint16_t tenant, const Counter* admitted,
@@ -76,16 +106,12 @@ void Telemetry::register_tenant(std::uint16_t tenant, const Counter* admitted,
                                 const Counter* completions,
                                 const Gauge* inflight_slots) {
   std::lock_guard<std::mutex> lock(mutex_);
-  TenantSource source;
-  source.tenant = tenant;
-  source.admitted = admitted;
-  source.rejected = rejected;
-  source.payload_bytes = payload_bytes;
-  source.completions = completions;
-  source.inflight_slots = inflight_slots;
+  const TenantSource source{tenant,           Tap(admitted),
+                            Tap(rejected),    Tap(payload_bytes),
+                            Tap(completions), inflight_slots};
   for (TenantSource& existing : tenants_) {
     if (existing.tenant == tenant) {
-      existing = source;  // re-registration replaces (fresh delta baseline)
+      existing = source;
       return;
     }
   }
@@ -97,162 +123,56 @@ void Telemetry::register_policy(const Counter* inline_decisions,
                                 const Counter* rejects,
                                 const Gauge* shedding_queues) {
   std::lock_guard<std::mutex> lock(mutex_);
-  policy_ = PolicySource{};
-  policy_.inline_decisions = inline_decisions;
-  policy_.dma_decisions = dma_decisions;
-  policy_.rejects = rejects;
-  policy_.shedding_queues = shedding_queues;
-  policy_registered_ = true;
+  policy_inline_ = Tap(inline_decisions);
+  policy_dma_ = Tap(dma_decisions);
+  policy_rejects_ = Tap(rejects);
+  policy_shedding_ = shedding_queues;
 }
 
-void Telemetry::on_tlps(LinkDir dir, TlpKind kind, std::uint64_t tlps,
-                        std::uint64_t data_bytes,
-                        std::uint64_t wire_bytes) noexcept {
-  AtomicFlow& cell =
-      flows_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(kind)];
-  cell.tlps.fetch_add(tlps, kRelaxed);
-  cell.data_bytes.fetch_add(data_bytes, kRelaxed);
-  cell.wire_bytes.fetch_add(wire_bytes, kRelaxed);
-}
-
-void Telemetry::on_payload(std::uint64_t bytes) noexcept {
-  payload_bytes_.fetch_add(bytes, kRelaxed);
-}
-
-void Telemetry::on_stage(TraceStage stage, Nanoseconds duration) noexcept {
-  const auto index = static_cast<std::size_t>(stage);
-  stage_count_[index].fetch_add(1, kRelaxed);
-  stage_ns_[index].fetch_add(duration, kRelaxed);
-}
-
-void Telemetry::on_sq_doorbell(std::uint16_t qid,
-                               std::uint64_t entries) noexcept {
-  if (qid < queues_.size() && queues_[qid] != nullptr) {
-    queues_[qid]->sq_doorbells.fetch_add(1, kRelaxed);
-    queues_[qid]->sq_entries.fetch_add(entries, kRelaxed);
+TelemetrySample Telemetry::take_sample_locked(Nanoseconds end) {
+  const auto read = [](const Gauge* gauge) -> std::int64_t {
+    return gauge != nullptr ? gauge->value() : 0;
+  };
+  TelemetrySample sample;
+  sample.start_ns = window_start_;
+  sample.end_ns = end;
+  for (FlowSource& source : flows_) {
+    sample.flow[source.dir][source.kind] +=
+        FlowCell{source.tlps.take(), source.data_bytes.take(),
+                 source.wire_bytes.take()};
   }
-}
-
-void Telemetry::on_cq_doorbell(std::uint16_t qid) noexcept {
-  if (qid < queues_.size() && queues_[qid] != nullptr) {
-    queues_[qid]->cq_doorbells.fetch_add(1, kRelaxed);
+  sample.payload_bytes = payload_bytes_.take();
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    sample.stage_count[i] = stage_count_[i].take();
+    sample.stage_ns[i] = stage_ns_[i].take();
   }
-}
-
-void Telemetry::on_wait(const LatencyBreakdown& breakdown) noexcept {
-  wait_count_.fetch_add(1, kRelaxed);
+  sample.backlog = read(backlog_);
+  sample.wait_count = waits_.take();
   for (std::size_t i = 0; i < kWaitSegmentCount; ++i) {
-    wait_ns_[i].fetch_add(breakdown.ns[i], kRelaxed);
+    sample.wait_ns[i] = wait_ns_[i].take();
   }
+  for (auto& [qid, source] : queues_) {
+    sample.queues.push_back({qid, read(source.sq_occupancy),
+                             read(source.inflight), source.sq_doorbells.take(),
+                             source.sq_entries.take(),
+                             source.cq_doorbells.take()});
+  }
+  for (TenantSource& source : tenants_) {
+    sample.tenants.push_back(
+        {source.tenant, source.admitted.take(), source.rejected.take(),
+         source.payload_bytes.take(), source.completions.take(),
+         read(source.inflight_slots)});
+  }
+  sample.policy_inline = policy_inline_.take();
+  sample.policy_dma = policy_dma_.take();
+  sample.policy_rejects = policy_rejects_.take();
+  sample.policy_shedding = read(policy_shedding_);
+  return sample;
 }
 
 void Telemetry::close_window_locked(Nanoseconds end) {
-  TelemetrySample sample;
+  TelemetrySample sample = take_sample_locked(end);
   sample.index = next_index_++;
-  sample.start_ns = window_start_;
-  sample.end_ns = end;
-
-  for (std::size_t dir = 0; dir < kLinkDirs; ++dir) {
-    for (std::size_t kind = 0; kind < kTlpKinds; ++kind) {
-      const AtomicFlow& cumulative = flows_[dir][kind];
-      FlowCell now;
-      now.tlps = cumulative.tlps.load(kRelaxed);
-      now.data_bytes = cumulative.data_bytes.load(kRelaxed);
-      now.wire_bytes = cumulative.wire_bytes.load(kRelaxed);
-      FlowCell& last = last_flows_[dir][kind];
-      sample.flow[dir][kind].tlps = now.tlps - last.tlps;
-      sample.flow[dir][kind].data_bytes = now.data_bytes - last.data_bytes;
-      sample.flow[dir][kind].wire_bytes = now.wire_bytes - last.wire_bytes;
-      last = now;
-    }
-  }
-
-  const std::uint64_t payload_now = payload_bytes_.load(kRelaxed);
-  sample.payload_bytes = payload_now - last_payload_bytes_;
-  last_payload_bytes_ = payload_now;
-
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    const std::uint64_t count_now = stage_count_[i].load(kRelaxed);
-    const std::uint64_t ns_now = stage_ns_[i].load(kRelaxed);
-    sample.stage_count[i] = count_now - last_stage_count_[i];
-    sample.stage_ns[i] = ns_now - last_stage_ns_[i];
-    last_stage_count_[i] = count_now;
-    last_stage_ns_[i] = ns_now;
-  }
-
-  const std::uint64_t wait_count_now = wait_count_.load(kRelaxed);
-  sample.wait_count = wait_count_now - last_wait_count_;
-  last_wait_count_ = wait_count_now;
-  for (std::size_t i = 0; i < kWaitSegmentCount; ++i) {
-    const std::uint64_t ns_now = wait_ns_[i].load(kRelaxed);
-    sample.wait_ns[i] = ns_now - last_wait_ns_[i];
-    last_wait_ns_[i] = ns_now;
-  }
-
-  sample.backlog = backlog_ != nullptr ? backlog_->value() : 0;
-
-  for (const auto& source : queues_) {
-    if (source == nullptr) continue;
-    QueueWindow qw;
-    qw.qid = source->qid;
-    qw.sq_occupancy =
-        source->sq_occupancy != nullptr ? source->sq_occupancy->value() : 0;
-    qw.inflight = source->inflight != nullptr ? source->inflight->value() : 0;
-    const std::uint64_t sq_now = source->sq_doorbells.load(kRelaxed);
-    const std::uint64_t entries_now = source->sq_entries.load(kRelaxed);
-    const std::uint64_t cq_now = source->cq_doorbells.load(kRelaxed);
-    qw.sq_doorbells = sq_now - source->last_sq_doorbells;
-    qw.sq_entries = entries_now - source->last_sq_entries;
-    qw.cq_doorbells = cq_now - source->last_cq_doorbells;
-    source->last_sq_doorbells = sq_now;
-    source->last_sq_entries = entries_now;
-    source->last_cq_doorbells = cq_now;
-    sample.queues.push_back(qw);
-  }
-
-  for (TenantSource& source : tenants_) {
-    TenantWindow tw;
-    tw.tenant = source.tenant;
-    const std::uint64_t admitted_now =
-        source.admitted != nullptr ? source.admitted->value() : 0;
-    const std::uint64_t rejected_now =
-        source.rejected != nullptr ? source.rejected->value() : 0;
-    const std::uint64_t payload_now =
-        source.payload_bytes != nullptr ? source.payload_bytes->value() : 0;
-    const std::uint64_t completions_now =
-        source.completions != nullptr ? source.completions->value() : 0;
-    tw.admitted = admitted_now - source.last_admitted;
-    tw.rejected = rejected_now - source.last_rejected;
-    tw.payload_bytes = payload_now - source.last_payload_bytes;
-    tw.completions = completions_now - source.last_completions;
-    tw.inflight_slots =
-        source.inflight_slots != nullptr ? source.inflight_slots->value() : 0;
-    source.last_admitted = admitted_now;
-    source.last_rejected = rejected_now;
-    source.last_payload_bytes = payload_now;
-    source.last_completions = completions_now;
-    sample.tenants.push_back(tw);
-  }
-
-  if (policy_registered_) {
-    const std::uint64_t inline_now = policy_.inline_decisions != nullptr
-                                         ? policy_.inline_decisions->value()
-                                         : 0;
-    const std::uint64_t dma_now =
-        policy_.dma_decisions != nullptr ? policy_.dma_decisions->value() : 0;
-    const std::uint64_t rejects_now =
-        policy_.rejects != nullptr ? policy_.rejects->value() : 0;
-    sample.policy_inline = inline_now - policy_.last_inline;
-    sample.policy_dma = dma_now - policy_.last_dma;
-    sample.policy_rejects = rejects_now - policy_.last_rejects;
-    sample.policy_shedding = policy_.shedding_queues != nullptr
-                                 ? policy_.shedding_queues->value()
-                                 : 0;
-    policy_.last_inline = inline_now;
-    policy_.last_dma = dma_now;
-    policy_.last_rejects = rejects_now;
-  }
-
   if (observer_ != nullptr) observer_->on_window(sample);
 
   ring_.push_back(std::move(sample));
@@ -283,61 +203,20 @@ void Telemetry::flush(Nanoseconds now) {
     close_window_locked(window_start_ + config_.window_ns);
   }
   // Close the in-progress partial window (delta residuals -> sample) so
-  // sample sums match cumulative counters exactly. The window grid
+  // sample sums match the owners' counters exactly. The window grid
   // restarts at `now`.
   if (now > window_start_) close_window_locked(now);
 }
 
 void Telemetry::clear(Nanoseconds now) {
   std::lock_guard<std::mutex> lock(mutex_);
+  // A dropped sample moves every baseline to the owners' current values:
+  // the owners keep counting upward, only the sampling restarts.
+  take_sample_locked(now);
   ring_.clear();
   next_index_ = 0;
   windows_closed_.store(0, kRelaxed);
   windows_dropped_.store(0, kRelaxed);
-  // Re-baseline deltas at the current cumulative values: the hooks keep
-  // counting upward, only the sampling restarts.
-  for (std::size_t dir = 0; dir < kLinkDirs; ++dir) {
-    for (std::size_t kind = 0; kind < kTlpKinds; ++kind) {
-      const AtomicFlow& cumulative = flows_[dir][kind];
-      last_flows_[dir][kind].tlps = cumulative.tlps.load(kRelaxed);
-      last_flows_[dir][kind].data_bytes = cumulative.data_bytes.load(kRelaxed);
-      last_flows_[dir][kind].wire_bytes = cumulative.wire_bytes.load(kRelaxed);
-    }
-  }
-  last_payload_bytes_ = payload_bytes_.load(kRelaxed);
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    last_stage_count_[i] = stage_count_[i].load(kRelaxed);
-    last_stage_ns_[i] = stage_ns_[i].load(kRelaxed);
-  }
-  last_wait_count_ = wait_count_.load(kRelaxed);
-  for (std::size_t i = 0; i < kWaitSegmentCount; ++i) {
-    last_wait_ns_[i] = wait_ns_[i].load(kRelaxed);
-  }
-  for (const auto& source : queues_) {
-    if (source == nullptr) continue;
-    source->last_sq_doorbells = source->sq_doorbells.load(kRelaxed);
-    source->last_sq_entries = source->sq_entries.load(kRelaxed);
-    source->last_cq_doorbells = source->cq_doorbells.load(kRelaxed);
-  }
-  for (TenantSource& source : tenants_) {
-    source.last_admitted =
-        source.admitted != nullptr ? source.admitted->value() : 0;
-    source.last_rejected =
-        source.rejected != nullptr ? source.rejected->value() : 0;
-    source.last_payload_bytes =
-        source.payload_bytes != nullptr ? source.payload_bytes->value() : 0;
-    source.last_completions =
-        source.completions != nullptr ? source.completions->value() : 0;
-  }
-  if (policy_registered_) {
-    policy_.last_inline = policy_.inline_decisions != nullptr
-                              ? policy_.inline_decisions->value()
-                              : 0;
-    policy_.last_dma =
-        policy_.dma_decisions != nullptr ? policy_.dma_decisions->value() : 0;
-    policy_.last_rejects =
-        policy_.rejects != nullptr ? policy_.rejects->value() : 0;
-  }
   window_start_ = now;
   window_end_.store(now + config_.window_ns, kRelaxed);
 }

@@ -5,30 +5,32 @@
 // that view for the modeled link: simulated time is divided into fixed
 // windows (Config::window_ns, default 10 us) and at every window boundary
 // the sampler snapshots
-//   * per-direction, per-TLP-kind link counters (TLPs, data bytes, wire
-//     bytes) as deltas over the window,
+//   * per-direction, per-TLP-kind link flows (TLPs, data bytes, wire
+//     bytes), summed over pcie::TrafficCounter's cells,
 //   * the payload bytes the host handed to the driver (for the
 //     amplification ratio),
-//   * controller stage-duration deltas (same taxonomy as TraceStage),
+//   * the controller's per-stage ledger (the counters behind the 0xC1
+//     log page; same taxonomy as TraceStage),
 //   * per-queue gauges (SQ occupancy, in-flight commands) and doorbell
-//     deltas, plus the controller's inline-chunk backlog gauge,
+//     counts of the driver's queue pairs, plus the controller's
+//     inline-chunk backlog gauge,
 // into an in-memory ring of TelemetrySample records.
 //
-// Hot-path hooks (on_tlps / on_payload / on_stage / on_*_doorbell) only
-// bump relaxed cumulative atomics — no locks, no allocation — so they are
-// safe from any submitter thread and cheap enough for per-TLP call sites.
+// The sampler owns no counters. Each layer keeps the obs::Counter /
+// obs::Gauge it already needs and registers it once at assembly; a sample
+// column is either the window delta of registered counters or a point
+// read of a registered gauge. Nothing on the hot path counts twice.
 // Window rolling happens in advance_to(now): a relaxed fast path returns
 // while `now` is inside the current window; the slow path takes a mutex
-// and closes every expired window by delta-ing the cumulative counters
-// against the previous snapshot. Because every sample is a telescoping
-// difference of the same cumulative counters, the sum of per-window
-// deltas equals the counter totals *exactly* once flush() has closed the
-// final partial window (tests/traffic_conservation_test.cc asserts this
-// against pcie::TrafficCounter for every transfer method).
+// and closes every expired window. Every delta telescopes against the
+// counter's value at the previous close (or at registration), so the sum
+// of per-window deltas equals the owners' counters *exactly* once flush()
+// has closed the final partial window (tests/traffic_conservation_test.cc
+// asserts this against pcie::TrafficCounter for every transfer method).
 //
 // Layering: bx_obs sits below bx_pcie, so this header cannot name
-// pcie::Direction. LinkDir mirrors its numeric values (kDownstream=0,
-// kUpstream=1); PcieLink casts when calling on_tlps().
+// pcie::Direction or pcie::TlpType. LinkDir and TlpKind mirror their
+// numeric values; PcieLink casts when it registers its counter cells.
 //
 // Consumers: obs::to_perfetto_json() (counter tracks), obs::
 // to_prometheus_text() (exposition snapshot), the bxmon CLI (per-window
@@ -40,7 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -58,9 +60,15 @@ namespace bx::obs {
 enum class LinkDir : std::uint8_t { kDownstream = 0, kUpstream = 1 };
 inline constexpr std::size_t kLinkDirs = 2;
 
-/// TLP kind, matching how PCM attributes PCIe bandwidth.
+/// TLP kind, matching how PCM attributes PCIe bandwidth; numerically
+/// identical to pcie::TlpType.
 enum class TlpKind : std::uint8_t { kMWr = 0, kMRd = 1, kCpl = 2 };
 inline constexpr std::size_t kTlpKinds = 3;
+
+/// Per-stage counters indexed by TraceStage (the controller's ledger).
+using StageCounters = std::array<Counter, kStageCount>;
+/// Per-segment nanosecond sums indexed by WaitSegment (the driver's).
+using WaitCounters = std::array<Counter, kWaitSegmentCount>;
 
 [[nodiscard]] std::string_view link_dir_name(LinkDir dir) noexcept;
 [[nodiscard]] std::string_view tlp_kind_name(TlpKind kind) noexcept;
@@ -89,8 +97,9 @@ struct FlowCell {
   }
 };
 
-/// Per-queue state captured at a window boundary: gauges are sampled
-/// (point-in-time), doorbells are deltas over the window.
+/// Per-queue state captured at a window boundary from the driver's queue
+/// pair: gauges are sampled (point-in-time), doorbells are deltas over the
+/// window.
 struct QueueWindow {
   std::uint16_t qid = 0;
   std::int64_t sq_occupancy = 0;
@@ -122,20 +131,22 @@ struct TelemetrySample {
   Nanoseconds start_ns = 0;
   Nanoseconds end_ns = 0;
 
-  /// flow[LinkDir][TlpKind], deltas over the window.
+  /// flow[LinkDir][TlpKind], deltas over the window (PcieLink's
+  /// TrafficCounter, summed over traffic classes).
   std::array<std::array<FlowCell, kTlpKinds>, kLinkDirs> flow{};
-  /// Application payload bytes submitted during the window.
+  /// Write-direction payload bytes the driver published during the window.
   std::uint64_t payload_bytes = 0;
-  /// Controller stage-duration deltas (TraceStage taxonomy).
+  /// Controller stage-ledger deltas (TraceStage taxonomy, I/O queues).
   std::array<std::uint64_t, kStageCount> stage_count{};
   std::array<std::uint64_t, kStageCount> stage_ns{};
   /// Controller inline backlog gauge at window close (BandSlim streams +
   /// deferred OOO commands + in-flight reassemblies).
   std::int64_t backlog = 0;
-  /// Wait/service attribution over the window: commands whose breakdown
-  /// was reported, and the per-segment nanosecond sums (LatencyBreakdown
-  /// taxonomy — obs/attribution.h). wait_ns summed over all segments
-  /// equals the total latency of those commands, exactly (additivity).
+  /// Wait/service attribution over the window (the driver's counters):
+  /// commands whose breakdown was reported, and the per-segment nanosecond
+  /// sums (LatencyBreakdown taxonomy — obs/attribution.h). wait_ns summed
+  /// over all segments equals the total latency of those commands,
+  /// exactly (additivity).
   std::uint64_t wait_count = 0;
   std::array<std::uint64_t, kWaitSegmentCount> wait_ns{};
   std::vector<QueueWindow> queues;
@@ -199,33 +210,39 @@ class Telemetry {
   [[nodiscard]] double link_rate() const noexcept { return bytes_per_ns_; }
 
   // ---- registration (single-threaded testbed assembly) ----
+  //
+  // Every source is component-owned and must outlive the Telemetry reads.
+  // A counter's window deltas count from its value at registration; a
+  // null pointer samples as 0. Register before submitter threads start
+  // (same rule as init_io_queues()).
 
-  /// Registers queue `qid`'s occupancy gauges for sampling at window
-  /// close. The gauges are component-owned (the driver's QueuePair) and
-  /// must outlive the Telemetry reads; re-registering a qid replaces the
-  /// previous pointers. NOT thread-safe against concurrent hooks: call
-  /// before submitter threads start (same rule as init_io_queues()).
+  /// Adds one link counter cell to flow[dir][kind]. PcieLink registers
+  /// every (direction, class, TLP type) cell of its TrafficCounter, so a
+  /// flow column is the sum over traffic classes.
+  void register_flow(LinkDir dir, TlpKind kind, const Counter* tlps,
+                     const Counter* data_bytes, const Counter* wire_bytes);
+  /// The controller's per-stage ledger and its inline-backlog gauge.
+  void register_controller(const StageCounters& stage_count,
+                           const StageCounters& stage_ns,
+                           const Gauge* backlog);
+  /// The driver's write-payload bytes and its completed-command wait
+  /// breakdown sums (command count and per-segment nanoseconds).
+  void register_driver(const Counter* payload_bytes, const Counter* waits,
+                       const WaitCounters& wait_ns);
+  /// Queue `qid`'s occupancy gauges and doorbell counters (the driver's
+  /// QueuePair). Re-registering a qid replaces its sources.
   void register_queue(std::uint16_t qid, const Gauge* sq_occupancy,
-                      const Gauge* inflight);
-  /// Registers the controller's inline-backlog gauge.
-  void set_backlog_gauge(const Gauge* backlog) noexcept { backlog_ = backlog; }
-
-  /// Registers tenant `tenant`'s service counters for delta sampling at
-  /// window close (and its in-flight-slots gauge for point sampling).
-  /// The counters are component-owned (tenant::AdmissionController /
-  /// tenant::TenantScheduler) and must outlive the Telemetry reads; any
-  /// pointer may be null (that column samples as 0). Same threading rule
-  /// as register_queue: call during single-threaded assembly.
+                      const Gauge* inflight, const Counter* sq_doorbells,
+                      const Counter* sq_entries, const Counter* cq_doorbells);
+  /// Tenant `tenant`'s service counters (tenant::AdmissionController /
+  /// tenant::TenantScheduler) and its in-flight-slots gauge.
+  /// Re-registering a tenant replaces its sources.
   void register_tenant(std::uint16_t tenant, const Counter* admitted,
                        const Counter* rejected, const Counter* payload_bytes,
                        const Counter* completions,
                        const Gauge* inflight_slots);
-
-  /// Registers the adaptive policy's decision counters for delta sampling
-  /// at window close (TelemetrySample::policy_*) plus its shedding-queues
-  /// gauge for point sampling. Counters are component-owned
-  /// (policy::AdaptivePolicy) and must outlive the reads; any pointer may
-  /// be null. Single-threaded assembly, same rule as register_queue.
+  /// The adaptive policy's decision counters (TelemetrySample::policy_*)
+  /// and its shedding-queues gauge.
   void register_policy(const Counter* inline_decisions,
                        const Counter* dma_decisions, const Counter* rejects,
                        const Gauge* shedding_queues);
@@ -235,32 +252,18 @@ class Telemetry {
     observer_ = observer;
   }
 
-  // ---- hot-path hooks (relaxed atomics; any thread) ----
-
-  void on_tlps(LinkDir dir, TlpKind kind, std::uint64_t tlps,
-               std::uint64_t data_bytes, std::uint64_t wire_bytes) noexcept;
-  void on_payload(std::uint64_t bytes) noexcept;
-  void on_stage(TraceStage stage, Nanoseconds duration) noexcept;
-  /// `entries` is the number of SQ slots the doorbell published — 1 on
-  /// the unbatched path, the whole coalesced run on the batched path.
-  void on_sq_doorbell(std::uint16_t qid, std::uint64_t entries = 1) noexcept;
-  void on_cq_doorbell(std::uint16_t qid) noexcept;
-  /// One completed command's wait/service breakdown (driver
-  /// attribute_completion). Segment sums telescope into per-window deltas
-  /// like every other cumulative counter.
-  void on_wait(const LatencyBreakdown& breakdown) noexcept;
-
   // ---- window rolling ----
 
   /// Closes every window that `now` has moved past. The common case (still
   /// inside the current window) is one relaxed load.
   void advance_to(Nanoseconds now);
   /// advance_to(now), then closes the in-progress partial window so that
-  /// sample sums reconcile exactly with cumulative counters. The next
+  /// sample sums reconcile exactly with the owners' counters. The next
   /// window starts at `now`.
   void flush(Nanoseconds now);
   /// Drops all samples and re-baselines deltas at `now` (the Testbed's
-  /// reset_counters() analog — cumulative hooks keep counting upward).
+  /// reset_counters() analog — the owners keep counting, only the
+  /// sampling restarts).
   void clear(Nanoseconds now);
 
   // ---- consumption ----
@@ -291,73 +294,69 @@ class Telemetry {
       const std::vector<TelemetrySample>& samples, double bytes_per_ns);
 
  private:
-  struct AtomicFlow {
-    std::atomic<std::uint64_t> tlps{0};
-    std::atomic<std::uint64_t> data_bytes{0};
-    std::atomic<std::uint64_t> wire_bytes{0};
-  };
-  /// Per-queue cumulative doorbell counters plus the sampled gauges.
-  /// unique_ptr because atomics are immovable and the vector resizes at
-  /// registration time.
-  struct QueueSource {
-    std::uint16_t qid = 0;
-    const Gauge* sq_occupancy = nullptr;
-    const Gauge* inflight = nullptr;
-    std::atomic<std::uint64_t> sq_doorbells{0};
-    std::atomic<std::uint64_t> sq_entries{0};
-    std::atomic<std::uint64_t> cq_doorbells{0};
-    std::uint64_t last_sq_doorbells = 0;  // under mutex_
-    std::uint64_t last_sq_entries = 0;    // under mutex_
-    std::uint64_t last_cq_doorbells = 0;  // under mutex_
+  /// A registered counter and the value its next window delta counts
+  /// from: the one delta helper behind every summed column.
+  class Tap {
+   public:
+    Tap() = default;
+    explicit Tap(const Counter* counter) noexcept
+        : counter_(counter), base_(read()) {}
+    /// The counter's growth since registration or the previous take().
+    std::uint64_t take() noexcept {
+      const std::uint64_t now = read();
+      const std::uint64_t delta = now - base_;
+      base_ = now;
+      return delta;
+    }
+
+   private:
+    [[nodiscard]] std::uint64_t read() const noexcept {
+      return counter_ != nullptr ? counter_->value() : 0;
+    }
+    const Counter* counter_ = nullptr;
+    std::uint64_t base_ = 0;
   };
 
+  struct FlowSource {
+    std::size_t dir = 0;
+    std::size_t kind = 0;
+    Tap tlps, data_bytes, wire_bytes;
+  };
+  struct QueueSource {
+    const Gauge* sq_occupancy = nullptr;
+    const Gauge* inflight = nullptr;
+    Tap sq_doorbells, sq_entries, cq_doorbells;
+  };
+  struct TenantSource {
+    std::uint16_t tenant = 0;
+    Tap admitted, rejected, payload_bytes, completions;
+    const Gauge* inflight_slots = nullptr;
+  };
+
+  /// Reads every source into the sample [window_start_, end), moving each
+  /// tap's baseline to the current counter value.
+  TelemetrySample take_sample_locked(Nanoseconds end);
   void close_window_locked(Nanoseconds end);
 
   TelemetryConfig config_;
   double bytes_per_ns_ = 1.0;
 
-  // Cumulative hot-path counters (relaxed; exact once quiesced).
-  std::array<std::array<AtomicFlow, kTlpKinds>, kLinkDirs> flows_{};
-  std::atomic<std::uint64_t> payload_bytes_{0};
-  std::array<std::atomic<std::uint64_t>, kStageCount> stage_count_{};
-  std::array<std::atomic<std::uint64_t>, kStageCount> stage_ns_{};
-  std::atomic<std::uint64_t> wait_count_{0};
-  std::array<std::atomic<std::uint64_t>, kWaitSegmentCount> wait_ns_{};
-  /// Per-tenant sampled counters plus the last-seen values the window
-  /// deltas telescope against (last_* under mutex_).
-  struct TenantSource {
-    std::uint16_t tenant = 0;
-    const Counter* admitted = nullptr;
-    const Counter* rejected = nullptr;
-    const Counter* payload_bytes = nullptr;
-    const Counter* completions = nullptr;
-    const Gauge* inflight_slots = nullptr;
-    std::uint64_t last_admitted = 0;
-    std::uint64_t last_rejected = 0;
-    std::uint64_t last_payload_bytes = 0;
-    std::uint64_t last_completions = 0;
-  };
-
-  /// The adaptive policy's sampled counters (register_policy), with the
-  /// last-seen values its window deltas telescope against (under mutex_).
-  struct PolicySource {
-    const Counter* inline_decisions = nullptr;
-    const Counter* dma_decisions = nullptr;
-    const Counter* rejects = nullptr;
-    const Gauge* shedding_queues = nullptr;
-    std::uint64_t last_inline = 0;
-    std::uint64_t last_dma = 0;
-    std::uint64_t last_rejects = 0;
-  };
-
-  /// Indexed by qid; slots for unregistered qids (e.g. the admin queue)
-  /// are null and their doorbells are not tracked.
-  std::vector<std::unique_ptr<QueueSource>> queues_;
-  std::vector<TenantSource> tenants_;
-  PolicySource policy_;
-  bool policy_registered_ = false;
-  WindowObserver* observer_ = nullptr;
+  // Registered sources, all under mutex_.
+  std::vector<FlowSource> flows_;
+  std::array<Tap, kStageCount> stage_count_{};
+  std::array<Tap, kStageCount> stage_ns_{};
   const Gauge* backlog_ = nullptr;
+  Tap payload_bytes_;
+  Tap waits_;
+  std::array<Tap, kWaitSegmentCount> wait_ns_{};
+  /// Keyed by qid, so samples list queues in qid order; the admin queue
+  /// is never registered.
+  std::map<std::uint16_t, QueueSource> queues_;
+  /// In registration order.
+  std::vector<TenantSource> tenants_;
+  Tap policy_inline_, policy_dma_, policy_rejects_;
+  const Gauge* policy_shedding_ = nullptr;
+  WindowObserver* observer_ = nullptr;
 
   /// End of the currently open window — the advance_to() fast-path guard.
   std::atomic<Nanoseconds> window_end_;
@@ -368,12 +367,6 @@ class Telemetry {
   mutable std::mutex mutex_;
   Nanoseconds window_start_ = 0;
   std::uint64_t next_index_ = 0;
-  std::array<std::array<FlowCell, kTlpKinds>, kLinkDirs> last_flows_{};
-  std::uint64_t last_payload_bytes_ = 0;
-  std::array<std::uint64_t, kStageCount> last_stage_count_{};
-  std::array<std::uint64_t, kStageCount> last_stage_ns_{};
-  std::uint64_t last_wait_count_ = 0;
-  std::array<std::uint64_t, kWaitSegmentCount> last_wait_ns_{};
   std::deque<TelemetrySample> ring_;
 };
 

@@ -44,10 +44,32 @@ void PcieLink::set_metrics(obs::MetricsRegistry* metrics) {
   data_bytes_metric_ = &metrics->counter("pcie.data_bytes");
 }
 
-void PcieLink::record(Direction dir, TrafficClass cls, std::uint64_t tlps,
-                      std::uint64_t data_bytes,
+// pcie::Direction / TlpType share numeric values with obs::LinkDir /
+// TlpKind (bx_obs sits below bx_pcie and cannot include these headers).
+static_assert(int(Direction::kUpstream) == int(obs::LinkDir::kUpstream) &&
+              int(TlpType::kMemoryWrite) == int(obs::TlpKind::kMWr) &&
+              int(TlpType::kMemoryRead) == int(obs::TlpKind::kMRd) &&
+              int(TlpType::kCompletion) == int(obs::TlpKind::kCpl));
+
+void PcieLink::set_telemetry(obs::Telemetry* telemetry) {
+  telemetry_ = telemetry;
+  if (telemetry == nullptr) return;
+  for (std::size_t d = 0; d < obs::kLinkDirs; ++d) {
+    for (std::size_t c = 0; c < std::size_t(TrafficClass::kCount_); ++c) {
+      for (std::size_t t = 0; t < kTlpTypes; ++t) {
+        const TrafficCounter::Cell& cell = counter_.counters(
+            Direction(d), TrafficClass(c), TlpType(t));
+        telemetry->register_flow(obs::LinkDir(d), obs::TlpKind(t), &cell.tlps,
+                                 &cell.data_bytes, &cell.wire_bytes);
+      }
+    }
+  }
+}
+
+void PcieLink::record(Direction dir, TrafficClass cls, TlpType type,
+                      std::uint64_t tlps, std::uint64_t data_bytes,
                       std::uint64_t wire_bytes) noexcept {
-  counter_.record(dir, cls, tlps, data_bytes, wire_bytes);
+  counter_.record(dir, cls, type, tlps, data_bytes, wire_bytes);
   if (tlps_metric_ != nullptr) {
     tlps_metric_->add(tlps);
     wire_bytes_metric_->add(wire_bytes);
@@ -55,18 +77,8 @@ void PcieLink::record(Direction dir, TrafficClass cls, std::uint64_t tlps,
   }
 }
 
-void PcieLink::telemetry_tlps(Direction dir, obs::TlpKind kind,
-                              std::uint64_t tlps, std::uint64_t data_bytes,
-                              std::uint64_t wire_bytes) noexcept {
-  // pcie::Direction and obs::LinkDir share numeric values (bx_obs sits
-  // below bx_pcie and cannot include this header).
-  telemetry_->on_tlps(
-      static_cast<obs::LinkDir>(static_cast<std::uint8_t>(dir)), kind, tlps,
-      data_bytes, wire_bytes);
-}
-
 Nanoseconds PcieLink::maybe_replay(Direction dir, TrafficClass cls,
-                                   obs::TlpKind kind,
+                                   TlpType type,
                                    std::uint64_t wire_bytes) noexcept {
   if (injector_ == nullptr || !injector_->next_tlp_replay()) {
     return 0;
@@ -74,10 +86,7 @@ Nanoseconds PcieLink::maybe_replay(Direction dir, TrafficClass cls,
   // The retransmitted TLP costs wire bytes and time only: no data bytes
   // and no logical TLP, so per-TLP/data-byte conservation checks see the
   // same logical traffic with or without replays.
-  record(dir, cls, 0, 0, wire_bytes);
-  if (telemetry_ != nullptr) {
-    telemetry_tlps(dir, kind, 0, 0, wire_bytes);
-  }
+  record(dir, cls, type, 0, 0, wire_bytes);
   return config_.propagation_ns + serialize_time(wire_bytes);
 }
 
@@ -93,19 +102,16 @@ Nanoseconds PcieLink::post_write(Direction dir, TrafficClass cls,
     wire += tlp_wire_bytes(TlpType::kMemoryWrite, chunk, config_.overhead);
     remaining -= chunk;
   }
-  record(dir, cls, tlps, data_bytes, wire);
+  record(dir, cls, TlpType::kMemoryWrite, tlps, data_bytes, wire);
   Nanoseconds t = config_.propagation_ns + serialize_time(wire);
   t += maybe_replay(
-      dir, cls, obs::TlpKind::kMWr,
+      dir, cls, TlpType::kMemoryWrite,
       tlp_wire_bytes(TlpType::kMemoryWrite,
                      static_cast<std::uint32_t>(
                          data_bytes < mps ? data_bytes : mps),
                      config_.overhead));
   clock_.advance(t);
-  if (telemetry_ != nullptr) {
-    telemetry_tlps(dir, obs::TlpKind::kMWr, tlps, data_bytes, wire);
-    telemetry_->advance_to(clock_.now());
-  }
+  if (telemetry_ != nullptr) telemetry_->advance_to(clock_.now());
   return t;
 }
 
@@ -122,7 +128,7 @@ Nanoseconds PcieLink::read(Direction data_dir, TrafficClass cls,
   const std::uint64_t requests = div_ceil(data_bytes, mrrs);
   const std::uint64_t req_wire =
       requests * tlp_wire_bytes(TlpType::kMemoryRead, 0, config_.overhead);
-  record(req_dir, cls, requests, 0, req_wire);
+  record(req_dir, cls, TlpType::kMemoryRead, requests, 0, req_wire);
 
   // Completions with data, split at MaxPayloadSize.
   const std::uint64_t cpls = div_ceil(data_bytes, mps);
@@ -134,24 +140,20 @@ Nanoseconds PcieLink::read(Direction data_dir, TrafficClass cls,
     cpl_wire += tlp_wire_bytes(TlpType::kCompletion, chunk, config_.overhead);
     remaining -= chunk;
   }
-  record(data_dir, cls, cpls, data_bytes, cpl_wire);
+  record(data_dir, cls, TlpType::kCompletion, cpls, data_bytes, cpl_wire);
 
   // Round trip: request propagation + its serialization, then completion
   // propagation + serialization of the data stream.
   Nanoseconds t = 2 * config_.propagation_ns +
                   serialize_time(req_wire) + serialize_time(cpl_wire);
   t += maybe_replay(
-      data_dir, cls, obs::TlpKind::kCpl,
+      data_dir, cls, TlpType::kCompletion,
       tlp_wire_bytes(TlpType::kCompletion,
                      static_cast<std::uint32_t>(
                          data_bytes < mps ? data_bytes : mps),
                      config_.overhead));
   clock_.advance(t);
-  if (telemetry_ != nullptr) {
-    telemetry_tlps(req_dir, obs::TlpKind::kMRd, requests, 0, req_wire);
-    telemetry_tlps(data_dir, obs::TlpKind::kCpl, cpls, data_bytes, cpl_wire);
-    telemetry_->advance_to(clock_.now());
-  }
+  if (telemetry_ != nullptr) telemetry_->advance_to(clock_.now());
   return t;
 }
 

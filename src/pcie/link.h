@@ -70,13 +70,12 @@ class PcieLink {
   /// `pcie.data_bytes` counters of `metrics` (pass nullptr to detach).
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  /// Feeds every TLP batch into `telemetry` by direction and kind
-  /// (MWr/MRd/Cpl), and rolls its sampling window forward after each
-  /// primitive advances the clock (pass nullptr to detach — the disabled
-  /// cost is one pointer check per primitive).
-  void set_telemetry(obs::Telemetry* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
+  /// Registers every TrafficCounter cell with `telemetry` as a flow of
+  /// its direction and TLP kind (MWr/MRd/Cpl), and rolls its sampling
+  /// window forward after each primitive advances the clock. Call once,
+  /// at assembly (nullptr leaves the link unsampled — the cost is one
+  /// pointer check per primitive).
+  void set_telemetry(obs::Telemetry* telemetry);
 
   /// Draws one data-link TLP replay per primitive from `injector` (pass
   /// nullptr to detach). A replay retransmits one TLP after an
@@ -90,13 +89,11 @@ class PcieLink {
  private:
   /// Accounts one replayed TLP of `wire_bytes` when the injector fires;
   /// returns the extra link time (0 when it does not).
-  Nanoseconds maybe_replay(Direction dir, TrafficClass cls, obs::TlpKind kind,
+  Nanoseconds maybe_replay(Direction dir, TrafficClass cls, TlpType type,
                            std::uint64_t wire_bytes) noexcept;
-  void record(Direction dir, TrafficClass cls, std::uint64_t tlps,
-              std::uint64_t data_bytes, std::uint64_t wire_bytes) noexcept;
-  void telemetry_tlps(Direction dir, obs::TlpKind kind, std::uint64_t tlps,
-                      std::uint64_t data_bytes,
-                      std::uint64_t wire_bytes) noexcept;
+  void record(Direction dir, TrafficClass cls, TlpType type,
+              std::uint64_t tlps, std::uint64_t data_bytes,
+              std::uint64_t wire_bytes) noexcept;
 
   LinkConfig config_;
   SimClock& clock_;

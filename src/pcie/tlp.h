@@ -8,6 +8,7 @@
 // below the fidelity the figures need and is absorbed by the DLLP share.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -18,6 +19,7 @@ enum class TlpType : std::uint8_t {
   kMemoryRead,   // non-posted MRd request (no payload)
   kCompletion,   // CplD carrying read data
 };
+inline constexpr std::size_t kTlpTypes = 3;
 
 std::string_view tlp_type_name(TlpType type) noexcept;
 

@@ -22,28 +22,34 @@ std::string_view traffic_class_name(TrafficClass cls) noexcept {
   return "?";
 }
 
-void TrafficCounter::record(Direction dir, TrafficClass cls,
+void TrafficCounter::record(Direction dir, TrafficClass cls, TlpType type,
                             std::uint64_t tlps, std::uint64_t data_bytes,
                             std::uint64_t wire_bytes) noexcept {
   const auto d = static_cast<std::size_t>(dir);
   const auto c = static_cast<std::size_t>(cls);
-  BX_ASSERT(d < 2 && c < kClasses);
-  AtomicCell& cell = cells_[d][c];
-  cell.tlps.fetch_add(tlps, std::memory_order_relaxed);
-  cell.data_bytes.fetch_add(data_bytes, std::memory_order_relaxed);
-  cell.wire_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+  const auto t = static_cast<std::size_t>(type);
+  BX_ASSERT(d < 2 && c < kClasses && t < kTlpTypes);
+  Cell& cell = cells_[d][c][t];
+  cell.tlps.add(tlps);
+  cell.data_bytes.add(data_bytes);
+  cell.wire_bytes.add(wire_bytes);
 }
 
 TrafficCell TrafficCounter::cell(Direction dir,
                                  TrafficClass cls) const noexcept {
-  return cells_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(cls)]
-      .snapshot();
+  TrafficCell sum;
+  for (const Cell& typed :
+       cells_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(cls)]) {
+    sum.add(typed.tlps.value(), typed.data_bytes.value(),
+            typed.wire_bytes.value());
+  }
+  return sum;
 }
 
 TrafficCell TrafficCounter::total(Direction dir) const noexcept {
   TrafficCell sum;
-  for (const auto& cell : cells_[static_cast<std::size_t>(dir)]) {
-    sum += cell.snapshot();
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    sum += cell(dir, static_cast<TrafficClass>(c));
   }
   return sum;
 }
@@ -54,12 +60,20 @@ TrafficCell TrafficCounter::total() const noexcept {
   return sum;
 }
 
+const TrafficCounter::Cell& TrafficCounter::counters(
+    Direction dir, TrafficClass cls, TlpType type) const noexcept {
+  return cells_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(cls)]
+               [static_cast<std::size_t>(type)];
+}
+
 void TrafficCounter::reset() noexcept {
   for (auto& dir : cells_) {
-    for (auto& cell : dir) {
-      cell.tlps.store(0, std::memory_order_relaxed);
-      cell.data_bytes.store(0, std::memory_order_relaxed);
-      cell.wire_bytes.store(0, std::memory_order_relaxed);
+    for (auto& cls : dir) {
+      for (Cell& cell : cls) {
+        cell.tlps.reset();
+        cell.data_bytes.reset();
+        cell.wire_bytes.reset();
+      }
     }
   }
 }
@@ -70,16 +84,17 @@ std::string TrafficCounter::breakdown() const {
   char line[160];
   for (std::size_t d = 0; d < 2; ++d) {
     for (std::size_t c = 0; c < kClasses; ++c) {
-      const TrafficCell cell = cells_[d][c].snapshot();
-      if (cell.tlps == 0) continue;
+      const TrafficCell row =
+          cell(static_cast<Direction>(d), static_cast<TrafficClass>(c));
+      if (row.tlps == 0) continue;
       std::snprintf(
           line, sizeof(line), "%-12s %-11s %-12llu %-14llu %llu\n",
           std::string(traffic_class_name(static_cast<TrafficClass>(c)))
               .c_str(),
           d == 0 ? "host->dev" : "dev->host",
-          static_cast<unsigned long long>(cell.tlps),
-          static_cast<unsigned long long>(cell.data_bytes),
-          static_cast<unsigned long long>(cell.wire_bytes));
+          static_cast<unsigned long long>(row.tlps),
+          static_cast<unsigned long long>(row.data_bytes),
+          static_cast<unsigned long long>(row.wire_bytes));
       out += line;
     }
   }

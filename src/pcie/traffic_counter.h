@@ -4,9 +4,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "obs/metrics.h"
+#include "pcie/tlp.h"
 
 namespace bx::pcie {
 
@@ -52,19 +54,36 @@ struct TrafficCell {
 /// Thread-safe and lock-free: record() sits on the hot path of every TLP,
 /// and under multi-submitter load it is called from every host thread plus
 /// whichever thread is pumping the device — so the cells are relaxed
-/// atomics rather than a shared mutex. Readers snapshot cell by cell;
-/// totals read while traffic is in flight are monotone lower bounds, and
-/// exact once the system quiesces (which is when tests and benchmarks
-/// read them).
+/// atomic obs::Counters rather than a shared mutex. Readers snapshot cell
+/// by cell; totals read while traffic is in flight are monotone lower
+/// bounds, and exact once the system quiesces (which is when tests and
+/// benchmarks read them).
+///
+/// Cells are kept per (direction, class, TLP type): the class axis is the
+/// traffic breakdown, the type axis is what the telemetry windows sample
+/// as PCM's MWr/MRd/Cpl flows — one record() feeds both views.
 class TrafficCounter {
  public:
-  void record(Direction dir, TrafficClass cls, std::uint64_t tlps,
-              std::uint64_t data_bytes, std::uint64_t wire_bytes) noexcept;
+  /// The live counters of one (direction, class, TLP type) cell.
+  struct Cell {
+    obs::Counter tlps;
+    obs::Counter data_bytes;
+    obs::Counter wire_bytes;
+  };
 
+  void record(Direction dir, TrafficClass cls, TlpType type,
+              std::uint64_t tlps, std::uint64_t data_bytes,
+              std::uint64_t wire_bytes) noexcept;
+
+  /// One (direction, class) cell, summed over TLP types.
   [[nodiscard]] TrafficCell cell(Direction dir,
                                  TrafficClass cls) const noexcept;
   [[nodiscard]] TrafficCell total(Direction dir) const noexcept;
   [[nodiscard]] TrafficCell total() const noexcept;
+  /// The counters of one (direction, class, TLP type) cell, for samplers
+  /// that read them live (PcieLink registers them with obs::Telemetry).
+  [[nodiscard]] const Cell& counters(Direction dir, TrafficClass cls,
+                                     TlpType type) const noexcept;
 
   /// Wire bytes across both directions — the headline "PCIe traffic" the
   /// paper's figures report.
@@ -84,19 +103,7 @@ class TrafficCounter {
   static constexpr std::size_t kClasses =
       static_cast<std::size_t>(TrafficClass::kCount_);
 
-  struct AtomicCell {
-    std::atomic<std::uint64_t> tlps{0};
-    std::atomic<std::uint64_t> data_bytes{0};
-    std::atomic<std::uint64_t> wire_bytes{0};
-
-    [[nodiscard]] TrafficCell snapshot() const noexcept {
-      return {tlps.load(std::memory_order_relaxed),
-              data_bytes.load(std::memory_order_relaxed),
-              wire_bytes.load(std::memory_order_relaxed)};
-    }
-  };
-
-  std::array<std::array<AtomicCell, kClasses>, 2> cells_{};
+  std::array<std::array<std::array<Cell, kTlpTypes>, kClasses>, 2> cells_{};
 };
 
 }  // namespace bx::pcie

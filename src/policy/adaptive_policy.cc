@@ -5,26 +5,6 @@
 
 namespace bx::policy {
 
-namespace {
-
-/// Mirrors NvmeDriver::is_write_direction — the policy only needs the
-/// write/non-write split to spot inline candidates (reads resolve to
-/// kPrp here; inline read delivery is method-agnostic in the driver).
-bool is_write_opcode(nvme::IoOpcode opcode) noexcept {
-  switch (opcode) {
-    case nvme::IoOpcode::kWrite:
-    case nvme::IoOpcode::kVendorRawWrite:
-    case nvme::IoOpcode::kVendorKvStore:
-    case nvme::IoOpcode::kVendorCsdFilter:
-    case nvme::IoOpcode::kVendorPartialWrite:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 AdaptivePolicy::AdaptivePolicy(AdaptivePolicyConfig config)
     : config_(config) {
   config_.inline_cutoff_bytes =
@@ -78,7 +58,7 @@ driver::PolicyDecision AdaptivePolicy::decide(
     Nanoseconds /*now*/) {
   const std::uint64_t len = request.write_data.size();
   const bool inline_candidate =
-      is_write_opcode(request.opcode) && len > 0;
+      nvme::is_write_direction(request.opcode) && len > 0;
 
   std::lock_guard<std::mutex> lock(mutex_);
   QueueState* q = state_locked(qid);

@@ -51,7 +51,7 @@ class MiniHost {
 
   explicit MiniHost(Controller::Config config = {})
       : link_(pcie::LinkConfig{}, clock_, traffic_),
-        bar_(config.max_queues),
+        bar_(Controller::kMaxQueues),
         controller_(memory_, link_, bar_, executor_, config),
         admin_sq_(memory_.allocate_pages(1)),
         admin_cq_(memory_.allocate_pages(1)),

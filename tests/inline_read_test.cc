@@ -252,7 +252,8 @@ TEST_P(InlineReadConservationTest, EveryChunkTlpAccounted) {
   const auto cell = [&](Direction dir, TrafficClass cls) {
     return bed.traffic().cell(dir, cls);
   };
-  const bool inline_eligible = len <= 4096;  // driver max_inline_read_bytes
+  const bool inline_eligible =
+      len <= driver::NvmeDriver::kMaxInlineReadBytes;
 
   // One 64 B chunk MWr per occupied ring slot, and nothing else on the
   // inline-read class; oversized reads never touch the ring.

@@ -131,9 +131,10 @@ TEST_F(LinkFixture, SerializeTimeScalesWithBytes) {
 
 TEST(TrafficCounterTest, TotalsAcrossClassesAndDirections) {
   TrafficCounter counter;
-  counter.record(Direction::kDownstream, TrafficClass::kCommandFetch, 1, 64,
-                 92);
-  counter.record(Direction::kUpstream, TrafficClass::kCompletion, 1, 16, 48);
+  counter.record(Direction::kDownstream, TrafficClass::kCommandFetch,
+                 TlpType::kCompletion, 1, 64, 92);
+  counter.record(Direction::kUpstream, TrafficClass::kCompletion,
+                 TlpType::kMemoryWrite, 1, 16, 48);
   EXPECT_EQ(counter.total(Direction::kDownstream).wire_bytes, 92u);
   EXPECT_EQ(counter.total(Direction::kUpstream).wire_bytes, 48u);
   EXPECT_EQ(counter.total_wire_bytes(), 140u);
@@ -142,7 +143,8 @@ TEST(TrafficCounterTest, TotalsAcrossClassesAndDirections) {
 
 TEST(TrafficCounterTest, ResetZeroes) {
   TrafficCounter counter;
-  counter.record(Direction::kDownstream, TrafficClass::kOther, 3, 10, 20);
+  counter.record(Direction::kDownstream, TrafficClass::kOther,
+                 TlpType::kMemoryWrite, 3, 10, 20);
   counter.reset();
   EXPECT_EQ(counter.total_wire_bytes(), 0u);
   EXPECT_EQ(counter.total().tlps, 0u);
@@ -150,8 +152,8 @@ TEST(TrafficCounterTest, ResetZeroes) {
 
 TEST(TrafficCounterTest, BreakdownMentionsActiveClasses) {
   TrafficCounter counter;
-  counter.record(Direction::kDownstream, TrafficClass::kDataPrp, 1, 4096,
-                 4500);
+  counter.record(Direction::kDownstream, TrafficClass::kDataPrp,
+                 TlpType::kCompletion, 1, 4096, 4500);
   const std::string breakdown = counter.breakdown();
   EXPECT_NE(breakdown.find("data_prp"), std::string::npos);
   EXPECT_NE(breakdown.find("TOTAL"), std::string::npos);

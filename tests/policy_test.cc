@@ -1,6 +1,6 @@
 // AdaptivePolicy (TransferMethod::kAuto): decision determinism, hysteresis
 // dwell under oscillating load, shed watermark open/close, and the in-
-// process fig5 regret bound the policy-bench CI job gates end to end.
+// process fig5 regret bound the bench-gates CI job gates end to end.
 #include <gtest/gtest.h>
 
 #include <random>

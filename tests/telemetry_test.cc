@@ -1,8 +1,10 @@
-// Windowed telemetry sampler: window-grid semantics, exact conservation
-// against the TrafficCounter under QD>1 multi-queue load, ring bounds,
-// downsampling, reset semantics, the disabled path, and the TSV dump.
+// Windowed telemetry sampler: window-grid semantics over registered
+// counters, exact conservation against the TrafficCounter under QD>1
+// multi-queue load, ring bounds, downsampling, reset semantics, the
+// disabled path, and the TSV dump.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,9 +35,42 @@ TelemetryConfig tiny_config(Nanoseconds window_ns,
   return config;
 }
 
+/// Stand-ins for the counters the layers own, registered the way the
+/// testbed registers the real ones: one link cell per (direction, kind)
+/// and the driver's payload and wait counters.
+struct Sources {
+  using Cell = pcie::TrafficCounter::Cell;
+
+  explicit Sources(Telemetry& telemetry) {
+    for (std::size_t dir = 0; dir < obs::kLinkDirs; ++dir) {
+      for (std::size_t kind = 0; kind < obs::kTlpKinds; ++kind) {
+        const Cell& cell = flows[dir][kind];
+        telemetry.register_flow(LinkDir(dir), TlpKind(kind), &cell.tlps,
+                                &cell.data_bytes, &cell.wire_bytes);
+      }
+    }
+    telemetry.register_driver(&payload, &waits, wait_ns);
+  }
+
+  /// What PcieLink records for one TLP batch.
+  void tlps(LinkDir dir, TlpKind kind, std::uint64_t tlps,
+            std::uint64_t data_bytes, std::uint64_t wire_bytes) {
+    Cell& cell = flows[std::size_t(dir)][std::size_t(kind)];
+    cell.tlps.add(tlps);
+    cell.data_bytes.add(data_bytes);
+    cell.wire_bytes.add(wire_bytes);
+  }
+
+  std::array<std::array<Cell, obs::kTlpKinds>, obs::kLinkDirs> flows;
+  obs::Counter payload;
+  obs::Counter waits;
+  obs::WaitCounters wait_ns;
+};
+
 TEST(TelemetryWindowTest, AdvanceClosesExpiredWindowsOnTheGrid) {
   Telemetry telemetry(tiny_config(100));
-  telemetry.on_tlps(LinkDir::kDownstream, TlpKind::kMWr, 2, 128, 192);
+  Sources sources(telemetry);
+  sources.tlps(LinkDir::kDownstream, TlpKind::kMWr, 2, 128, 192);
   telemetry.advance_to(50);  // still inside [0, 100): nothing closes
   EXPECT_EQ(telemetry.windows_closed(), 0u);
 
@@ -57,10 +92,11 @@ TEST(TelemetryWindowTest, AdvanceClosesExpiredWindowsOnTheGrid) {
 
 TEST(TelemetryWindowTest, FlushClosesPartialWindowAndConservesSums) {
   Telemetry telemetry(tiny_config(100));
-  telemetry.on_tlps(LinkDir::kDownstream, TlpKind::kMWr, 3, 100, 196);
+  Sources sources(telemetry);
+  sources.tlps(LinkDir::kDownstream, TlpKind::kMWr, 3, 100, 196);
   telemetry.advance_to(150);
-  telemetry.on_tlps(LinkDir::kUpstream, TlpKind::kCpl, 1, 64, 92);
-  telemetry.on_payload(300);
+  sources.tlps(LinkDir::kUpstream, TlpKind::kCpl, 1, 64, 92);
+  sources.payload.add(300);
   telemetry.flush(150);  // partial window [100, 150)
 
   const std::vector<TelemetrySample> samples = telemetry.samples();
@@ -90,10 +126,11 @@ TEST(TelemetryWindowTest, RingCapDropsOldestAndCounts) {
 
 TEST(TelemetryWindowTest, DownsamplePreservesSumsAndSpan) {
   Telemetry telemetry(tiny_config(10));
+  Sources sources(telemetry);
   for (int i = 0; i < 100; ++i) {
-    telemetry.on_tlps(LinkDir::kDownstream, TlpKind::kMWr, 1,
-                      std::uint64_t(i), std::uint64_t(i) + 32);
-    telemetry.on_payload(std::uint64_t(i));
+    sources.tlps(LinkDir::kDownstream, TlpKind::kMWr, 1, std::uint64_t(i),
+                 std::uint64_t(i) + 32);
+    sources.payload.add(std::uint64_t(i));
     telemetry.advance_to((i + 1) * 10);
   }
   const std::vector<TelemetrySample> full = telemetry.samples();
@@ -120,7 +157,8 @@ TEST(TelemetryWindowTest, DownsamplePreservesSumsAndSpan) {
 
 TEST(TelemetryWindowTest, DumpTsvHasHeaderAndOneRowPerWindow) {
   Telemetry telemetry(tiny_config(100));
-  telemetry.on_tlps(LinkDir::kUpstream, TlpKind::kMWr, 1, 16, 48);
+  Sources sources(telemetry);
+  sources.tlps(LinkDir::kUpstream, TlpKind::kMWr, 1, 16, 48);
   telemetry.flush(130);
   const std::string tsv = Telemetry::dump_tsv(telemetry.samples(), 4.0);
   EXPECT_NE(tsv.find("# bx-telemetry v1 bytes_per_ns=4.000000"),

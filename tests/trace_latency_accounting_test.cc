@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "core/testbed.h"
@@ -54,6 +55,10 @@ struct MethodCase {
   const char* name;
   TraceStage data_stage;  // the stage that must move this method's payload
 };
+
+// gtest would otherwise print the raw struct bytes (a pointer and padding)
+// into every test name.
+void PrintTo(const MethodCase& c, std::ostream* os) { *os << c.name; }
 
 class LatencyAccounting : public ::testing::TestWithParam<MethodCase> {};
 

@@ -203,20 +203,6 @@ TEST(ByteExpressTest, OversizedPayloadFallsBackToPrp) {
   EXPECT_EQ(read_scratch(testbed, payload.size()), payload);
 }
 
-TEST(ByteExpressTest, ControllerWithoutSupportRejectsInline) {
-  auto config = test::small_testbed_config();
-  config.controller.byteexpress_enabled = false;
-  Testbed testbed(config);
-  ByteVec payload(64);
-  fill_pattern(payload, 4);
-  auto completion =
-      testbed.raw_write(payload, TransferMethod::kByteExpress);
-  ASSERT_TRUE(completion.is_ok());
-  EXPECT_FALSE(completion->ok());
-  EXPECT_EQ(completion->status.code,
-            static_cast<std::uint8_t>(nvme::GenericStatus::kInvalidField));
-}
-
 TEST(ByteExpressTest, WorksOnShallowQueueViaCompletionRecycling) {
   // 4 KB inline = 65 entries; depth 128 forces tight ring management.
   Testbed testbed(test::small_testbed_config(1, 128));
@@ -442,29 +428,35 @@ TEST(OooStripedTest, ControllerCanDisableReassembly) {
 // ---- batched chunk fetch (ablation knob) ----
 
 TEST(ChunkBatchTest, BatchedFetchPreservesDataAndReducesTlps) {
-  auto config = test::small_testbed_config();
-  config.controller.chunk_fetch_batch = 4;
-  Testbed batched(config);
-  Testbed unbatched(test::small_testbed_config());
-
   ByteVec payload(512);  // 8 chunks
   fill_pattern(payload, 12);
 
-  batched.reset_counters();
-  ASSERT_TRUE(
-      batched.raw_write(payload, TransferMethod::kByteExpress).is_ok());
-  const auto batched_fetch = batched.traffic().cell(
-      Direction::kDownstream, TrafficClass::kCommandFetch);
-  EXPECT_EQ(read_scratch(batched, payload.size()), payload);
-
+  Testbed unbatched(test::small_testbed_config());
   unbatched.reset_counters();
   ASSERT_TRUE(
       unbatched.raw_write(payload, TransferMethod::kByteExpress).is_ok());
-
   const auto unbatched_fetch = unbatched.traffic().cell(
       Direction::kDownstream, TrafficClass::kCommandFetch);
-  EXPECT_LT(batched_fetch.tlps, unbatched_fetch.tlps);
-  EXPECT_EQ(batched_fetch.data_bytes, unbatched_fetch.data_bytes);
+
+  for (const std::uint32_t batch : {2u, 4u}) {
+    auto config = test::small_testbed_config();
+    config.controller.chunk_fetch_batch = batch;
+    Testbed batched(config);
+    batched.reset_counters();
+    ASSERT_TRUE(
+        batched.raw_write(payload, TransferMethod::kByteExpress).is_ok());
+    const auto batched_fetch = batched.traffic().cell(
+        Direction::kDownstream, TrafficClass::kCommandFetch);
+    const auto fetch_requests = batched.traffic().cell(
+        Direction::kUpstream, TrafficClass::kCommandFetch);
+    EXPECT_EQ(read_scratch(batched, payload.size()), payload);
+    EXPECT_LT(batched_fetch.tlps, unbatched_fetch.tlps) << "batch " << batch;
+    EXPECT_EQ(batched_fetch.data_bytes, unbatched_fetch.data_bytes);
+    // One DMA read per batch: one MRd for the SQE plus one per batch of
+    // chunks, ceil(8 / batch).
+    EXPECT_EQ(fetch_requests.tlps, 1 + (8 + batch - 1) / batch)
+        << "batch " << batch;
+  }
 }
 
 }  // namespace
