@@ -664,11 +664,11 @@ StatusOr<NvmeDriver::Prepared> NvmeDriver::prepare(
   sqe = build_base_sqe(request);
   Pending pending;
   const Nanoseconds entry_time = link_.clock().now();
-  // Reactor-posted requests backdate the latency window to the instant the
-  // request entered the MPSC ring (IoRequest::origin_ns), so ring residency
-  // is measured and attributed as kRingWait instead of silently vanishing.
-  // The timeout deadline still runs from driver entry: queueing ahead of
-  // the driver must not consume the command's execution budget.
+  // A request that waited in a backlog backdates the latency window to its
+  // arrival (IoRequest::origin_ns), so the backlog is measured and
+  // attributed as kRingWait instead of silently vanishing. The timeout
+  // deadline still runs from driver entry: queueing ahead of the driver
+  // must not consume the command's execution budget.
   command.submit_time =
       request.origin_ns != 0 && request.origin_ns <= entry_time
           ? request.origin_ns
@@ -1424,49 +1424,6 @@ StatusOr<std::vector<Completion>> NvmeDriver::execute_batch(
     completions.push_back(*std::move(completion));
   }
   return completions;
-}
-
-StatusOr<NvmeDriver::PipelineResult> NvmeDriver::write_pipeline(
-    ConstByteSpan payload, std::uint32_t chunk_bytes, std::uint32_t depth,
-    std::uint16_t qid, TransferMethod method) {
-  if (qid == 0 || qid > io_queues_.size()) {
-    return invalid_argument("bad I/O qid " + std::to_string(qid));
-  }
-  if (payload.empty()) {
-    return invalid_argument("write_pipeline needs a payload");
-  }
-  if (chunk_bytes == 0 || depth == 0) {
-    return invalid_argument("chunk_bytes and depth must be positive");
-  }
-
-  const std::uint64_t db_before = bar_.sq_doorbell_writes(qid);
-  PipelineResult result;
-  std::vector<IoRequest> group;
-  group.reserve(depth);
-  std::size_t offset = 0;
-  while (offset < payload.size()) {
-    group.clear();
-    while (group.size() < depth && offset < payload.size()) {
-      const std::size_t take =
-          std::min<std::size_t>(chunk_bytes, payload.size() - offset);
-      IoRequest request;
-      request.opcode = nvme::IoOpcode::kVendorRawWrite;
-      request.method = method;
-      request.write_data = payload.subspan(offset, take);
-      group.push_back(request);
-      offset += take;
-    }
-    auto completions =
-        execute_batch({group.data(), group.size()}, qid);
-    BX_RETURN_IF_ERROR(completions.status());
-    result.commands += completions->size();
-    for (const Completion& completion : *completions) {
-      if (!completion.status.is_success()) ++result.errors;
-    }
-  }
-  result.payload_bytes = payload.size();
-  result.doorbells = bar_.sq_doorbell_writes(qid) - db_before;
-  return result;
 }
 
 StatusOr<Completion> NvmeDriver::execute_ooo_striped(

@@ -13,9 +13,9 @@
 // and rings ONE doorbell for the run before the lock drops — the
 // ByteExpress host change of §3.3. submit() publishes a batch of one;
 // submit_batch() prepares every request, then publishes once, so a batch
-// coalesces under one doorbell (RDMAbox-style merging). execute(),
-// execute_batch() and write_pipeline() (the npu-nvme write_pipeline shape)
-// wait through the same retry tail, wait_resolved().
+// coalesces under one doorbell (RDMAbox-style merging) and is the one
+// batching path. execute() and execute_batch() wait through the same retry
+// tail, wait_resolved().
 //
 // The driver is transport only — it never interprets vendor command
 // semantics; that is the device's job.
@@ -149,11 +149,6 @@ class NvmeDriver {
 
   void set_pump(Pump pump) { pump_ = std::move(pump); }
 
-  /// The simulation clock the driver advances (the link's). Posting layers
-  /// (Reactor) stamp IoRequest::origin_ns from it so queueing ahead of the
-  /// driver is measured, not lost.
-  [[nodiscard]] SimClock& clock() noexcept { return link_.clock(); }
-
   /// Admin queue ring addresses, for controller registration at attach.
   [[nodiscard]] QueueInfo admin_queue_info() const;
 
@@ -242,24 +237,6 @@ class NvmeDriver {
   /// fault-accounting invariant without disturbing the other commands.
   StatusOr<std::vector<Completion>> execute_batch(
       std::span<const IoRequest> requests, std::uint16_t qid);
-
-  struct PipelineResult {
-    std::uint64_t commands = 0;
-    /// SQ doorbell MWr writes over the whole pipeline (BAR delta, so
-    /// retries are included) — doorbells/op = doorbells / commands.
-    std::uint64_t doorbells = 0;
-    std::uint64_t payload_bytes = 0;
-    /// Commands whose final device status was an error.
-    std::uint64_t errors = 0;
-  };
-
-  /// npu-nvme-style pipelined write: slices `payload` into
-  /// `chunk_bytes`-sized commands and issues them `depth` at a time,
-  /// each group coalesced under one doorbell via execute_batch().
-  StatusOr<PipelineResult> write_pipeline(
-      ConstByteSpan payload, std::uint32_t chunk_bytes, std::uint32_t depth,
-      std::uint16_t qid = 1,
-      TransferMethod method = TransferMethod::kByteExpress);
 
   /// Reaps any ready completions on `qid`; returns how many were reaped.
   std::size_t poll_completions(std::uint16_t qid);

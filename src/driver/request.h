@@ -65,11 +65,12 @@ struct IoRequest {
   /// rate limiting), and attributes completions in per-tenant telemetry.
   std::uint16_t tenant = 0;
 
-  /// Sim-time the request was handed to a posting layer (0 = submitted
-  /// directly). The reactor stamps this when the request enters its MPSC
-  /// ring; the driver then backdates the command's latency window to it,
-  /// so ring residency is measured and attributed as
-  /// obs::WaitSegment::kRingWait instead of silently vanishing.
+  /// Sim-time the request arrived, if it waited in a backlog before
+  /// reaching the driver (0 = arrives at driver entry). An open-loop
+  /// caller stamps its arrival instant here; the driver then backdates
+  /// the command's latency window to it, so the backlog is measured and
+  /// attributed as obs::WaitSegment::kRingWait instead of silently
+  /// vanishing. An origin after driver entry is ignored.
   Nanoseconds origin_ns = 0;
 };
 
@@ -79,8 +80,8 @@ struct Completion {
   /// Bytes copied into read_buffer (read-direction commands).
   std::uint32_t bytes_returned = 0;
   /// Simulated submit-to-reap latency of the whole command. For a
-  /// reactor-posted request this starts at IoRequest::origin_ns, so ring
-  /// residency is part of the measured window.
+  /// request with a backdated IoRequest::origin_ns this starts at the
+  /// origin, so the arrival backlog is part of the measured window.
   Nanoseconds latency_ns = 0;
   /// Wait/service decomposition of latency_ns, valid at any queue depth:
   /// the segments sum EXACTLY to latency_ns for every completed command

@@ -1,7 +1,9 @@
 #include "kv/kv_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -205,27 +207,23 @@ Status KvEngine::maybe_flush() {
 StatusOr<std::vector<std::uint64_t>> KvEngine::allocate_lpns(
     std::uint32_t count) {
   if (count == 0) return std::vector<std::uint64_t>{};
-  // First-fit over freed ranges.
-  for (std::size_t i = 0; i < free_ranges_.size(); ++i) {
-    auto& [base, len] = free_ranges_[i];
-    if (len >= count) {
-      std::vector<std::uint64_t> out(count);
-      for (std::uint32_t j = 0; j < count; ++j) out[j] = base + j;
-      base += count;
-      len -= count;
-      if (len == 0) {
-        free_ranges_.erase(free_ranges_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-      }
-      return out;
-    }
-  }
-  if (next_lpn_ + count > config_.lpn_base + config_.lpn_count) {
+  // First fit over the freed extents, then the never-used tail.
+  std::uint64_t base = next_lpn_;
+  const auto extent = std::find_if(
+      free_ranges_.begin(), free_ranges_.end(),
+      [count](const auto& range) { return range.second >= count; });
+  if (extent != free_ranges_.end()) {
+    base = extent->first;
+    extent->first += count;
+    extent->second -= count;
+    if (extent->second == 0) free_ranges_.erase(extent);
+  } else if (next_lpn_ + count > config_.lpn_base + config_.lpn_count) {
     return resource_exhausted("KV LPN range exhausted");
+  } else {
+    next_lpn_ += count;
   }
   std::vector<std::uint64_t> out(count);
-  for (std::uint32_t j = 0; j < count; ++j) out[j] = next_lpn_ + j;
-  next_lpn_ += count;
+  std::iota(out.begin(), out.end(), base);
   return out;
 }
 
@@ -236,8 +234,29 @@ void KvEngine::release_run(const SstableMeta& meta) {
       BX_LOG_WARN << "trim failed: " << trimmed.to_string();
     }
   }
-  if (meta.page_count > 0) {
-    free_ranges_.emplace_back(meta.first_lpn, meta.page_count);
+  if (meta.page_count == 0) return;
+  // Free extents stay sorted by LPN and merged with their neighbours; an
+  // extent that ends at the bump pointer goes back to it.
+  const std::pair<std::uint64_t, std::uint32_t> freed{meta.first_lpn,
+                                                      meta.page_count};
+  auto it = free_ranges_.insert(
+      std::lower_bound(free_ranges_.begin(), free_ranges_.end(), freed),
+      freed);
+  const auto end_of = [](const auto& extent) {
+    return extent.first + extent.second;
+  };
+  if (std::next(it) != free_ranges_.end() &&
+      end_of(*it) == std::next(it)->first) {
+    it->second += std::next(it)->second;
+    free_ranges_.erase(std::next(it));
+  }
+  if (it != free_ranges_.begin() && end_of(*std::prev(it)) == it->first) {
+    std::prev(it)->second += it->second;
+    free_ranges_.erase(it);
+  }
+  if (end_of(free_ranges_.back()) == next_lpn_) {
+    next_lpn_ = free_ranges_.back().first;
+    free_ranges_.pop_back();
   }
 }
 
@@ -263,7 +282,17 @@ Status KvEngine::flush() {
   memtable_.clear();
   ++flushes_;
 
-  if (runs_.size() > config_.max_runs) return compact();
+  // A full merge never needs more pages than the runs hold, so compact
+  // once the free pages fall below that, before the runs crowd the merged
+  // run out of the range, as well as when the runs pile up.
+  std::uint64_t held_pages = 0;
+  for (const SstableMeta& run : runs_) held_pages += run.page_count;
+  std::uint64_t free_pages =
+      config_.lpn_base + config_.lpn_count - next_lpn_;
+  for (const auto& extent : free_ranges_) free_pages += extent.second;
+  if (runs_.size() > config_.max_runs || free_pages < held_pages) {
+    return compact();
+  }
   return Status::ok();
 }
 
@@ -291,18 +320,19 @@ Status KvEngine::compact() {
     ++kept;
   }
 
-  std::deque<SstableMeta> old_runs;
-  old_runs.swap(runs_);
-
+  // The old runs stay authoritative until the merged run is written, so a
+  // merge that cannot be placed loses nothing.
+  std::deque<SstableMeta> compacted;
   if (kept > 0) {
     auto lpns = allocate_lpns(builder.pages_needed());
     BX_RETURN_IF_ERROR(lpns.status());
     auto meta = builder.finish(ftl_, *lpns, next_run_id_++,
                                nand::NandFlash::Blocking::kBackground);
     BX_RETURN_IF_ERROR(meta.status());
-    runs_.push_back(std::move(meta).value());
+    compacted.push_back(std::move(meta).value());
   }
-  for (const SstableMeta& run : old_runs) release_run(run);
+  for (const SstableMeta& run : runs_) release_run(run);
+  runs_ = std::move(compacted);
   return Status::ok();
 }
 

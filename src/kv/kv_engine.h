@@ -5,9 +5,9 @@
 // PUTs land in a DRAM memtable (durable on the cap-backed OpenSSD) and
 // flush to NAND as sorted runs in the background; GETs check the memtable,
 // then runs newest-to-oldest via their in-DRAM indexes (one NAND read per
-// hit). Runs are merge-compacted when they pile up. Device-CPU costs are
-// charged to the shared SimClock so Figure 6's NAND-on throughput reflects
-// both transfer and firmware time.
+// hit). Runs are merge-compacted when they pile up or crowd the free pages
+// of the range. Device-CPU costs are charged to the shared SimClock so
+// Figure 6's NAND-on throughput reflects both transfer and firmware time.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +120,8 @@ class KvEngine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_run_id_ = 1;
   std::uint64_t next_lpn_;        // bump allocator within the range
+  // Freed (first LPN, pages) extents below next_lpn_: sorted, disjoint and
+  // never adjacent.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> free_ranges_;
 
   std::uint64_t puts_ = 0;

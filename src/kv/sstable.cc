@@ -40,8 +40,10 @@ void SstableBuilder::add(const KvEntry& entry) {
   std::memcpy(page.data() + cursor_ + 2, &value_len, sizeof(value_len));
   std::memcpy(page.data() + cursor_ + kRecordHeader, entry.key.data(),
               entry.key.size());
-  std::memcpy(page.data() + cursor_ + kRecordHeader + entry.key.size(),
-              entry.value.data(), entry.value.size());
+  if (!entry.value.empty()) {  // an empty value's data() may be null
+    std::memcpy(page.data() + cursor_ + kRecordHeader + entry.key.size(),
+                entry.value.data(), entry.value.size());
+  }
 
   IndexEntry index;
   index.key = entry.key;

@@ -3,8 +3,8 @@
 // At QD1 the primary trace stages tile a command's latency window, so the
 // stage durations ARE the attribution (trace_latency_accounting_test). At
 // depth they are not: most of a deep-queue command's life is spent waiting
-// — for admission, in the reactor's MPSC ring, for SQ slots, under a
-// coalesced doorbell, in controller arbitration, in OOO reassembly — and
+// — for admission, in an arrival backlog ahead of the driver, for SQ slots,
+// under a coalesced doorbell, in controller arbitration, in OOO reassembly — and
 // none of those waits is a stage interval. LatencyBreakdown decomposes
 // `Completion::latency_ns` into eight wait/service segments that sum
 // EXACTLY to the measured latency for every command at any depth
@@ -15,7 +15,7 @@
 // make_additive so the sum is exact by construction):
 //
 //   kGateWait    admission-gate decision (tenant token bucket / budgets)
-//   kRingWait    reactor MPSC-ring residency: post() -> drain pop
+//   kRingWait    arrival backlog: IoRequest::origin_ns -> driver entry
 //   kSlotWait    SQ-slot backpressure: first publish attempt -> slots free
 //   kBellHold    doorbell-coalescing hold: SQE pushed -> its bell rung
 //   kArbWait     doorbell -> device fetch, plus any device residency not

@@ -17,7 +17,7 @@
 // OWN virtual queue, not the shared rings.
 //
 // Threading: one VirtualQueue belongs to one tenant driver thread
-// (the same rule as a reactor-owned hardware queue). Different tenants'
+// (it keeps no lock of its own). Different tenants'
 // VirtualQueues may run on different threads concurrently — the driver
 // and gate below are thread-safe.
 #pragma once

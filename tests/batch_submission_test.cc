@@ -1,5 +1,5 @@
 // Property tests for the batched submission path (submit_batch /
-// execute_batch / write_pipeline): seeded random batch shapes of mixed
+// execute_batch): seeded random batch shapes of mixed
 // inline/PRP/SGL commands must lay their SQE + inline chunk runs
 // adjacently in the ring, share exactly one doorbell MWr per coalesced
 // run, conserve traffic bytes per TLP, and produce a CQE for every SQE.
@@ -312,39 +312,6 @@ TEST(BatchSubmissionTest, DoorbellsPerKopGaugeDropsUnderBatching) {
   EXPECT_EQ(bed.metrics().gauge_value("driver.doorbells_per_kop"), 125);
   EXPECT_EQ(bed.metrics().counter_value("driver.batches"), 10u);
   EXPECT_EQ(bed.metrics().counter_value("driver.batched_commands"), 80u);
-}
-
-// ----------------------------------------------------------- write_pipeline
-
-TEST(BatchSubmissionTest, WritePipelineCoalescesDoorbells) {
-  Testbed bed(test::small_testbed_config());
-  ByteVec payload(16 * 1024);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<Byte>(i * 131);
-  }
-  auto result = bed.driver().write_pipeline(
-      {payload.data(), payload.size()}, /*chunk_bytes=*/256, /*depth=*/8, 1,
-      TransferMethod::kByteExpress);
-  ASSERT_TRUE(result.is_ok()) << result.status().message();
-  EXPECT_EQ(result->commands, 64u);  // 16 KiB / 256 B
-  EXPECT_EQ(result->errors, 0u);
-  EXPECT_EQ(result->payload_bytes, payload.size());
-  EXPECT_EQ(result->doorbells, 8u);  // 64 commands / depth 8
-  EXPECT_LT(static_cast<double>(result->doorbells) /
-                static_cast<double>(result->commands),
-            0.5)
-      << "pipeline depth 8 must stay under half a doorbell per op";
-}
-
-TEST(BatchSubmissionTest, WritePipelineDepthOneMatchesUnbatched) {
-  Testbed bed(test::small_testbed_config());
-  ByteVec payload(4 * 1024, Byte{0x66});
-  auto result = bed.driver().write_pipeline(
-      {payload.data(), payload.size()}, /*chunk_bytes=*/512, /*depth=*/1, 1,
-      TransferMethod::kByteExpress);
-  ASSERT_TRUE(result.is_ok());
-  EXPECT_EQ(result->commands, 8u);
-  EXPECT_EQ(result->doorbells, 8u) << "depth 1 = one bell per command";
 }
 
 // ------------------------------------------------ stress-harness schedules

@@ -171,6 +171,32 @@ TEST_F(KvEngineFixture, CompactionMergesRunsAndDropsTombstones) {
   }
 }
 
+TEST_F(KvEngineFixture, FullRangeRejectsPutAndKeepsAcknowledgedKeys) {
+  // Distinct keys leave nothing for a merge to drop: it needs as many pages
+  // as the runs hold, and once that is more than the 24-page range has
+  // free, the merge cannot be placed.
+  KvEngine::Config config;
+  config.lpn_count = 24;
+  config.flush_threshold_bytes = 16 * 1024;
+  config.max_runs = 2;
+  KvEngine engine(ftl_, clock_, config);
+  int acknowledged = 0;
+  Status status;
+  while (acknowledged < 1000) {
+    status = engine.put(workload::make_key(acknowledged),
+                        value(1000, acknowledged));
+    if (!status.is_ok()) break;
+    ++acknowledged;
+  }
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(engine.flushes(), 2u);
+  for (int i = 0; i < acknowledged; ++i) {
+    auto got = engine.get(workload::make_key(i));
+    ASSERT_TRUE(got.is_ok()) << i << ": " << got.status().to_string();
+    EXPECT_TRUE(verify_pattern(*got, i)) << i;
+  }
+}
+
 TEST_F(KvEngineFixture, ScanMergesLevelsInKeyOrder) {
   KvEngine engine = make_engine();
   ASSERT_TRUE(engine.put(workload::make_key(1), value(10, 1)).is_ok());

@@ -100,6 +100,35 @@ TEST(KvIntegrationTest, ManyPutsSurviveFlushesAndNandIo) {
   }
 }
 
+TEST(KvIntegrationTest, ChurnAtTheRangeLimitKeepsEveryKey) {
+  // The microbench_hostpath geometry gives the KV store a 4,300-LPN range.
+  // 1 KiB PUTs cycling over 4,096 keys fill it many times over, so the
+  // engine must keep reclaiming the pages its compactions free.
+  core::TestbedConfig config;
+  config.ssd.geometry.channels = 2;
+  config.ssd.geometry.ways = 2;
+  config.ssd.geometry.blocks_per_die = 64;
+  config.ssd.geometry.pages_per_block = 64;
+  Testbed testbed(config);
+  auto client = testbed.make_kv_client(TransferMethod::kByteExpress);
+
+  constexpr int kKeys = 4096;
+  constexpr int kPuts = 20000;
+  ByteVec value(1024);
+  for (int i = 0; i < kPuts; ++i) {
+    fill_pattern(value, i);
+    const Status status = client.put(workload::make_key(i % kKeys), value);
+    ASSERT_TRUE(status.is_ok()) << i << ": " << status.to_string();
+  }
+  EXPECT_GT(testbed.device().kv_engine().compactions(), 0u);
+  for (int key = 0; key < kKeys; ++key) {
+    auto got = client.get(workload::make_key(key));
+    ASSERT_TRUE(got.is_ok()) << key << ": " << got.status().to_string();
+    const int latest = key + (kPuts - 1 - key) / kKeys * kKeys;
+    EXPECT_TRUE(verify_pattern(*got, latest)) << key;
+  }
+}
+
 TEST(KvIntegrationTest, GetOfLargeValueGrowsClientBuffer) {
   Testbed testbed(test::small_testbed_config());
   kv::KvClient::Options options;

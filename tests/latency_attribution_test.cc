@@ -1,8 +1,9 @@
 // Queue-depth-aware latency attribution: Completion::breakdown decomposes
 // latency_ns into the eight obs::WaitSegment segments with ZERO residual —
-// at QD 1, 8 and 32, for every transfer method, on the direct, batched,
-// reactor and tenant submission paths. Also covers the tail-based trace
-// sampling accounting (kept + sampled_out == seen, exactly).
+// at QD 1, 8 and 32, for every transfer method, on the direct, batched
+// and tenant submission paths, and for backdated arrivals. Also covers the
+// tail-based trace sampling accounting (kept + sampled_out == seen,
+// exactly).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "core/testbed.h"
-#include "driver/reactor.h"
 #include "obs/attribution.h"
 #include "obs/invariants.h"
 #include "obs/trace.h"
@@ -73,7 +73,7 @@ TEST(LatencyAttributionDirect, Qd1AllMethodsZeroResidual) {
       auto completion = bed.raw_write(payload, method);
       ASSERT_TRUE(completion.is_ok() && completion->ok());
       EXPECT_GT(completion->latency_ns, 0u);
-      // Direct QD1: no gate is attached, no reactor ring is crossed and
+      // Direct QD1: no gate is attached, no origin_ns is backdated and
       // the SQ can never be full, so those waits are identically zero and
       // the window is service-dominated.
       EXPECT_EQ(completion->breakdown.of(WaitSegment::kGateWait), 0u);
@@ -208,44 +208,48 @@ TEST(LatencyAttributionBatch, MixedMethodBatchZeroResidual) {
 }
 
 // ---------------------------------------------------------------------------
-// Reactor path (MPSC ring -> batched submission).
+// Arrival backlog: a request stamped with an earlier IoRequest::origin_ns
+// (open-loop arrivals) books the time before driver entry as kRingWait.
 
-TEST(LatencyAttributionReactor, PostedCommandsZeroResidualAndRingWait) {
+TEST(LatencyAttributionBatch, BackdatedOriginBooksRingWait) {
   Testbed bed(test::small_testbed_config());
-  driver::ReactorConfig config;
-  config.qid = 1;
-  config.batch_depth = 8;
-  driver::Reactor reactor(bed.driver(), config);
-
   std::vector<ByteVec> payloads;
   for (std::uint32_t i = 0; i < 32; ++i) payloads.push_back(patterned(96));
 
   std::vector<BreakdownSample> samples;
   std::uint64_t ring_wait_total = 0;
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    const bool posted = reactor.post(
-        raw_write_request(payloads[i], TransferMethod::kByteExpress),
-        [&](const StatusOr<Completion>& completion) {
-          ASSERT_TRUE(completion.is_ok() && completion->ok());
-          ring_wait_total += completion->breakdown.of(WaitSegment::kRingWait);
-          samples.push_back(sample_of(*completion));
-        });
-    ASSERT_TRUE(posted);
-    // Advance simulated time between post and drain so MPSC-ring residency
-    // is observable, then drain every 8 posts (one coalesced batch).
-    bed.clock().advance(250);
-    if ((i + 1) % 8 == 0) {
-      while (reactor.poll_once() > 0) {
-      }
+  for (std::uint32_t group = 0; group < 4; ++group) {
+    // Each request arrives 250 ns after the previous one, and the group of
+    // 8 enters the driver as one batch after the last arrival.
+    std::vector<IoRequest> requests;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      IoRequest request = raw_write_request(payloads[group * 8 + i],
+                                            TransferMethod::kByteExpress);
+      request.origin_ns = bed.clock().now();
+      requests.push_back(request);
+      bed.clock().advance(250);
+    }
+    auto completions = bed.driver().execute_batch(requests, 1);
+    ASSERT_TRUE(completions.is_ok()) << completions.status().to_string();
+    for (const Completion& completion : *completions) {
+      ASSERT_TRUE(completion.ok());
+      ring_wait_total += completion.breakdown.of(WaitSegment::kRingWait);
+      samples.push_back(sample_of(completion));
     }
   }
-  while (reactor.poll_once() > 0) {
-  }
   ASSERT_EQ(samples.size(), 32u);
-  expect_no_violations(samples, "reactor path");
-  // Posts sat in the ring across clock advances: the residency must be
-  // attributed, not vanish into the latency.
+  expect_no_violations(samples, "backdated batches");
+  // The backlog before driver entry is attributed, not lost.
   EXPECT_GT(ring_wait_total, 0u);
+
+  // An origin in the future is ignored: the window starts at driver entry.
+  IoRequest future =
+      raw_write_request(payloads[0], TransferMethod::kByteExpress);
+  future.origin_ns = bed.clock().now() + 1'000'000;
+  auto completion = bed.driver().execute(future, 1);
+  ASSERT_TRUE(completion.is_ok() && completion->ok());
+  EXPECT_EQ(completion->breakdown.of(WaitSegment::kRingWait), 0u);
+  expect_no_violations({sample_of(*completion)}, "future origin");
 }
 
 // ---------------------------------------------------------------------------
