@@ -51,7 +51,6 @@ Controller::Controller(DmaMemory& memory, pcie::PcieLink& link,
   BX_ASSERT_MSG(config.prp_transfer_unit >= 64 &&
                     kDevicePage % config.prp_transfer_unit == 0,
                 "PRP transfer unit must be 64..4096 and divide 4096");
-  BX_ASSERT(config.interrupt_coalescing >= 1);
 }
 
 void Controller::set_admin_queue(std::uint64_t sq_addr,
@@ -92,6 +91,8 @@ void Controller::set_queue_arbitration(std::uint16_t qid,
                                        std::uint32_t weight, bool urgent) {
   BX_ASSERT_MSG(qid < arb_.size(), "bad qid");
   BX_ASSERT_MSG(weight >= 1, "WRR weight must be >= 1");
+  if (urgent && !arb_[qid].urgent) ++urgent_queues_;
+  if (!urgent && arb_[qid].urgent) --urgent_queues_;
   arb_[qid].weight = weight;
   arb_[qid].urgent = urgent;
 }
@@ -103,51 +104,58 @@ void Controller::serve(std::uint16_t qid) {
       streams_.size() + deferred_.size() + reassembly_.in_flight()));
 }
 
-int Controller::pick_wrr() {
+int Controller::pick() {
   // The admin queue is latency-critical control plane (Abort during
   // fault recovery, queue management) and its traffic is sparse — it
   // bypasses arbitration entirely.
   if (available(0) > 0) return 0;
 
-  const std::uint16_t n = kMaxQueues;
-  bool any_urgent = false;
-  bool any_normal = false;
-  for (std::uint16_t qid = 1; qid < n; ++qid) {
-    if (available(qid) == 0) continue;
-    (arb_[qid].urgent ? any_urgent : any_normal) = true;
-  }
-  if (!any_urgent && !any_normal) return -1;
-
-  // Urgent class preempts normal, but only urgent_burst_limit times in a
-  // row while a normal queue is actually waiting — then one normal grant
-  // is forced (the starvation bound tenant_isolation_test asserts).
-  bool pick_urgent = any_urgent;
-  if (any_urgent && any_normal) {
-    if (urgent_run_ >= config_.urgent_burst_limit) {
-      pick_urgent = false;
-      urgent_run_ = 0;
-    } else {
-      ++urgent_run_;
+  bool urgent = false;
+  if (urgent_queues_ > 0) {
+    bool any_urgent = false;
+    bool any_normal = false;
+    for (std::uint16_t qid = 1; qid < kMaxQueues; ++qid) {
+      if (available(qid) == 0) continue;
+      (arb_[qid].urgent ? any_urgent : any_normal) = true;
     }
-  } else if (any_normal) {
-    urgent_run_ = 0;
+    if (!any_urgent && !any_normal) return -1;
+    // Urgent class preempts normal, but only kUrgentBurstLimit times in
+    // a row while a normal queue is actually waiting — then one normal
+    // grant is forced (the starvation bound tenant_isolation_test
+    // asserts).
+    urgent = any_urgent;
+    if (any_urgent && any_normal) {
+      if (urgent_run_ >= kUrgentBurstLimit) {
+        urgent = false;
+        urgent_run_ = 0;
+      } else {
+        ++urgent_run_;
+      }
+    } else if (any_normal) {
+      urgent_run_ = 0;
+    }
   }
 
-  // Smooth WRR within the chosen class: every candidate earns its weight,
-  // the highest credit wins (tie -> lowest qid), the winner pays the
-  // round's total. Long-run grant shares converge to the weight ratios
-  // with bounded deviation, with a deterministic schedule.
-  std::int64_t total = 0;
-  int winner = -1;
-  for (std::uint16_t qid = 1; qid < n; ++qid) {
-    if (available(qid) == 0 || arb_[qid].urgent != pick_urgent) continue;
-    arb_[qid].credit += arb_[qid].weight;
-    total += arb_[qid].weight;
-    if (winner < 0 || arb_[qid].credit > arb_[winner].credit) winner = qid;
+  // Deficit round robin within the class. (During a ByteExpress
+  // transaction process_one() itself stays queue-local.)
+  ClassTurn& turn = turn_[urgent];
+  if (turn.used < arb_[turn.qid].weight &&
+      arb_[turn.qid].urgent == urgent && available(turn.qid) > 0) {
+    ++turn.used;
+    return turn.qid;
   }
-  BX_ASSERT(winner >= 0);
-  arb_[winner].credit -= total;
-  return winner;
+  // The turn passes on in qid order and reaches its holder last.
+  const auto pass_turn = [&](std::uint16_t from, std::uint16_t to) {
+    for (std::uint16_t qid = from; qid < to; ++qid) {
+      if (available(qid) > 0 && arb_[qid].urgent == urgent) {
+        turn = {qid, 1};
+        return int{qid};
+      }
+    }
+    return -1;
+  };
+  const int next = pass_turn(turn.qid + 1, kMaxQueues);
+  return next >= 0 ? next : pass_turn(1, turn.qid + 1);
 }
 
 bool Controller::poll_once() {
@@ -156,25 +164,10 @@ bool Controller::poll_once() {
   // healthy fast path (and its golden traces) stays byte-identical.
   const bool recovered = injector_ != nullptr && service_fault_recovery();
 
-  if (config_.wrr_arbitration) {
-    const int pick = pick_wrr();
-    if (pick < 0) return recovered;
-    serve(static_cast<std::uint16_t>(pick));
-    return true;
-  }
-
-  const std::uint16_t n = kMaxQueues;
-  for (std::uint16_t i = 0; i < n; ++i) {
-    const auto qid = static_cast<std::uint16_t>((rr_cursor_ + i) % n);
-    if (available(qid) > 0) {
-      // Round-robin arbitration continues at the next queue. (During a
-      // ByteExpress transaction process_one() itself stays queue-local.)
-      rr_cursor_ = static_cast<std::uint16_t>((qid + 1) % n);
-      serve(qid);
-      return true;
-    }
-  }
-  return recovered;
+  const int pick_qid = pick();
+  if (pick_qid < 0) return recovered;
+  serve(static_cast<std::uint16_t>(pick_qid));
+  return true;
 }
 
 bool Controller::service_fault_recovery() {
@@ -961,12 +954,8 @@ void Controller::post_completion_now(std::uint16_t qid,
   cq.tail = (cq.tail + 1) % cq.depth;
   if (cq.tail == 0) cq.phase = !cq.phase;
 
-  // MSI-X interrupt: a 4-byte posted write to the host, coalesced to one
-  // per `interrupt_coalescing` completions.
-  if (++cq.uncoalesced >= config_.interrupt_coalescing) {
-    link_.post_write(Direction::kUpstream, TrafficClass::kInterrupt, 4);
-    cq.uncoalesced = 0;
-  }
+  // MSI-X interrupt: a 4-byte posted write to the host per CQE.
+  link_.post_write(Direction::kUpstream, TrafficClass::kInterrupt, 4);
   {
     obs::TraceEvent e;
     e.stage = obs::TraceStage::kCompletion;

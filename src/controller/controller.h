@@ -1,7 +1,8 @@
 // NVMe controller (device firmware) model — the get_nvme_cmd() side.
 //
 // Mirrors the Cosmos+ OpenSSD firmware structure the paper modified:
-//   * SQ tail doorbells are polled in round-robin,
+//   * SQ tail doorbells are polled in round-robin (weighted per queue
+//     for tenants, see set_queue_arbitration),
 //   * each command is fetched with a 64-byte DMA read,
 //   * the ByteExpress change sits in the fetch path: when a fetched command
 //     carries a non-zero inline length (reserved CDW2), the controller
@@ -66,27 +67,18 @@ class Controller {
     /// configurations support finer units (e.g. 512 B) — this knob models
     /// them for the page-granularity ablation. Must divide 4096.
     std::uint32_t prp_transfer_unit = 4096;
-    /// MSI-X interrupt coalescing: post one interrupt per N completions on
-    /// each CQ (1 = every CQE, the OpenSSD behaviour). The host driver
-    /// also polls CQ memory, so correctness never depends on interrupts.
-    std::uint32_t interrupt_coalescing = 1;
     /// Sim-time a deferred OOO command may wait for missing chunks before
     /// the firmware gives up and posts a retryable Data Transfer Error.
     /// Must stay below the driver's command timeout so the device fails
     /// the command before the host aborts it. Active only under fault
     /// injection — without an injector chunks are never lost. 0 disables.
     Nanoseconds deferred_ttl_ns = 1'000'000;  // 1 ms
-    /// QoS arbitration (docs/TENANCY.md). Off keeps the legacy plain
-    /// round-robin poll loop byte-identical (golden traces). On, the
-    /// poll loop serves backlogged queues by smooth weighted round-robin
-    /// over the weights set via set_queue_arbitration(), with
-    /// urgent-class queues preempting normal ones up to the burst bound.
-    bool wrr_arbitration = false;
-    /// Consecutive urgent-class grants allowed while a normal-class
-    /// queue is backlogged before one normal grant is forced (the
-    /// urgent-preemption starvation bound).
-    std::uint32_t urgent_burst_limit = 8;
   };
+
+  /// Consecutive urgent-class grants allowed while a normal-class queue
+  /// is backlogged before one normal grant is forced (the
+  /// urgent-preemption starvation bound).
+  static constexpr std::uint32_t kUrgentBurstLimit = 8;
 
   Controller(DmaMemory& memory, pcie::PcieLink& link, pcie::BarSpace& bar,
              CommandExecutor& executor, Config config);
@@ -101,9 +93,10 @@ class Controller {
     namespace_blocks_ = blocks;
   }
 
-  /// One firmware scheduling round: polls SQ tail doorbells round-robin and
-  /// processes at most one command (with all of its chunks/fragments).
-  /// Returns true if any work was done.
+  /// One firmware scheduling round: arbitrates among the SQs with pending
+  /// doorbells (see set_queue_arbitration) and processes at most one
+  /// command (with all of its chunks/fragments). Returns true if any work
+  /// was done.
   bool poll_once();
 
   /// Drains all pending work.
@@ -159,9 +152,17 @@ class Controller {
     injector_ = injector;
   }
 
-  // ---- QoS arbitration (Config::wrr_arbitration) ----
+  // ---- QoS arbitration (docs/TENANCY.md) ----
+  //
+  // Each poll_once() grants one queue: the admin queue first, then the
+  // urgent class (bounded by kUrgentBurstLimit while a normal queue
+  // waits), then deficit round robin within the class. The queue holding
+  // the class's turn keeps it for up to `weight` consecutive grants while
+  // it stays backlogged; then the class cursor moves to the next
+  // backlogged queue in qid order. At the default unit weights this is
+  // the plain round-robin doorbell poll of the OpenSSD firmware.
 
-  /// Sets queue `qid`'s arbitration class: SWRR weight (>= 1) and the
+  /// Sets queue `qid`'s arbitration class: DRR weight (>= 1) and the
   /// urgent flag. Survives CreateIoSq re-creation (keyed by qid, not by
   /// queue state). Call under the firmware mutex, like poll_once().
   void set_queue_arbitration(std::uint16_t qid, std::uint32_t weight,
@@ -169,8 +170,8 @@ class Controller {
 
   /// Scheduling grants the poll loop has given queue `qid` (one per
   /// poll_once() that picked it; a grant may process a whole inline
-  /// transaction). Counted in both arbitration modes — the WRR
-  /// conformance tests measure long-run shares from these.
+  /// transaction). The WRR conformance tests measure long-run shares
+  /// from these.
   [[nodiscard]] std::uint64_t grants(std::uint16_t qid) const noexcept {
     return qid < grants_.size() ? grants_[qid] : 0;
   }
@@ -189,7 +190,6 @@ class Controller {
     std::uint32_t depth = 0;
     std::uint32_t tail = 0;
     bool phase = true;
-    std::uint32_t uncoalesced = 0;  // CQEs since the last interrupt
   };
   /// BandSlim per-stream assembly state.
   struct FragmentStream {
@@ -242,27 +242,28 @@ class Controller {
     std::uint16_t cid = 0;
   };
 
-  /// Per-queue arbitration state, indexed by qid. Deliberately separate
+  /// Per-queue arbitration class, indexed by qid. Deliberately separate
   /// from SqState so a CreateIoSq re-creating a queue does not reset the
-  /// tenant's configured class or its SWRR credit.
+  /// tenant's configured class.
   struct QueueArb {
     std::uint32_t weight = 1;
     bool urgent = false;
-    /// Smooth-WRR credit: each selection adds every backlogged
-    /// candidate's weight to its credit, picks the max (tie -> lowest
-    /// qid) and subtracts the candidates' weight sum from the winner —
-    /// exact long-run proportional shares, deterministically.
-    std::int64_t credit = 0;
+  };
+  /// One class's DRR turn: the queue holding it and the grants it has
+  /// taken in this turn. qid 0 means no turn yet: the admin queue is
+  /// never a candidate here, so the first scan starts at queue 1.
+  struct ClassTurn {
+    std::uint16_t qid = 0;
+    std::uint32_t used = 0;
   };
 
   [[nodiscard]] std::uint32_t available(std::uint16_t qid) const noexcept;
 
-  /// WRR-mode queue selection: admin first, then urgent-class candidates
-  /// up to the burst bound, SWRR within the chosen class. Returns -1
-  /// when no queue is backlogged.
-  [[nodiscard]] int pick_wrr();
+  /// The arbiter: admin first, then the class the urgent burst bound
+  /// allows, DRR within it. Returns -1 when no queue is backlogged.
+  [[nodiscard]] int pick();
   /// Serves one grant on `qid`: process_one + grant accounting + backlog
-  /// gauge (the shared tail of both arbitration modes).
+  /// gauge.
   void serve(std::uint16_t qid);
 
   /// Charges one DMA read of `entries` consecutive SQ entries plus one
@@ -363,8 +364,11 @@ class Controller {
 
   std::vector<SqState> sqs_;
   std::vector<CqState> cqs_;
-  std::uint16_t rr_cursor_ = 0;
   std::vector<QueueArb> arb_;
+  /// DRR turn per class, indexed by the urgent flag.
+  ClassTurn turn_[2];
+  /// Queues set urgent; while 0 a pick is one scan of the normal class.
+  std::uint32_t urgent_queues_ = 0;
   std::vector<std::uint64_t> grants_;
   /// Consecutive urgent grants taken while a normal candidate waited.
   std::uint32_t urgent_run_ = 0;

@@ -674,14 +674,12 @@ StressResult run_stress(const StressOptions& options) {
                   std::to_string(check.want));
       }
     }
-    if (config.controller.interrupt_coalescing == 1) {
-      const std::uint64_t interrupts =
-          delta(Direction::kUpstream, TrafficClass::kInterrupt);
-      if (interrupts != 4 * round_delta.completions_posted) {
-        sink.fail("traffic conservation: interrupt bytes = " +
-                  std::to_string(interrupts) + ", expected " +
-                  std::to_string(4 * round_delta.completions_posted));
-      }
+    const std::uint64_t interrupts =
+        delta(Direction::kUpstream, TrafficClass::kInterrupt);
+    if (interrupts != 4 * round_delta.completions_posted) {
+      sink.fail("traffic conservation: interrupt bytes = " +
+                std::to_string(interrupts) + ", expected " +
+                std::to_string(4 * round_delta.completions_posted));
     }
   }
 
@@ -700,29 +698,9 @@ StressResult run_stress(const StressOptions& options) {
   return result;
 }
 
-FaultSweepResult run_fault_sweep(const FaultSweepOptions& options) {
-  FaultSweepResult result;
-  if (options.ops == 0 || options.max_payload_bytes == 0) {
-    result.status = invalid_argument("bad fault-sweep options");
-    result.failure = "bad fault-sweep options";
-    return result;
-  }
-  if (!options.faults.any()) {
-    result.status = invalid_argument("fault sweep needs a non-zero policy");
-    result.failure = "fault sweep needs a non-zero policy";
-    return result;
-  }
-
-  // Same small geometry as run_stress, plus recovery clocks tight enough
-  // that every fault resolves within the sweep: device-side TTLs expire
-  // well before the driver deadline, and the injector's completion delay
-  // (default 100 ms) always out-waits the 2 ms timeout so a delayed CQE
-  // exercises the abort path instead of racing the waiter.
+TestbedConfig fault_recovery_config() {
   TestbedConfig config;
-  config.driver.io_queue_count = 1;
-  config.driver.io_queue_depth = 128;
   config.driver.command_timeout_ns = 2'000'000;
-  config.driver.poll_idle_advance_ns = 1'000;
   config.driver.max_retries = 6;
   config.driver.retry_backoff_base_ns = 10'000;
   config.driver.retry_backoff_cap_ns = 200'000;
@@ -740,6 +718,28 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options) {
   config.ssd.nand_timing.erase_ns = 100'000;
   config.ssd.nand_timing.channel_transfer_ns = 500;
   config.trace_enabled = false;
+  return config;
+}
+
+FaultSweepResult run_fault_sweep(const FaultSweepOptions& options) {
+  FaultSweepResult result;
+  if (options.ops == 0 || options.max_payload_bytes == 0) {
+    result.status = invalid_argument("bad fault-sweep options");
+    result.failure = "bad fault-sweep options";
+    return result;
+  }
+  if (!options.faults.any()) {
+    result.status = invalid_argument("fault sweep needs a non-zero policy");
+    result.failure = "fault sweep needs a non-zero policy";
+    return result;
+  }
+
+  // The injector's completion delay (default 100 ms) always out-waits the
+  // 2 ms timeout, so a delayed CQE exercises the abort path instead of
+  // racing the waiter.
+  TestbedConfig config = fault_recovery_config();
+  config.driver.io_queue_count = 1;
+  config.driver.io_queue_depth = 128;
   config.faults = options.faults;
   config.fault_seed = options.seed;
   Testbed bed(config);

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/testbed.h"
 #include "driver/request.h"
 #include "fault/fault.h"
 #include "nvme/spec.h"
@@ -160,5 +161,12 @@ struct FaultSweepResult {
 /// Builds a faulted testbed per `options` and runs the sweep. Never
 /// throws; invariant violations come back in the result.
 FaultSweepResult run_fault_sweep(const FaultSweepOptions& options);
+
+/// The testbed base of the fault sweep and the tenant isolation harness:
+/// run_stress's small geometry and NAND timing, recovery clocks tight
+/// enough that every injected fault resolves within a run (device-side
+/// TTLs expire well before the 2 ms driver deadline), and tracing off.
+/// Callers set the queues and the fault policy.
+TestbedConfig fault_recovery_config();
 
 }  // namespace bx::core

@@ -20,7 +20,7 @@
 //   kBellHold    doorbell-coalescing hold: SQE pushed -> its bell rung
 //   kArbWait     doorbell -> device fetch, plus any device residency not
 //                covered by stage service or a noted reassembly wait
-//                (WRR/RR arbitration, fault-injected completion delay)
+//                (SQ arbitration, fault-injected completion delay)
 //   kService     host SQE build/staging + device primary-stage service
 //   kReassembly  deferred-OOO / BandSlim reassembly wait noted by the
 //                controller; inline-read ring residency on the read path

@@ -1,14 +1,15 @@
 #include "obs/perfetto.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
+
+#include "common/json.h"
+#include "common/status.h"
 
 namespace bx::obs {
 
@@ -211,118 +212,18 @@ std::string to_perfetto_json(const std::vector<TraceEvent>& events,
 // Structural checker
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Scans one top-level JSON object body (between its braces) and returns
-/// the raw value text of `key`, or nullopt. Depth- and string-aware; no
-/// full JSON parse.
-std::optional<std::string_view> object_field(std::string_view body,
-                                             std::string_view key) {
-  std::size_t i = 0;
-  const auto skip_string = [&](std::size_t from) {
-    std::size_t j = from + 1;  // past the opening quote
-    while (j < body.size()) {
-      if (body[j] == '\\') {
-        j += 2;
-      } else if (body[j] == '"') {
-        return j + 1;
-      } else {
-        ++j;
-      }
-    }
-    return j;
-  };
-  while (i < body.size()) {
-    while (i < body.size() &&
-           (std::isspace(static_cast<unsigned char>(body[i])) != 0 ||
-            body[i] == ',')) {
-      ++i;
-    }
-    if (i >= body.size() || body[i] != '"') break;
-    const std::size_t key_start = i + 1;
-    const std::size_t key_end_quote = skip_string(i) - 1;
-    const std::string_view this_key =
-        body.substr(key_start, key_end_quote - key_start);
-    i = key_end_quote + 1;
-    while (i < body.size() &&
-           (std::isspace(static_cast<unsigned char>(body[i])) != 0 ||
-            body[i] == ':')) {
-      ++i;
-    }
-    // Capture the value: scalar until top-level ',', or a balanced
-    // object/array/string.
-    const std::size_t value_start = i;
-    if (i < body.size() && body[i] == '"') {
-      i = skip_string(i);
-    } else if (i < body.size() && (body[i] == '{' || body[i] == '[')) {
-      int depth = 0;
-      while (i < body.size()) {
-        if (body[i] == '"') {
-          i = skip_string(i);
-          continue;
-        }
-        if (body[i] == '{' || body[i] == '[') ++depth;
-        if (body[i] == '}' || body[i] == ']') {
-          --depth;
-          if (depth == 0) {
-            ++i;
-            break;
-          }
-        }
-        ++i;
-      }
-    } else {
-      while (i < body.size() && body[i] != ',') ++i;
-    }
-    if (this_key == key) {
-      std::string_view value = body.substr(value_start, i - value_start);
-      while (!value.empty() &&
-             std::isspace(static_cast<unsigned char>(value.back())) != 0) {
-        value.remove_suffix(1);
-      }
-      return value;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string_view> string_field(std::string_view body,
-                                             std::string_view key) {
-  const auto raw = object_field(body, key);
-  if (!raw.has_value() || raw->size() < 2 || raw->front() != '"' ||
-      raw->back() != '"') {
-    return std::nullopt;
-  }
-  return raw->substr(1, raw->size() - 2);
-}
-
-std::optional<double> number_field(std::string_view body,
-                                   std::string_view key) {
-  const auto raw = object_field(body, key);
-  if (!raw.has_value() || raw->empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::string text(*raw);
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) return std::nullopt;
-  return value;
-}
-
-}  // namespace
-
-PerfettoCheck check_perfetto_json(std::string_view json) {
+PerfettoCheck check_perfetto_json(std::string_view text) {
   PerfettoCheck result;
   const auto fail = [&result](std::string message) {
     if (result.error.empty()) result.error = std::move(message);
     return result;
   };
 
-  const std::size_t array_key = json.find("\"traceEvents\"");
-  if (array_key == std::string_view::npos) {
-    return fail("no traceEvents array");
-  }
-  std::size_t i = json.find('[', array_key);
-  if (i == std::string_view::npos) return fail("traceEvents is not an array");
-  ++i;
+  const StatusOr<json::ValuePtr> doc = json::parse(text);
+  if (!doc.is_ok()) return fail("invalid JSON: " + doc.status().message());
+  const json::Value* events = (*doc)->get("traceEvents");
+  if (events == nullptr) return fail("no traceEvents array");
+  if (!events->is_array()) return fail("traceEvents is not an array");
 
   std::set<int> process_pids;
   std::set<std::pair<int, int>> thread_ids;
@@ -330,59 +231,38 @@ PerfettoCheck check_perfetto_json(std::string_view json) {
   bool have_slice_ts = false;
   double last_slice_ts = 0.0;
 
-  while (i < json.size()) {
-    while (i < json.size() &&
-           (std::isspace(static_cast<unsigned char>(json[i])) != 0 ||
-            json[i] == ',')) {
-      ++i;
-    }
-    if (i >= json.size()) return fail("unterminated traceEvents array");
-    if (json[i] == ']') break;
-    if (json[i] != '{') return fail("non-object element in traceEvents");
+  for (const json::ValuePtr& item : events->items) {
+    const json::Value& event = *item;
+    if (!event.is_object()) return fail("non-object element in traceEvents");
+    const auto field = [&event](const char* key) -> std::optional<double> {
+      const json::Value* value = event.get(key);
+      if (value == nullptr || !value->is_number()) return std::nullopt;
+      return value->number;
+    };
+    const json::Value* ph_value = event.get("ph");
+    const std::string ph = ph_value != nullptr ? ph_value->string_or("") : "";
+    if (ph.empty()) return fail("event without ph");
+    const auto pid = field("pid");
+    const auto tid = field("tid");
+    const auto ts = field("ts");
 
-    // Find the matching close brace (string-aware).
-    std::size_t j = i;
-    int depth = 0;
-    while (j < json.size()) {
-      const char c = json[j];
-      if (c == '"') {
-        ++j;
-        while (j < json.size() && json[j] != '"') {
-          j += json[j] == '\\' ? 2 : 1;
-        }
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        --depth;
-        if (depth == 0) break;
-      }
-      ++j;
-    }
-    if (j >= json.size()) return fail("unbalanced braces in traceEvents");
-    const std::string_view body = json.substr(i + 1, j - i - 1);
-    i = j + 1;
-
-    const auto ph = string_field(body, "ph");
-    if (!ph.has_value() || ph->empty()) return fail("event without ph");
-    const auto pid = number_field(body, "pid");
-    const auto tid = number_field(body, "tid");
-    const auto ts = number_field(body, "ts");
-
-    if (*ph == "M") {
+    if (ph == "M") {
       ++result.metadata_events;
-      const auto name = string_field(body, "name");
-      if (!name.has_value()) return fail("metadata event without name");
+      const json::Value* name = event.get("name");
+      if (name == nullptr || !name->is_string()) {
+        return fail("metadata event without name");
+      }
       if (!pid.has_value()) return fail("metadata event without pid");
-      if (*name == "process_name") {
+      if (name->string == "process_name") {
         process_pids.insert(int(*pid));
-      } else if (*name == "thread_name") {
+      } else if (name->string == "thread_name") {
         if (!tid.has_value()) return fail("thread_name without tid");
         thread_ids.emplace(int(*pid), int(*tid));
       }
       continue;
     }
 
-    if (*ph == "X" || *ph == "B" || *ph == "E" || *ph == "i") {
+    if (ph == "X" || ph == "B" || ph == "E" || ph == "i") {
       if (!pid.has_value() || !tid.has_value()) {
         return fail("slice event without pid/tid");
       }
@@ -393,18 +273,18 @@ PerfettoCheck check_perfetto_json(std::string_view json) {
       if (thread_ids.count({int(*pid), int(*tid)}) == 0) {
         return fail("slice tid not introduced by thread_name metadata");
       }
-      if (*ph == "X") {
+      if (ph == "X") {
         ++result.slice_events;
-        const auto dur = number_field(body, "dur");
+        const auto dur = field("dur");
         if (!dur.has_value() || *dur < 0) return fail("X event without dur");
         if (have_slice_ts && *ts < last_slice_ts) {
           return fail("non-monotonic slice ts");
         }
         have_slice_ts = true;
         last_slice_ts = *ts;
-      } else if (*ph == "B") {
+      } else if (ph == "B") {
         ++open_begins[{int(*pid), int(*tid)}];
-      } else if (*ph == "E") {
+      } else if (ph == "E") {
         if (--open_begins[{int(*pid), int(*tid)}] < 0) {
           return fail("E event without matching B");
         }
@@ -414,7 +294,7 @@ PerfettoCheck check_perfetto_json(std::string_view json) {
       continue;
     }
 
-    if (*ph == "C") {
+    if (ph == "C") {
       ++result.counter_events;
       if (!ts.has_value()) return fail("counter event without ts");
       if (!pid.has_value()) return fail("counter event without pid");

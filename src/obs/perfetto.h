@@ -16,8 +16,8 @@
 // emitted sorted by (start, seq), so the output is byte-identical across
 // same-seed runs (tests/exporters_test.cc asserts this).
 //
-// check_perfetto_json() is a minimal structural validator for tests and
-// bxmon: it does not parse full JSON, it scans the traceEvents array and
+// check_perfetto_json() is a structural validator for tests and bxmon: it
+// parses the document with bx::json, walks the traceEvents array and
 // checks the invariants a viewer depends on (ph present, X events carry
 // ts/dur/pid/tid, ts monotonic, B/E balanced, every slice's pid/tid
 // introduced by process_name/thread_name metadata).
@@ -51,7 +51,8 @@ struct PerfettoCheck {
 };
 
 /// Validates the structural invariants described above. Accepts any
-/// trace_event JSON with a traceEvents array, not just our exporter's.
+/// well-formed trace_event JSON with a traceEvents array, not just our
+/// exporter's.
 [[nodiscard]] PerfettoCheck check_perfetto_json(std::string_view json);
 
 }  // namespace bx::obs

@@ -67,10 +67,7 @@ void TraceRecorder::record(TraceEvent event) {
       OpenCommand& open = it->second;
       if (is_device_service_stage(event.stage)) {
         DeviceReport& report = open.report;
-        if (!report.valid) {
-          report.valid = true;
-          report.fetch_start = event.start;
-        }
+        report.valid = true;
         if (event.end >= event.start) {
           report.service_ns +=
               static_cast<std::uint64_t>(event.end - event.start);

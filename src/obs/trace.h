@@ -138,9 +138,6 @@ struct TraceEvent {
 struct DeviceReport {
   /// At least one device-stage event was observed for the command.
   bool valid = false;
-  /// Start of the first device-stage event (the SQE fetch) — everything
-  /// between the host's doorbell and this point is arbitration wait.
-  Nanoseconds fetch_start = 0;
   /// End of the kCompletion event (CQE host-visible); 0 when the device
   /// never posted one (dropped completion, abort).
   Nanoseconds cqe_end = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/stress.h"
 #include "core/testbed.h"
 #include "tenant/scheduler.h"
 
@@ -26,33 +27,11 @@ struct PlannedOp {
 };
 
 core::TestbedConfig make_config(const IsolationOptions& options) {
-  // Two hardware queues (one per tenant) under WRR arbitration, with the
-  // fault-sweep recovery clocks: device-side TTLs expire well before the
-  // driver deadline so every storm fault resolves within the run.
-  core::TestbedConfig config;
+  // Two hardware queues (one per tenant) with the fault-sweep recovery
+  // clocks, so every storm fault resolves within the run.
+  core::TestbedConfig config = core::fault_recovery_config();
   config.driver.io_queue_count = 2;
   config.driver.io_queue_depth = options.queue_depth;
-  config.driver.command_timeout_ns = 2'000'000;
-  config.driver.poll_idle_advance_ns = 1'000;
-  config.driver.max_retries = 6;
-  config.driver.retry_backoff_base_ns = 10'000;
-  config.driver.retry_backoff_cap_ns = 200'000;
-  config.driver.degrade_threshold = 4;
-  config.driver.degrade_reprobe_ns = 1'000'000;
-  config.controller.deferred_ttl_ns = 500'000;
-  config.controller.reassembly.ttl_ns = 500'000;
-  config.controller.wrr_arbitration = true;
-  config.controller.urgent_burst_limit = options.urgent_burst_limit;
-  config.ssd.geometry.channels = 2;
-  config.ssd.geometry.ways = 2;
-  config.ssd.geometry.blocks_per_die = 64;
-  config.ssd.geometry.pages_per_block = 64;
-  config.ssd.geometry.page_size = 4096;
-  config.ssd.nand_timing.read_ns = 5'000;
-  config.ssd.nand_timing.program_ns = 20'000;
-  config.ssd.nand_timing.erase_ns = 100'000;
-  config.ssd.nand_timing.channel_transfer_ns = 500;
-  config.trace_enabled = false;
   config.faults = options.storm;
   // The storm is the aggressor's problem by construction: confine the
   // command-fault plane to its hardware queue (see fault/fault.h).

@@ -76,11 +76,11 @@ struct IsolationOptions {
   std::uint32_t queue_depth = 256;
   std::uint32_t vqueue_depth = 64;
 
-  // Arbitration (controller WRR; wrr_arbitration is always on here).
+  // Arbitration (the controller's weighted round robin; an urgent
+  // victim is bounded by Controller::kUrgentBurstLimit).
   std::uint32_t victim_weight = 3;
   std::uint32_t aggressor_weight = 1;
   bool victim_urgent = false;
-  std::uint32_t urgent_burst_limit = 8;
 
   // Aggressor budgets (the defenses under test).
   std::uint64_t aggressor_rate_bytes_per_sec = 0;  // 0 = unlimited

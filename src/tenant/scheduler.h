@@ -4,9 +4,7 @@
 //   * builds the AdmissionController from the tenant configs and
 //     attaches it as the driver's SubmissionGate,
 //   * maps each tenant onto its hardware queue and programs the
-//     controller's WRR arbiter (weight + urgent class) for that queue —
-//     the testbed must have been built with
-//     controller.wrr_arbitration = true for the weights to matter,
+//     controller's arbiter (weight + urgent class) for that queue,
 //   * registers every tenant's service counters with obs::Telemetry
 //     (per-window TenantWindow sampling) and publishes them in the
 //     MetricsRegistry as tenant.<name>.{admitted,rejected,payload_bytes,

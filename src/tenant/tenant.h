@@ -50,11 +50,12 @@ struct TenantConfig {
   std::string name;
   /// Hardware queue this tenant's virtual queue maps onto.
   std::uint16_t hw_qid = 1;
-  /// WRR weight of the hardware queue in the controller's arbiter
+  /// Weight of the hardware queue in the controller's deficit round
+  /// robin: up to this many consecutive grants per turn while backlogged
   /// (Controller::set_queue_arbitration). Must be >= 1.
   std::uint32_t weight = 1;
-  /// Urgent arbitration class: preempts normal-class queues up to the
-  /// controller's urgent_burst_limit.
+  /// Urgent arbitration class: preempts normal-class queues up to
+  /// Controller::kUrgentBurstLimit grants in a row.
   bool urgent = false;
   /// Token-bucket byte rate in payload bytes per simulated second
   /// (0 = unlimited).

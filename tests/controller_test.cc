@@ -583,35 +583,6 @@ TEST(DeferredOooTest, CommandBeforeChunksCompletesAfterChunksArrive) {
   EXPECT_TRUE(host.pop_io_cqe().status().is_success());
 }
 
-TEST(InterruptCoalescingTest, OneInterruptPerNCompletions) {
-  Controller::Config config;
-  config.interrupt_coalescing = 4;
-  MiniHost host(config);
-  host.create_io_queues(1);
-  const auto admin_irqs =
-      host.traffic_
-          .cell(pcie::Direction::kUpstream, pcie::TrafficClass::kInterrupt)
-          .tlps;
-  for (int i = 0; i < 8; ++i) {
-    host.push_io(raw_write_sqe(0));
-    host.controller_.run_until_idle();
-    EXPECT_TRUE(host.pop_io_cqe().status().is_success());
-  }
-  const auto irqs =
-      host.traffic_
-          .cell(pcie::Direction::kUpstream, pcie::TrafficClass::kInterrupt)
-          .tlps -
-      admin_irqs;
-  // 8 completions at a coalescing factor of 4 -> exactly 2 interrupts,
-  // while every CQE write-back still happens.
-  EXPECT_EQ(irqs, 2u);
-  EXPECT_EQ(host.traffic_
-                .cell(pcie::Direction::kUpstream,
-                      pcie::TrafficClass::kCompletion)
-                .tlps,
-            2u + 8u);  // 2 admin + 8 I/O
-}
-
 TEST(CqWrapTest, PhaseFlipsAcrossManyLaps) {
   MiniHost host;
   host.create_io_queues(1);

@@ -112,7 +112,6 @@ TEST(PerfettoTest, SameSeedRunsRenderByteIdentical) {
 // service deltas render as a tenant.t<id>.service counter track.
 TEST(PerfettoTest, TenantTagsSurviveExport) {
   core::TestbedConfig config = test::small_testbed_config(2);
-  config.controller.wrr_arbitration = true;
   config.telemetry.window_ns = 2'000;
   Testbed bed(config);
 

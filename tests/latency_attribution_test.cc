@@ -257,7 +257,6 @@ TEST(LatencyAttributionBatch, BackdatedOriginBooksRingWait) {
 
 TEST(LatencyAttributionTenant, TenantWritesZeroResidualAndHistograms) {
   core::TestbedConfig config = test::small_testbed_config();
-  config.controller.wrr_arbitration = true;
   Testbed bed(config);
 
   tenant::SchedulerConfig sched_config;

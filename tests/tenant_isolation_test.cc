@@ -141,7 +141,6 @@ TEST(AdmissionController, WouldAdmitPreviewsWithoutCharging) {
 
 TEST(TenantScheduler, GatePairsEveryAdmissionThroughTheDriver) {
   core::TestbedConfig config = test::small_testbed_config(2);
-  config.controller.wrr_arbitration = true;
   core::Testbed bed(config);
 
   SchedulerConfig sched_config;
@@ -295,7 +294,6 @@ void drain_backlogs(core::Testbed& bed,
 
 TEST(WrrArbitration, GrantSharesMatchWeightsWithinFivePercent) {
   core::TestbedConfig config = test::small_testbed_config(3, 256);
-  config.controller.wrr_arbitration = true;
   core::Testbed bed(config);
   bed.controller().set_queue_arbitration(1, 1);
   bed.controller().set_queue_arbitration(2, 2);
@@ -327,8 +325,6 @@ TEST(WrrArbitration, GrantSharesMatchWeightsWithinFivePercent) {
 
 TEST(WrrArbitration, UrgentClassPreemptsWithinBurstBound) {
   core::TestbedConfig config = test::small_testbed_config(3, 256);
-  config.controller.wrr_arbitration = true;
-  config.controller.urgent_burst_limit = 8;
   core::Testbed bed(config);
   bed.controller().set_queue_arbitration(1, 1, /*urgent=*/true);
   bed.controller().set_queue_arbitration(2, 1);
@@ -364,17 +360,54 @@ TEST(WrrArbitration, UrgentClassPreemptsWithinBurstBound) {
   drain_backlogs(bed, normal_handles);
 }
 
-TEST(WrrArbitration, LegacyRoundRobinUntouchedWhenDisabled) {
-  // wrr_arbitration defaults to off; grants still count (for parity) but
-  // the poll loop is the legacy cursor walk and weights are ignored.
+TEST(WrrArbitration, WeightsApplyWithoutAFlag) {
+  // A default testbed: weights take effect as soon as they are set.
   core::TestbedConfig config = test::small_testbed_config(2, 128);
   core::Testbed bed(config);
-  bed.controller().set_queue_arbitration(1, 100);  // must have no effect
+  bed.controller().set_queue_arbitration(1, 3);
+  bed.controller().set_queue_arbitration(2, 1);
   ByteVec payload(256, Byte{0x3c});
   auto handles = stack_backlogs(bed, {1, 2}, 20, payload);
+  const std::uint64_t before1 = bed.controller().grants(1);
+  const std::uint64_t before2 = bed.controller().grants(2);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(bed.controller().poll_once());
+  EXPECT_EQ(bed.controller().grants(1) - before1, 6u);
+  EXPECT_EQ(bed.controller().grants(2) - before2, 2u);
   drain_backlogs(bed, handles);
-  EXPECT_EQ(bed.controller().grants(1), 20u);
-  EXPECT_EQ(bed.controller().grants(2), 20u);
+}
+
+TEST(WrrArbitration, UnitWeightsServeInCyclicOrder) {
+  // At unit weights each grant passes the turn to the next backlogged
+  // queue in qid order, skipping empty ones: the plain round-robin
+  // doorbell poll.
+  core::TestbedConfig config = test::small_testbed_config(3, 128);
+  core::Testbed bed(config);
+  ByteVec payload(256, Byte{0x3c});
+  driver::IoRequest request;
+  request.write_data = ConstByteSpan(payload);
+  request.method = TransferMethod::kPrp;
+  std::vector<std::vector<driver::Submitted>> handles(3);
+  const std::uint32_t backlog[3] = {4, 1, 4};
+  for (std::uint16_t q = 0; q < 3; ++q) {
+    for (std::uint32_t i = 0; i < backlog[q]; ++i) {
+      auto submitted = bed.driver().submit(request, q + 1);
+      ASSERT_TRUE(submitted.is_ok()) << submitted.status().to_string();
+      handles[q].push_back(submitted.value());
+    }
+  }
+  std::vector<std::uint16_t> order;
+  for (int poll = 0; poll < 9; ++poll) {
+    const std::uint64_t before[3] = {bed.controller().grants(1),
+                                     bed.controller().grants(2),
+                                     bed.controller().grants(3)};
+    ASSERT_TRUE(bed.controller().poll_once());
+    for (std::uint16_t q = 0; q < 3; ++q) {
+      if (bed.controller().grants(q + 1) != before[q]) order.push_back(q + 1);
+    }
+  }
+  EXPECT_EQ(order,
+            (std::vector<std::uint16_t>{1, 2, 3, 1, 3, 1, 3, 1, 3}));
+  drain_backlogs(bed, handles);
 }
 
 // ---- Adversarial isolation sweep ----------------------------------------

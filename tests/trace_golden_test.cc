@@ -346,7 +346,6 @@ TEST(GoldenTrace, SameScenarioIsByteIdentical) {
 TEST(GoldenTrace, TenantTagsSurviveDumpByteIdentically) {
   const auto run = [] {
     core::TestbedConfig config = test::small_testbed_config(2);
-    config.controller.wrr_arbitration = true;
     Testbed bed(config);
     tenant::SchedulerConfig sched_config;
     tenant::TenantConfig t1;

@@ -344,7 +344,6 @@ int run_tenants(const Config& config) {
   testbed_config.driver.io_queue_depth =
       static_cast<std::uint32_t>(config.get_int("depth", 256));
   testbed_config.telemetry.window_ns = config.get_int("window", 10'000);
-  testbed_config.controller.wrr_arbitration = true;
   core::Testbed testbed(testbed_config);
 
   const std::vector<std::string> weight_list =
