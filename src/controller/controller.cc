@@ -68,23 +68,98 @@ std::uint32_t Controller::available(std::uint16_t qid) const noexcept {
   return (tail + sq.depth - sq.head) % sq.depth;
 }
 
-void Controller::charge_fetch(std::uint32_t entries, bool chunk) {
-  // One DMA read of `entries` 64-byte SQ entries from the SQ head (data
-  // travels host->device).
-  link_.read(Direction::kDownstream, TrafficClass::kCommandFetch,
-             std::uint64_t{entries} * nvme::kSqeSize);
-  link_.clock().advance(chunk ? config_.timing.chunk_fetch_fw_ns
-                              : config_.timing.cmd_fetch_fw_ns);
+void Controller::take_entries(std::uint16_t qid, std::uint32_t entries,
+                              ByteSpan out) {
+  SqState& sq = sqs_[qid];
+  BX_ASSERT(sq.valid);
+  BX_ASSERT(entries < sq.depth &&
+            out.size() <= std::uint64_t{entries} * nvme::kSqeSize);
+  const std::size_t before_wrap = std::min<std::size_t>(
+      out.size(), std::size_t{sq.depth - sq.head} * nvme::kSqeSize);
+  memory_.read(sq.base + std::uint64_t{sq.head} * nvme::kSqeSize,
+               out.first(before_wrap));
+  if (before_wrap < out.size()) {
+    memory_.read(sq.base, out.subspan(before_wrap));
+  }
+  sq.head = (sq.head + entries) % sq.depth;
 }
 
 nvme::SqSlot Controller::take_slot(std::uint16_t qid) {
-  SqState& sq = sqs_[qid];
-  BX_ASSERT(sq.valid);
   nvme::SqSlot slot;
-  memory_.read(sq.base + std::uint64_t{sq.head} * nvme::kSqeSize,
-               {slot.raw, sizeof(slot.raw)});
-  sq.head = (sq.head + 1) % sq.depth;
+  take_entries(qid, 1, {slot.raw, sizeof(slot.raw)});
   return slot;
+}
+
+void Controller::fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
+                                 ByteSpan payload) {
+  const std::uint32_t chunks = inw::raw_chunks_for(payload.size());
+  const std::uint32_t first_slot = sqs_[qid].head;
+  const std::uint32_t depth = sqs_[qid].depth;
+  take_entries(qid, chunks, payload);
+
+  const std::size_t stage = std::size_t(obs::TraceStage::kChunkFetch);
+  const Nanoseconds fw_ns = config_.timing.chunk_fetch_fw_ns;
+  const Nanoseconds copy_ns = config_.timing.chunk_copy_ns;
+  const bool traced = tracer_ != nullptr && tracer_->enabled();
+  run_events_.clear();
+  std::uint32_t fetched = 0;
+  while (fetched < chunks) {
+    // One DMA read covers `batch` consecutive SQ entries and is followed
+    // by one firmware fetch cost and a copy per entry. Full batches step
+    // together; a short tail batch is its own step.
+    const std::uint32_t batch =
+        std::min(config_.chunk_fetch_batch, chunks - fetched);
+    const pcie::ReadCost cost =
+        link_.read_cost(std::uint64_t{batch} * nvme::kSqeSize);
+    const Nanoseconds gap_ns = fw_ns + batch * copy_ns;
+    const std::uint64_t reads =
+        link_.reads_until_sample(cost, gap_ns, (chunks - fetched) / batch);
+    // Only the step's last read can close a telemetry window. The ledger
+    // gets every earlier read's chunks before it and the last read's
+    // after, so each window samples the counters a read-at-a-time fetch
+    // leaves it (the chunks of one read sum to its round trip + gap).
+    const Nanoseconds step_start = link_.clock().now();
+    if (reads > 1) {
+      stage_count_[stage].add((reads - 1) * batch);
+      stage_ns_[stage].add((reads - 1) * (cost.ns + gap_ns));
+      link_.clock().advance((reads - 1) * gap_ns);
+    }
+    const Nanoseconds link_ns = link_.read_n(
+        Direction::kDownstream, TrafficClass::kCommandFetch, cost, reads);
+    link_.clock().advance(gap_ns);
+    // Reads of a multi-read step cannot replay, so only the last read's
+    // time may differ from cost.ns.
+    const Nanoseconds last_read_ns = link_ns - (reads - 1) * cost.ns;
+    stage_count_[stage].add(batch);
+    stage_ns_[stage].add(last_read_ns + gap_ns);
+
+    if (traced) {
+      for (std::uint64_t r = 0; r < reads; ++r) {
+        const Nanoseconds read_ns = r + 1 == reads ? last_read_ns : cost.ns;
+        Nanoseconds start = step_start + r * (cost.ns + gap_ns);
+        Nanoseconds end = start + read_ns + fw_ns;
+        for (std::uint32_t i = 0; i < batch; ++i) {
+          const auto index =
+              static_cast<std::uint32_t>(fetched + r * batch + i);
+          end += copy_ns;
+          obs::TraceEvent& e = run_events_.emplace_back();
+          e.stage = obs::TraceStage::kChunkFetch;
+          e.start = start;
+          e.end = end;
+          e.qid = qid;
+          e.cid = cid;
+          e.slot = (first_slot + index) % depth;
+          e.aux = index;
+          e.bytes = std::min<std::uint64_t>(
+              inw::kRawChunkCapacity,
+              payload.size() - std::uint64_t{index} * inw::kRawChunkCapacity);
+          start = end;
+        }
+      }
+    }
+    fetched += static_cast<std::uint32_t>(reads * batch);
+  }
+  if (traced) tracer_->record_run(run_events_);
 }
 
 void Controller::set_queue_arbitration(std::uint16_t qid,
@@ -227,7 +302,11 @@ void Controller::run_until_idle() {
 void Controller::process_one(std::uint16_t qid) {
   const Nanoseconds fetch_start = link_.clock().now();
   const std::uint32_t sqe_slot = sqs_[qid].head;
-  charge_fetch(1, /*chunk=*/false);
+  // One 64-byte DMA read of the SQE at the head (data travels
+  // host->device), then the firmware's command fetch cost.
+  link_.read(Direction::kDownstream, TrafficClass::kCommandFetch,
+             nvme::kSqeSize);
+  link_.clock().advance(config_.timing.cmd_fetch_fw_ns);
   const nvme::SqSlot slot = take_slot(qid);
 
   if (qid != 0 && inw::is_ooo_chunk(slot)) {
@@ -337,7 +416,7 @@ void Controller::handle_io(std::uint16_t qid,
 
   {
     // The aux field announces the queue-local chunk fetches that will
-    // follow, mirroring exactly the conditions guarding the chunk loop
+    // follow, mirroring exactly the conditions guarding the chunk run
     // below — the invariant checker's adjacency machine keys off it.
     std::uint32_t announced = 0;
     if (inline_len > 0 && config_.byteexpress_enabled &&
@@ -437,40 +516,7 @@ void Controller::handle_io(std::uint16_t qid,
       return;
     }
     ByteVec payload(inline_len);
-    std::uint64_t offset = 0;
-    std::uint32_t fetched = 0;
-    while (fetched < chunks) {
-      const std::uint32_t batch =
-          std::min(config_.chunk_fetch_batch, chunks - fetched);
-      const Nanoseconds batch_start = link_.clock().now();
-      // One DMA read covers `batch` consecutive SQ entries; firmware cost
-      // is charged once per DMA operation.
-      charge_fetch(batch, /*chunk=*/true);
-      for (std::uint32_t i = 0; i < batch; ++i) {
-        const Nanoseconds chunk_start =
-            i == 0 ? batch_start : link_.clock().now();
-        const std::uint32_t chunk_slot = sqs_[qid].head;
-        const nvme::SqSlot slot = take_slot(qid);
-        const std::uint64_t take =
-            std::min<std::uint64_t>(inw::kRawChunkCapacity,
-                                    inline_len - offset);
-        link_.clock().advance(config_.timing.chunk_copy_ns);
-        std::memcpy(payload.data() + offset, slot.raw,
-                    static_cast<std::size_t>(take));
-        offset += take;
-        obs::TraceEvent chunk_event;
-        chunk_event.stage = obs::TraceStage::kChunkFetch;
-        chunk_event.start = chunk_start;
-        chunk_event.end = link_.clock().now();
-        chunk_event.qid = qid;
-        chunk_event.cid = sqe.cid;
-        chunk_event.slot = chunk_slot;
-        chunk_event.aux = fetched + i;
-        chunk_event.bytes = take;
-        record_stage(chunk_event);
-      }
-      fetched += batch;
-    }
+    fetch_chunk_run(qid, sqe.cid, payload);
     last_fetch_cost_ns_ = link_.clock().now() - fetch_start;
     fetch_stage_hist_.record(last_fetch_cost_ns_);
     commands_processed_.increment();

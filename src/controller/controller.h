@@ -266,12 +266,20 @@ class Controller {
   /// gauge.
   void serve(std::uint16_t qid);
 
-  /// Charges one DMA read of `entries` consecutive SQ entries plus one
-  /// firmware fetch cost; `chunk` selects the cheaper chunk-fetch cost.
-  void charge_fetch(std::uint32_t entries, bool chunk);
-  /// Copies the SQ entry at the queue's head out of host memory and
-  /// advances the head (the DMA itself is charged by charge_fetch()).
+  /// Copies `out.size()` bytes, at most `entries` SQ entries, from the
+  /// queue's head out of host memory — in at most two spans, split at the
+  /// ring wrap — and advances the head past `entries` entries. The DMA
+  /// itself is charged by the caller (process_one, fetch_chunk_run).
+  void take_entries(std::uint16_t qid, std::uint32_t entries, ByteSpan out);
+  /// take_entries() of the one SQ entry at the head.
   nvme::SqSlot take_slot(std::uint16_t qid);
+  /// Fetches the queue-local chunk run (§3.3) behind command `cid` into
+  /// `payload` (its inline length): one copy out of the ring, then per
+  /// run step one link read_n(), one clock advance for the firmware and
+  /// copy time between its reads, and the kChunkFetch ledger; the
+  /// per-chunk trace events go to the tracer in one record_run().
+  void fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
+                       ByteSpan payload);
 
   void process_one(std::uint16_t qid);
   void handle_admin(const nvme::SubmissionQueueEntry& sqe);
@@ -409,6 +417,8 @@ class Controller {
   // Updated by poll_once(); sampled by the telemetry windows.
   obs::Gauge inline_backlog_;
   obs::TraceRecorder* tracer_ = nullptr;
+  /// fetch_chunk_run()'s per-chunk trace events, reused across commands.
+  std::vector<obs::TraceEvent> run_events_;
 
   fault::FaultInjector* injector_ = nullptr;
   std::vector<DelayedCompletion> delayed_;

@@ -598,32 +598,30 @@ std::uint32_t NvmeDriver::push_command_locked(
   link_.clock().advance(config_.timing.sqe_insert_ns);
   qp.sq->push_slot(sqe_bytes(sqe));
   if (inline_payload.empty()) return 1;
-  const bool ooo = nvme::inline_chunk::sqe_is_ooo(sqe);
+  if (!nvme::inline_chunk::sqe_is_ooo(sqe)) {
+    // Queue-local raw chunks: one clock advance and one ring write for
+    // the whole run.
+    const std::uint32_t chunks =
+        nvme::inline_chunk::raw_chunks_for(inline_payload.size());
+    link_.clock().advance(std::uint64_t{chunks} *
+                          config_.timing.chunk_insert_ns);
+    qp.sq->push_chunks(inline_payload);
+    return 1 + chunks;
+  }
   const std::uint32_t chunks =
-      ooo ? nvme::inline_chunk::ooo_chunks_for(inline_payload.size())
-          : nvme::inline_chunk::raw_chunks_for(inline_payload.size());
+      nvme::inline_chunk::ooo_chunks_for(inline_payload.size());
   std::size_t offset = 0;
   for (std::uint32_t i = 0; i < chunks; ++i) {
     link_.clock().advance(config_.timing.chunk_insert_ns);
-    if (ooo) {
-      const std::size_t take =
-          std::min<std::size_t>(nvme::inline_chunk::kOooChunkCapacity,
-                                inline_payload.size() - offset);
-      const auto slot = nvme::inline_chunk::encode_ooo_chunk(
-          nvme::inline_chunk::sqe_ooo_payload_id(sqe),
-          static_cast<std::uint16_t>(i), static_cast<std::uint16_t>(chunks),
-          inline_payload.subspan(offset, take));
-      qp.sq->push_slot({slot.raw, sizeof(slot.raw)});
-      offset += take;
-    } else {
-      const std::size_t take = std::min<std::size_t>(
-          nvme::inline_chunk::kRawChunkCapacity,
-          inline_payload.size() - offset);
-      const auto slot = nvme::inline_chunk::encode_raw_chunk(
-          inline_payload.subspan(offset, take));
-      qp.sq->push_slot({slot.raw, sizeof(slot.raw)});
-      offset += take;
-    }
+    const std::size_t take =
+        std::min<std::size_t>(nvme::inline_chunk::kOooChunkCapacity,
+                              inline_payload.size() - offset);
+    const auto slot = nvme::inline_chunk::encode_ooo_chunk(
+        nvme::inline_chunk::sqe_ooo_payload_id(sqe),
+        static_cast<std::uint16_t>(i), static_cast<std::uint16_t>(chunks),
+        inline_payload.subspan(offset, take));
+    qp.sq->push_slot({slot.raw, sizeof(slot.raw)});
+    offset += take;
   }
   return 1 + chunks;
 }

@@ -1,5 +1,8 @@
 #include "nvme/queue.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace bx::nvme {
 
 SqRing::SqRing(DmaMemory& memory, std::uint16_t qid, std::uint32_t depth)
@@ -22,6 +25,31 @@ void SqRing::push_slot(ConstByteSpan slot64) noexcept {
   memory_.write(slot_addr(tail_), slot64);
   tail_ = (tail_ + 1) % depth_;
   ++slots_pushed_;
+}
+
+void SqRing::push_chunks(ConstByteSpan payload) noexcept {
+  const std::uint32_t whole =
+      static_cast<std::uint32_t>(payload.size() / kSqeSize);
+  BX_ASSERT_MSG(free_slots() >= div_ceil(payload.size(), kSqeSize),
+                "SQ overflow");
+  const std::size_t whole_bytes = std::size_t{whole} * kSqeSize;
+  const std::size_t before_wrap = std::min<std::size_t>(
+      whole_bytes, std::size_t{depth_ - tail_} * kSqeSize);
+  if (before_wrap > 0) {
+    memory_.write(slot_addr(tail_), payload.first(before_wrap));
+  }
+  if (whole_bytes > before_wrap) {
+    memory_.write(ring_.addr(), payload.subspan(before_wrap,
+                                                whole_bytes - before_wrap));
+  }
+  tail_ = (tail_ + whole) % depth_;
+  slots_pushed_ += whole;
+  if (whole_bytes < payload.size()) {
+    SqSlot last;
+    std::memcpy(last.raw, payload.data() + whole_bytes,
+                payload.size() - whole_bytes);
+    push_slot({last.raw, sizeof(last.raw)});
+  }
 }
 
 CqRing::CqRing(DmaMemory& memory, std::uint16_t qid, std::uint32_t depth)

@@ -48,6 +48,12 @@ class SqRing {
   /// Writes one 64-byte slot at the tail and advances it.
   void push_slot(ConstByteSpan slot64) noexcept;
 
+  /// Writes `payload` as queue-local raw chunks (ByteExpress §3.3) at the
+  /// tail: the whole 64-byte slots in at most two spans, split at the
+  /// ring wrap, then a zero-padded last slot for any remainder. Advances
+  /// the tail by raw_chunks_for(payload.size()) slots.
+  void push_chunks(ConstByteSpan payload) noexcept;
+
   /// Host learns the device's SQ head from CQE.sq_head.
   void note_head(std::uint32_t head) noexcept { head_cache_ = head; }
   [[nodiscard]] std::uint32_t head_cache() const noexcept {

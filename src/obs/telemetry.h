@@ -42,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -257,6 +258,14 @@ class Telemetry {
   /// Closes every window that `now` has moved past. The common case (still
   /// inside the current window) is one relaxed load.
   void advance_to(Nanoseconds now);
+  /// The end of the open window: advance_to(t) closes a window iff
+  /// t >= next_close_ns(). The maximum time when sampling is disabled.
+  /// PcieLink reads it to end a bulk chunk-run step at the read that
+  /// closes a window (PcieLink::reads_until_sample).
+  [[nodiscard]] Nanoseconds next_close_ns() const noexcept {
+    return config_.enabled ? window_end_.load(std::memory_order_relaxed)
+                           : std::numeric_limits<Nanoseconds>::max();
+  }
   /// advance_to(now), then closes the in-progress partial window so that
   /// sample sums reconcile exactly with the owners' counters. The next
   /// window starts at `now`.

@@ -45,27 +45,39 @@ bool is_device_service_stage(TraceStage stage) noexcept {
 
 }  // namespace
 
-void TraceRecorder::store_event(const TraceEvent& event) {
-  if (stored_.fetch_add(1, std::memory_order_relaxed) >=
-      capacity_.load(std::memory_order_relaxed)) {
-    stored_.fetch_sub(1, std::memory_order_relaxed);
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+void TraceRecorder::store_events(std::span<const TraceEvent> events) {
+  const std::uint64_t n = events.size();
+  const std::uint64_t capacity = capacity_.load(std::memory_order_relaxed);
+  const std::uint64_t before =
+      stored_.fetch_add(n, std::memory_order_relaxed);
+  const std::uint64_t kept =
+      before >= capacity ? 0 : std::min(n, capacity - before);
+  if (kept < n) {
+    stored_.fetch_sub(n - kept, std::memory_order_relaxed);
+    dropped_.fetch_add(n - kept, std::memory_order_relaxed);
   }
-  Shard& shard = shards_[event.qid % kShards];
+  if (kept == 0) return;
+  Shard& shard = shards_[events.front().qid % kShards];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.events.push_back(event);
+  for (const TraceEvent& event : events.first(kept)) {
+    shard.events.push_back(event);
+  }
 }
 
-void TraceRecorder::record(TraceEvent event) {
-  if (!enabled()) return;
-  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+void TraceRecorder::record_run(std::span<TraceEvent> events) {
+  if (!enabled() || events.empty()) return;
+  std::uint64_t seq =
+      next_seq_.fetch_add(events.size(), std::memory_order_relaxed);
+  for (TraceEvent& event : events) event.seq = seq++;
+  const TraceEvent& first = events.front();
   {
     std::lock_guard<std::mutex> lock(table_mutex_);
-    auto it = open_.find(command_key(event.qid, event.cid));
+    auto it = open_.find(command_key(first.qid, first.cid));
     if (it != open_.end()) {
       OpenCommand& open = it->second;
-      if (is_device_service_stage(event.stage)) {
+      for (const TraceEvent& event : events) {
+        BX_ASSERT(event.qid == first.qid && event.cid == first.cid);
+        if (!is_device_service_stage(event.stage)) continue;
         DeviceReport& report = open.report;
         report.valid = true;
         if (event.end >= event.start) {
@@ -77,12 +89,13 @@ void TraceRecorder::record(TraceEvent event) {
         }
       }
       if (open.buffering) {
-        open.buffered.push_back(event);
+        open.buffered.insert(open.buffered.end(), events.begin(),
+                             events.end());
         return;
       }
     }
   }
-  store_event(event);
+  store_events(events);
 }
 
 void TraceRecorder::record_in_device_context(TraceEvent event) {
@@ -166,7 +179,7 @@ DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
     commands_kept_.fetch_add(1, std::memory_order_relaxed);
     // Buffered events keep their original seq, so snapshot() interleaves
     // them correctly with everything stored while they were pending.
-    for (const TraceEvent& event : buffered) store_event(event);
+    store_events(buffered);
   } else {
     commands_sampled_out_.fetch_add(1, std::memory_order_relaxed);
     events_sampled_out_.fetch_add(buffered.size(),

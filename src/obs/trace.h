@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -205,7 +206,14 @@ class TraceRecorder {
   }
 
   /// Appends `event` (seq is assigned here). Safe from any thread.
-  void record(TraceEvent event);
+  void record(TraceEvent event) { record_run({&event, 1}); }
+
+  /// Appends `events`, which must all belong to one (qid, cid), in order
+  /// and under consecutive seqs (assigned here, into the span): one seq
+  /// range, one attribution-table lookup and one shard lock for the run.
+  /// The controller records a chunk run's per-chunk events this way; the
+  /// result is the same as recording them one by one.
+  void record_run(std::span<TraceEvent> events);
 
   /// Appends `event` with (qid, cid) filled from the device context — for
   /// device-side layers below the controller (e.g. the SSD executor).
@@ -295,8 +303,9 @@ class TraceRecorder {
     return (std::uint32_t{qid} << 16) | cid;
   }
 
-  /// Capacity-checked push into the event shards (seq already assigned).
-  void store_event(const TraceEvent& event);
+  /// Capacity-checked push of events of one qid into its shard (seqs
+  /// already assigned); events past the capacity are dropped and counted.
+  void store_events(std::span<const TraceEvent> events);
 
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> next_seq_{0};

@@ -115,46 +115,75 @@ Nanoseconds PcieLink::post_write(Direction dir, TrafficClass cls,
   return t;
 }
 
-Nanoseconds PcieLink::read(Direction data_dir, TrafficClass cls,
-                           std::uint64_t data_bytes) noexcept {
+ReadCost PcieLink::read_cost(std::uint64_t data_bytes) const noexcept {
   BX_ASSERT(data_bytes > 0);
   const std::uint32_t mps = config_.max_payload_size;
-  const std::uint32_t mrrs = config_.max_read_request_size;
+  ReadCost cost;
+  cost.data_bytes = data_bytes;
+  // Read requests, split at MaxReadRequestSize.
+  cost.requests = div_ceil(data_bytes, config_.max_read_request_size);
+  cost.request_wire =
+      cost.requests *
+      tlp_wire_bytes(TlpType::kMemoryRead, 0, config_.overhead);
+  // Completions with data, split at MaxPayloadSize.
+  cost.completions = div_ceil(data_bytes, mps);
+  std::uint64_t remaining = data_bytes;
+  for (std::uint64_t i = 0; i < cost.completions; ++i) {
+    const auto chunk =
+        static_cast<std::uint32_t>(remaining < mps ? remaining : mps);
+    cost.completion_wire +=
+        tlp_wire_bytes(TlpType::kCompletion, chunk, config_.overhead);
+    remaining -= chunk;
+  }
+  // Round trip: request propagation + its serialization, then completion
+  // propagation + serialization of the data stream.
+  cost.ns = 2 * config_.propagation_ns + serialize_time(cost.request_wire) +
+            serialize_time(cost.completion_wire);
+  return cost;
+}
+
+Nanoseconds PcieLink::read_n(Direction data_dir, TrafficClass cls,
+                             const ReadCost& cost,
+                             std::uint64_t count) noexcept {
+  BX_ASSERT(count > 0);
   const Direction req_dir = data_dir == Direction::kUpstream
                                 ? Direction::kDownstream
                                 : Direction::kUpstream;
-
-  // Read requests, split at MaxReadRequestSize.
-  const std::uint64_t requests = div_ceil(data_bytes, mrrs);
-  const std::uint64_t req_wire =
-      requests * tlp_wire_bytes(TlpType::kMemoryRead, 0, config_.overhead);
-  record(req_dir, cls, TlpType::kMemoryRead, requests, 0, req_wire);
-
-  // Completions with data, split at MaxPayloadSize.
-  const std::uint64_t cpls = div_ceil(data_bytes, mps);
-  std::uint64_t cpl_wire = 0;
-  std::uint64_t remaining = data_bytes;
-  for (std::uint64_t i = 0; i < cpls; ++i) {
-    const auto chunk =
-        static_cast<std::uint32_t>(remaining < mps ? remaining : mps);
-    cpl_wire += tlp_wire_bytes(TlpType::kCompletion, chunk, config_.overhead);
-    remaining -= chunk;
+  record(req_dir, cls, TlpType::kMemoryRead, count * cost.requests, 0,
+         count * cost.request_wire);
+  record(data_dir, cls, TlpType::kCompletion, count * cost.completions,
+         count * cost.data_bytes, count * cost.completion_wire);
+  Nanoseconds t = count * cost.ns;
+  if (injector_ != nullptr) {
+    // A replay resends the first completion TLP.
+    const std::uint32_t mps = config_.max_payload_size;
+    const std::uint64_t replay_wire = tlp_wire_bytes(
+        TlpType::kCompletion,
+        static_cast<std::uint32_t>(cost.data_bytes < mps ? cost.data_bytes
+                                                         : mps),
+        config_.overhead);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      t += maybe_replay(data_dir, cls, TlpType::kCompletion, replay_wire);
+    }
   }
-  record(data_dir, cls, TlpType::kCompletion, cpls, data_bytes, cpl_wire);
-
-  // Round trip: request propagation + its serialization, then completion
-  // propagation + serialization of the data stream.
-  Nanoseconds t = 2 * config_.propagation_ns +
-                  serialize_time(req_wire) + serialize_time(cpl_wire);
-  t += maybe_replay(
-      data_dir, cls, TlpType::kCompletion,
-      tlp_wire_bytes(TlpType::kCompletion,
-                     static_cast<std::uint32_t>(
-                         data_bytes < mps ? data_bytes : mps),
-                     config_.overhead));
   clock_.advance(t);
   if (telemetry_ != nullptr) telemetry_->advance_to(clock_.now());
   return t;
+}
+
+std::uint64_t PcieLink::reads_until_sample(const ReadCost& cost,
+                                           Nanoseconds gap_ns,
+                                           std::uint64_t max) const noexcept {
+  if (injector_ != nullptr) return 1;
+  if (telemetry_ == nullptr) return max;
+  const Nanoseconds close = telemetry_->next_close_ns();
+  const Nanoseconds first = clock_.now() + cost.ns;  // read 0 completes
+  if (first >= close) return 1;
+  const Nanoseconds period = cost.ns + gap_ns;
+  if (period == 0) return max;
+  // The first read j with first + j * period >= close ends the step.
+  const std::uint64_t j = (close - first - 1) / period + 1;
+  return j >= max ? max : j + 1;
 }
 
 Nanoseconds PcieLink::mmio_write32(TrafficClass cls) noexcept {

@@ -1,11 +1,14 @@
 // Transaction-level PCIe link model.
 //
-// Every byte that crosses the simulated link goes through one of the three
-// primitives here (post_write / read / mmio_write32). Each primitive:
+// Every byte that crosses the simulated link goes through one of the
+// primitives here: post_write, mmio_write32 (a 4-byte post_write), read,
+// and read_n (`count` identical reads accounted in one step; read is
+// read_n of one). Each primitive:
 //   * segments the transfer into TLPs per MaxPayloadSize / MaxReadRequestSize,
 //   * accounts wire bytes (incl. header/framing/DLLP share) in the
 //     TrafficCounter,
-//   * returns the modeled link time, which the caller adds to its timeline.
+//   * advances the clock by the modeled link time and rolls the telemetry
+//     windows once, at the end.
 //
 // The link time of a transfer is propagation + serialization:
 //   t = hops * prop_latency + wire_bytes / bytes_per_ns
@@ -37,6 +40,18 @@ struct LinkConfig {
   [[nodiscard]] double bytes_per_ns() const noexcept;
 };
 
+/// The accounting of one memory read of a given size: its request (MRd)
+/// and completion (CplD) TLPs with their wire bytes, and its round trip.
+/// A chunk run repeats one cost, so it is computed once per run step.
+struct ReadCost {
+  std::uint64_t data_bytes = 0;
+  std::uint64_t requests = 0;
+  std::uint64_t request_wire = 0;
+  std::uint64_t completions = 0;
+  std::uint64_t completion_wire = 0;
+  Nanoseconds ns = 0;
+};
+
 class PcieLink {
  public:
   PcieLink(const LinkConfig& config, SimClock& clock,
@@ -53,7 +68,33 @@ class PcieLink {
   /// MRd request accounted on the opposite direction. Advances the clock;
   /// returns the elapsed round-trip time.
   Nanoseconds read(Direction data_dir, TrafficClass cls,
-                   std::uint64_t data_bytes) noexcept;
+                   std::uint64_t data_bytes) noexcept {
+    return read_n(data_dir, cls, read_cost(data_bytes), 1);
+  }
+
+  /// The TLPs, wire bytes and round trip of one read of `data_bytes`.
+  [[nodiscard]] ReadCost read_cost(std::uint64_t data_bytes) const noexcept;
+
+  /// `count` reads of `cost` in one step: one TrafficCounter record per
+  /// TLP type, one clock advance of `count` round trips (plus any
+  /// replays, still drawn once per read), then one telemetry roll.
+  /// Returns the elapsed link time. Windows close only at that roll, so
+  /// the caller keeps every read but the last short of the next close
+  /// (reads_until_sample) and advances the clock by the time between the
+  /// reads itself, before the call.
+  Nanoseconds read_n(Direction data_dir, TrafficClass cls,
+                     const ReadCost& cost, std::uint64_t count) noexcept;
+
+  /// How many reads of `cost`, each followed by `gap_ns` of other clock
+  /// time, read_n() may account in one step from now, at most `max`: read
+  /// j completes at now + j * (cost.ns + gap_ns) + cost.ns, and the step
+  /// ends at the first read that reaches the next telemetry window close.
+  /// `max` when telemetry is off; 1 with a fault injector attached, since
+  /// a replay changes its read's time.
+  [[nodiscard]] std::uint64_t reads_until_sample(const ReadCost& cost,
+                                                 Nanoseconds gap_ns,
+                                                 std::uint64_t max)
+      const noexcept;
 
   /// 4-byte MMIO register write host->device (doorbells).
   Nanoseconds mmio_write32(TrafficClass cls) noexcept;
@@ -77,11 +118,12 @@ class PcieLink {
   /// pointer check per primitive).
   void set_telemetry(obs::Telemetry* telemetry);
 
-  /// Draws one data-link TLP replay per primitive from `injector` (pass
-  /// nullptr to detach). A replay retransmits one TLP after an
-  /// LCRC/sequence error: extra wire bytes and time, zero data bytes and
-  /// zero logical TLPs, invisible to host and device logic — so the
-  /// data-byte conservation invariants hold unchanged under replays.
+  /// Draws one data-link TLP replay per primitive, and per read within a
+  /// read_n(), from `injector` (pass nullptr to detach). A replay
+  /// retransmits one TLP after an LCRC/sequence error: extra wire bytes
+  /// and time, zero data bytes and zero logical TLPs, invisible to host
+  /// and device logic — so the data-byte conservation invariants hold
+  /// unchanged under replays.
   void set_fault_injector(fault::FaultInjector* injector) noexcept {
     injector_ = injector;
   }

@@ -2,23 +2,31 @@
 // whose configurations differ only in something that must not change what
 // the simulated system does. Each run checks every read-back against the
 // bytes written and records every completion (status, latency, DW0, bytes
-// returned), the per-class PCIe traffic and the final simulated clock;
-// the two runs must agree on all of them.
+// returned), the per-class PCIe traffic, the final simulated clock and
+// the trace dump; the two runs must agree on all of them (on the trace
+// dump when both runs record one).
 //
 // Pairs:
 //   * trace recording on vs off — the recorder only observes, so turning
 //     it on may cost wall-clock time but never simulated time or bytes.
+//   * telemetry on with 1 us windows vs off — the controller accounts a
+//     queue-local chunk run in bulk steps that end at the read closing a
+//     window, so the first run splits nearly every run into several
+//     steps and the second takes each run in one; the split must not
+//     move a single event.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "core/testbed.h"
 #include "driver/request.h"
+#include "obs/trace.h"
 #include "pcie/traffic_counter.h"
 #include "test_util.h"
 
@@ -52,6 +60,8 @@ struct RunRecord {
   std::vector<Cell> traffic;
   Nanoseconds end_ns = 0;
   std::size_t trace_events = 0;
+  /// obs::TraceRecorder::dump() of the whole run (empty untraced).
+  std::string trace_dump;
 };
 
 struct StreamOptions {
@@ -117,8 +127,21 @@ RunRecord run_stream(const TestbedConfig& config,
     }
   }
   record.end_ns = bed.clock().now();
-  record.trace_events = bed.trace().snapshot().size();
+  const std::vector<obs::TraceEvent> events = bed.trace().snapshot();
+  record.trace_events = events.size();
+  record.trace_dump = obs::TraceRecorder::dump(events);
   return record;
+}
+
+/// The first line where two dumps differ, for a readable failure.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::size_t at = 0;
+  while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
+  const std::size_t line = a.rfind('\n', at) + 1;  // 0 when none before
+  const auto line_of = [line](const std::string& dump) {
+    return dump.substr(line, dump.find('\n', line) - line);
+  };
+  return line_of(a) + "\n vs\n" + line_of(b);
 }
 
 void expect_same_run(const RunRecord& a, const RunRecord& b) {
@@ -143,6 +166,11 @@ void expect_same_run(const RunRecord& a, const RunRecord& b) {
                i % std::size_t(TrafficClass::kCount_)));
   }
   EXPECT_EQ(a.end_ns, b.end_ns);
+  if (!a.trace_dump.empty() && !b.trace_dump.empty()) {
+    EXPECT_TRUE(a.trace_dump == b.trace_dump)
+        << "first differing trace line:\n"
+        << first_difference(a.trace_dump, b.trace_dump);
+  }
 }
 
 TEST(Differential, TraceOnAndOffRunIdentically) {
@@ -163,6 +191,23 @@ TEST(Differential, TraceOnAndOffRunIdentically) {
   for (const Outcome& outcome : on.outcomes) {
     EXPECT_EQ(outcome.status, nvme::StatusField::success().encode());
   }
+  expect_same_run(on, off);
+}
+
+TEST(Differential, TelemetryOnAndOffRunIdentically) {
+  const StreamOptions options;
+  TestbedConfig sampled = test::small_testbed_config(2);
+  sampled.telemetry.window_ns = 1'000;
+  TestbedConfig unsampled = sampled;
+  unsampled.telemetry.enabled = false;
+
+  const RunRecord on = run_stream(sampled, options);
+  const RunRecord off = run_stream(unsampled, options);
+  ASSERT_EQ(on.outcomes.size(),
+            options.writes + options.writes / options.read_every);
+  // Both runs trace, so the dumps are compared event by event.
+  ASSERT_GT(on.trace_events, 0u);
+  EXPECT_EQ(on.trace_events, off.trace_events);
   expect_same_run(on, off);
 }
 

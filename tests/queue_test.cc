@@ -48,6 +48,35 @@ TEST(SqRingTest, WrapsAround) {
   EXPECT_EQ(sq.tail(), 1u);  // 9 pushes mod 4
 }
 
+TEST(SqRingTest, PushChunksSplitsAtTheWrapAndZeroPadsTheLastSlot) {
+  DmaMemory memory;
+  SqRing sq(memory, 1, 8);
+  // Stale bytes in slots 0-5, then the device drains them: a 3.5-slot
+  // run from slot 6 wraps after two whole slots, and its padded last
+  // slot lands on stale slot 1.
+  for (int i = 0; i < 6; ++i) sq.push_slot({make_slot(0xEE).raw, kSqeSize});
+  sq.note_head(sq.tail());
+
+  ByteVec payload(3 * kSqeSize + 32);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<Byte>(i + 1);
+  }
+  const std::uint64_t pushed = sq.slots_pushed();
+  sq.push_chunks(payload);
+  EXPECT_EQ(sq.tail(), 2u);  // slots 6, 7, 0 and the padded slot 1
+  EXPECT_EQ(sq.slots_pushed(), pushed + 4);
+
+  ByteVec stored(kSqeSize);
+  for (std::uint32_t chunk = 0; chunk < 4; ++chunk) {
+    memory.read(sq.slot_addr((6 + chunk) % 8), stored);
+    for (std::size_t i = 0; i < kSqeSize; ++i) {
+      const std::size_t at = std::size_t{chunk} * kSqeSize + i;
+      const Byte want = at < payload.size() ? payload[at] : Byte{0};
+      ASSERT_EQ(stored[i], want) << "chunk " << chunk << " byte " << i;
+    }
+  }
+}
+
 TEST(SqRingTest, FreeSlotsTracksHeadProgress) {
   DmaMemory memory;
   SqRing sq(memory, 1, 8);

@@ -1,6 +1,7 @@
 // Windowed telemetry sampler: window-grid semantics over registered
 // counters, exact conservation against the TrafficCounter under QD>1
-// multi-queue load, ring bounds, downsampling, reset semantics, the
+// multi-queue load, windows that close at the same chunk read under bulk
+// chunk-run accounting, ring bounds, downsampling, reset semantics, the
 // disabled path, and the TSV dump.
 #include <gtest/gtest.h>
 
@@ -359,6 +360,43 @@ TEST(TelemetryTestbedTest, InlineReadWindowsReconcileUpstreamMwrExactly) {
                 .cell(pcie::Direction::kUpstream, pcie::TrafficClass::kDataPrp)
                 .tlps,
             0u);
+}
+
+// The controller accounts a queue-local chunk run in bulk steps, and a
+// step ends at the read whose completion closes a telemetry window. Every
+// window must still hold exactly the chunk reads and kChunkFetch ledger
+// entries a read-at-a-time fetch leaves in it: the adaptive policy's EWMAs
+// read each window's link utilization. One 4 KiB ByteExpress write on the
+// paper testbed spans windows 7-28 of 2 us each; the per-window vectors
+// below were recorded with the read-at-a-time fetch.
+TEST(TelemetryTestbedTest, ChunkRunWindowsCloseAtTheSameRead) {
+  core::TestbedConfig config;
+  config.telemetry.window_ns = 2'000;
+  Testbed bed(config);
+
+  ByteVec payload(4096);
+  fill_pattern(payload, 4);
+  auto completion = bed.raw_write(payload, TransferMethod::kByteExpress, 1);
+  ASSERT_TRUE(completion.is_ok() && completion->ok());
+  bed.telemetry().flush(bed.clock().now());
+  EXPECT_EQ(bed.clock().now(), 58'664u);
+
+  // Windows 0-6 hold the admin queue setup; 29 is the final partial one.
+  const std::vector<std::uint64_t> want_mrd_up = {
+      1, 1, 0, 1, 0, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3,
+      3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 0};
+  const std::vector<std::uint64_t> want_chunks = {
+      0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 3, 3, 3, 3, 3,
+      3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 0};
+  std::vector<std::uint64_t> mrd_up;
+  std::vector<std::uint64_t> chunks;
+  for (const TelemetrySample& s : bed.telemetry().samples()) {
+    mrd_up.push_back(s.of(LinkDir::kUpstream, TlpKind::kMRd).tlps);
+    chunks.push_back(
+        s.stage_count[std::size_t(obs::TraceStage::kChunkFetch)]);
+  }
+  EXPECT_EQ(mrd_up, want_mrd_up);
+  EXPECT_EQ(chunks, want_chunks);
 }
 
 TEST(TelemetryTestbedTest, ResetCountersRestartsSampling) {
