@@ -253,7 +253,7 @@ bool Controller::service_fault_recovery() {
     if (delayed_[i].release_ns <= now) {
       const DelayedCompletion d = delayed_[i];
       delayed_.erase(delayed_.begin() + static_cast<std::ptrdiff_t>(i));
-      post_completion_now(d.qid, d.sqe, d.status, d.dw0, d.dw1);
+      post_completion(d.qid, d.sqe, d.status, d.dw0, d.dw1);
       progress = true;
     } else {
       ++i;
@@ -268,7 +268,6 @@ bool Controller::service_fault_recovery() {
       reassembly_.drop(payload_id);
       corrupt_payloads_.erase(payload_id);
       deferred_evictions_.increment();
-      commands_processed_.increment();
       if (tracer_ != nullptr && tracer_->enabled() &&
           now > item.defer_start_ns) {
         tracer_->note_command_wait(
@@ -276,10 +275,9 @@ bool Controller::service_fault_recovery() {
             static_cast<std::uint64_t>(now - item.defer_start_ns));
       }
       // Retryable: the host re-sends the command and all of its chunks.
-      post_completion(
-          item.qid, item.sqe,
-          nvme::StatusField::generic(nvme::GenericStatus::kDataTransferError),
-          0);
+      reject(item.qid, item.sqe,
+             nvme::StatusField::generic(
+                 nvme::GenericStatus::kDataTransferError));
       progress = true;
     } else {
       ++i;
@@ -300,64 +298,44 @@ void Controller::run_until_idle() {
 }
 
 void Controller::process_one(std::uint16_t qid) {
-  const Nanoseconds fetch_start = link_.clock().now();
-  const std::uint32_t sqe_slot = sqs_[qid].head;
+  obs::TraceEvent fetch;
+  fetch.stage = obs::TraceStage::kSqeFetch;
+  fetch.start = link_.clock().now();
+  fetch.qid = qid;
+  fetch.slot = sqs_[qid].head;
   // One 64-byte DMA read of the SQE at the head (data travels
   // host->device), then the firmware's command fetch cost.
   link_.read(Direction::kDownstream, TrafficClass::kCommandFetch,
              nvme::kSqeSize);
   link_.clock().advance(config_.timing.cmd_fetch_fw_ns);
   const nvme::SqSlot slot = take_slot(qid);
+  fetch.end = link_.clock().now();
 
   if (qid != 0 && inw::is_ooo_chunk(slot)) {
-    handle_ooo_chunk(slot, qid, sqe_slot, fetch_start);
+    handle_ooo_chunk(slot, qid, fetch.slot, fetch.start);
     drain_deferred();
     return;
   }
 
   SubmissionQueueEntry sqe;
   std::memcpy(&sqe, slot.raw, sizeof(sqe));
+  fetch.cid = sqe.cid;
 
   if (qid == 0) {
-    obs::TraceEvent fetch;
-    fetch.stage = obs::TraceStage::kSqeFetch;
-    fetch.start = fetch_start;
-    fetch.end = link_.clock().now();
-    fetch.qid = qid;
-    fetch.cid = sqe.cid;
-    fetch.slot = sqe_slot;
     record_stage(fetch);
     handle_admin(sqe);
     commands_processed_.increment();
     return;
   }
 
-  // Record the fetch stage for commands with no inline payload here; the
-  // inline path extends the stage with its chunk fetches in handle_io().
-  last_fetch_cost_ns_ = link_.clock().now() - fetch_start;
-
   if (sqe.io_opcode() == nvme::IoOpcode::kVendorBandSlimFragment) {
-    obs::TraceEvent fetch;
-    fetch.stage = obs::TraceStage::kSqeFetch;
     fetch.flags = obs::kFlagAuxCommand;
-    fetch.start = fetch_start;
-    fetch.end = link_.clock().now();
-    fetch.qid = qid;
-    fetch.cid = sqe.cid;
-    fetch.slot = sqe_slot;
     record_stage(fetch);
     handle_fragment(qid, sqe);
     return;
   }
 
   if (bsw::is_fragmented_header(sqe)) {
-    obs::TraceEvent fetch;
-    fetch.stage = obs::TraceStage::kSqeFetch;
-    fetch.start = fetch_start;
-    fetch.end = link_.clock().now();
-    fetch.qid = qid;
-    fetch.cid = sqe.cid;
-    fetch.slot = sqe_slot;
     record_stage(fetch);
     FragmentStream stream;
     stream.header = sqe;
@@ -375,17 +353,11 @@ void Controller::process_one(std::uint16_t qid) {
     }
     std::memcpy(stream.buffer.data(), embedded.data(), embedded.size());
     stream.received = static_cast<std::uint32_t>(embedded.size());
-    fetch_stage_hist_.record(last_fetch_cost_ns_);
     if (stream.received == stream.expected) {
       // Single-command case (sub-24 B payload): no reassembly state is
       // created, so no fragment-processing cost applies — this is what
       // keeps BandSlim competitive for tiny payloads (§3.2/§4.3).
-      commands_processed_.increment();
-      const fault::FaultKind fault =
-          injector_ != nullptr
-              ? injector_->next_command_fault(/*inline_command=*/true, qid)
-              : fault::FaultKind::kNone;
-      complete_with_fault(qid, sqe, stream.buffer, fault);
+      finish(qid, sqe, stream.buffer, /*inline_path=*/true);
     } else {
       const Nanoseconds setup_start = link_.clock().now();
       link_.clock().advance(config_.timing.bandslim_fragment_fw_ns);
@@ -403,162 +375,133 @@ void Controller::process_one(std::uint16_t qid) {
     return;
   }
 
-  handle_io(qid, sqe, sqe_slot);
+  handle_io(qid, sqe, fetch);
 }
 
 void Controller::handle_io(std::uint16_t qid,
                            const SubmissionQueueEntry& sqe,
-                           std::uint32_t sqe_slot) {
-  const Nanoseconds fetch_start = link_.clock().now() - last_fetch_cost_ns_;
+                           obs::TraceEvent fetch) {
   const std::uint64_t length = io_data_length(sqe);
   const std::uint32_t inline_len = sqe.inline_length();
   const bool sqe_ooo = inline_len > 0 && inw::sqe_is_ooo(sqe);
+  const std::uint32_t chunks = inw::raw_chunks_for(inline_len);
 
-  {
-    // The aux field announces the queue-local chunk fetches that will
-    // follow, mirroring exactly the conditions guarding the chunk run
-    // below — the invariant checker's adjacency machine keys off it.
-    std::uint32_t announced = 0;
-    if (inline_len > 0 && config_.byteexpress_enabled &&
-        inline_len == length && !sqe_ooo) {
-      const std::uint32_t chunks = inw::raw_chunks_for(inline_len);
-      if (available(qid) >= chunks) announced = chunks;
-    }
-    obs::TraceEvent fetch;
-    fetch.stage = obs::TraceStage::kSqeFetch;
-    if (sqe_ooo) fetch.flags = obs::kFlagOooCommand;
-    fetch.start = fetch_start;
-    fetch.end = link_.clock().now();
-    fetch.qid = qid;
-    fetch.cid = sqe.cid;
-    fetch.slot = sqe_slot;
-    fetch.aux = announced;
-    fetch.bytes = inline_len;
-    record_stage(fetch);
+  // The aux field announces the queue-local chunk fetches that will
+  // follow, under exactly the conditions guarding the chunk run below —
+  // the invariant checker's adjacency machine keys off it.
+  if (inline_len > 0 && inline_len == length && !sqe_ooo &&
+      available(qid) >= chunks) {
+    fetch.aux = chunks;
   }
+  if (sqe_ooo) fetch.flags = obs::kFlagOooCommand;
+  fetch.bytes = inline_len;
+  record_stage(fetch);
 
   if (inline_len > 0) {
-    if (!config_.byteexpress_enabled) {
-      post_completion(
-          qid, sqe,
-          nvme::StatusField::generic(nvme::GenericStatus::kInvalidField), 0);
-      commands_processed_.increment();
-      return;
-    }
     if (inline_len != length) {
-      post_completion(qid, sqe,
-                      nvme::StatusField::vendor(
-                          nvme::VendorStatus::kInlineLengthMismatch),
-                      0);
-      commands_processed_.increment();
+      reject(qid, sqe,
+             nvme::StatusField::vendor(
+                 nvme::VendorStatus::kInlineLengthMismatch));
       return;
     }
 
     if (sqe_ooo) {
-      if (!config_.enable_ooo_reassembly) {
-        post_completion(
-            qid, sqe,
-            nvme::StatusField::generic(nvme::GenericStatus::kInvalidField),
-            0);
-        commands_processed_.increment();
-        return;
-      }
-      const std::uint32_t payload_id = inw::sqe_ooo_payload_id(sqe);
-      fetch_stage_hist_.record(last_fetch_cost_ns_);
       fault::FaultKind fault =
           injector_ != nullptr
               ? injector_->next_command_fault(/*inline_command=*/true, qid)
               : fault::FaultKind::kNone;
+      const std::uint32_t payload_id = inw::sqe_ooo_payload_id(sqe);
       if (reassembly_.complete(payload_id)) {
-        auto payload = reassembly_.take(payload_id, inline_len);
-        commands_processed_.increment();
-        if (payload.is_ok()) ooo_reassembled_.increment();
-        if (!payload.is_ok()) {
-          post_completion(qid, sqe,
-                          nvme::StatusField::vendor(
-                              nvme::VendorStatus::kInlineLengthMismatch),
-                          0);
-          return;
-        }
-        // A kChunkCorrupt drawn after every chunk already passed its CRC
-        // degenerates to the Data Transfer Error it would have caused.
-        complete_with_fault(qid, sqe, *payload, fault);
-      } else {
-        if (fault == fault::FaultKind::kChunkCorrupt) {
-          // Apply the corruption physically: the next chunk of this
-          // payload gets a byte flipped, fails its CRC, and the deferred
-          // command later times out into a retryable error.
-          corrupt_payloads_.insert(payload_id);
-          fault = fault::FaultKind::kNone;
-        }
-        const Nanoseconds deadline =
-            injector_ != nullptr && config_.deferred_ttl_ns > 0
-                ? link_.clock().now() + config_.deferred_ttl_ns
-                : 0;
-        deferred_.push_back(
-            DeferredInline{sqe, qid, deadline, fault, link_.clock().now()});
+        finish_ooo(qid, sqe, fault);
+        return;
       }
+      if (fault == fault::FaultKind::kChunkCorrupt) {
+        // Apply the corruption physically: the next chunk of this
+        // payload gets a byte flipped, fails its CRC, and the deferred
+        // command later times out into a retryable error.
+        corrupt_payloads_.insert(payload_id);
+        fault = fault::FaultKind::kNone;
+      }
+      const Nanoseconds deadline =
+          injector_ != nullptr && config_.deferred_ttl_ns > 0
+              ? link_.clock().now() + config_.deferred_ttl_ns
+              : 0;
+      deferred_.push_back(
+          DeferredInline{sqe, qid, deadline, fault, link_.clock().now()});
       return;
     }
 
     // Queue-local inline transfer (§3.3): the chunks MUST already sit in
     // this same SQ right behind the command — the host wrote them before
     // ringing the doorbell. Fetch them from this queue only.
-    const std::uint32_t chunks = inw::raw_chunks_for(inline_len);
     if (available(qid) < chunks) {
       // The doorbell covered the command but not its chunks: host-side
       // protocol violation. Do not consume foreign entries.
-      post_completion(qid, sqe,
-                      nvme::StatusField::vendor(
-                          nvme::VendorStatus::kInlineLengthMismatch),
-                      0);
-      commands_processed_.increment();
+      reject(qid, sqe,
+             nvme::StatusField::vendor(
+                 nvme::VendorStatus::kInlineLengthMismatch));
       return;
     }
     ByteVec payload(inline_len);
     fetch_chunk_run(qid, sqe.cid, payload);
-    last_fetch_cost_ns_ = link_.clock().now() - fetch_start;
-    fetch_stage_hist_.record(last_fetch_cost_ns_);
-    commands_processed_.increment();
-    // Drawn only after the chunk slots were consumed from the ring — a
-    // faulted command must not desynchronize the queue-local protocol.
-    const fault::FaultKind fault =
-        injector_ != nullptr
-            ? injector_->next_command_fault(/*inline_command=*/true, qid)
-            : fault::FaultKind::kNone;
-    complete_with_fault(qid, sqe, payload, fault);
+    // The fault is drawn only after the chunk slots were consumed from the
+    // ring — a faulted command must not desynchronize the queue-local
+    // protocol.
+    finish(qid, sqe, payload, /*inline_path=*/true);
     return;
   }
-
-  fetch_stage_hist_.record(last_fetch_cost_ns_);
-  commands_processed_.increment();
 
   // Native data path.
   ByteVec payload;
   if (length > 0 && !nvme::is_read_direction(sqe.io_opcode())) {
     auto gathered = gather_host_data(qid, sqe, length);
     if (!gathered.is_ok()) {
-      post_completion(
-          qid, sqe,
-          nvme::StatusField::generic(nvme::GenericStatus::kDataTransferError),
-          0);
+      reject(qid, sqe,
+             nvme::StatusField::generic(
+                 nvme::GenericStatus::kDataTransferError));
       return;
     }
     payload = std::move(gathered).value();
   }
+  // A command returning its payload over the inline-read ring counts as
+  // inline for `inline_only` fault policies — the ring is the
+  // byte-granular path those policies target.
+  finish(qid, sqe, payload, reads_inline(qid, sqe));
+}
+
+void Controller::finish(std::uint16_t qid, const SubmissionQueueEntry& sqe,
+                        ConstByteSpan payload, bool inline_path) {
+  commands_processed_.increment();
   // Drawn only for commands that reached their completion point, so every
-  // counted fault costs the host exactly one failed attempt. A command
-  // returning its payload over the inline-read ring counts as inline for
-  // `inline_only` fault policies — the ring is the byte-granular path
-  // those policies target.
-  const bool inline_path = config_.enable_inline_read &&
-                           inr::sqe_wants_inline_read(sqe) &&
-                           read_rings_[qid].valid;
+  // counted fault costs the host exactly one failed attempt.
   const fault::FaultKind fault =
-      injector_ != nullptr
-          ? injector_->next_command_fault(inline_path, qid)
-          : fault::FaultKind::kNone;
+      injector_ != nullptr ? injector_->next_command_fault(inline_path, qid)
+                           : fault::FaultKind::kNone;
   complete_with_fault(qid, sqe, payload, fault);
+}
+
+void Controller::reject(std::uint16_t qid, const SubmissionQueueEntry& sqe,
+                        nvme::StatusField status) {
+  post_completion(qid, sqe, status, 0);
+  commands_processed_.increment();
+}
+
+void Controller::finish_ooo(std::uint16_t qid,
+                            const SubmissionQueueEntry& sqe,
+                            fault::FaultKind fault) {
+  auto payload =
+      reassembly_.take(inw::sqe_ooo_payload_id(sqe), sqe.inline_length());
+  if (!payload.is_ok()) {
+    reject(qid, sqe,
+           nvme::StatusField::vendor(
+               nvme::VendorStatus::kInlineLengthMismatch));
+    return;
+  }
+  commands_processed_.increment();
+  ooo_reassembled_.increment();
+  // A kChunkCorrupt drawn after every chunk already passed its CRC
+  // degenerates to the Data Transfer Error it would have caused.
+  complete_with_fault(qid, sqe, *payload, fault);
 }
 
 void Controller::handle_ooo_chunk(const nvme::SqSlot& slot, std::uint16_t qid,
@@ -639,13 +582,7 @@ void Controller::handle_fragment(std::uint16_t qid,
                           nvme::VendorStatus::kFragmentProtocolError),
                       0);
     } else {
-      commands_processed_.increment();
-      const fault::FaultKind fault =
-          injector_ != nullptr
-              ? injector_->next_command_fault(/*inline_command=*/true,
-                                              stream.qid)
-              : fault::FaultKind::kNone;
-      complete_with_fault(stream.qid, stream.header, stream.buffer, fault);
+      finish(stream.qid, stream.header, stream.buffer, /*inline_path=*/true);
     }
     streams_.erase(it);
   }
@@ -789,7 +726,8 @@ Status Controller::scatter_host_data(std::uint16_t qid,
 
 void Controller::execute_and_complete(std::uint16_t qid,
                                       const SubmissionQueueEntry& sqe,
-                                      ConstByteSpan payload) {
+                                      ConstByteSpan payload,
+                                      fault::FaultKind fault) {
   const Nanoseconds exec_start = link_.clock().now();
   if (tracer_ != nullptr) tracer_->set_device_context(qid, sqe.cid);
   ExecResult result = executor_.execute(sqe, payload);
@@ -815,22 +753,23 @@ void Controller::execute_and_complete(std::uint16_t qid,
     // client can grow its buffer and retry).
     const std::uint64_t inline_len =
         std::min<std::uint64_t>(result.read_data.size(), declared);
-    if (inline_read_eligible(qid, sqe, inline_len)) {
+    if (reads_inline(qid, sqe) && inline_len > 0 &&
+        inr::read_chunks_for(inline_len) <= read_rings_[qid].slots) {
       // ByteExpress-R: the payload returns as chunk MWr TLPs into the
       // queue's completion ring; the CQE (below) carries the slot range.
       dw1 = emit_inline_read(
           qid, sqe,
           ConstByteSpan(result.read_data)
-              .subspan(0, static_cast<std::size_t>(inline_len)));
+              .subspan(0, static_cast<std::size_t>(inline_len)),
+          fault == fault::FaultKind::kChunkCorrupt);
     } else {
       const Status scattered =
           scatter_host_data(qid, sqe, result.read_data, declared);
       if (!scattered.is_ok()) {
-        post_completion(
-            qid, sqe,
-            nvme::StatusField::generic(
-                nvme::GenericStatus::kDataTransferError),
-            0);
+        post_completion(qid, sqe,
+                        nvme::StatusField::generic(
+                            nvme::GenericStatus::kDataTransferError),
+                        0, 0, fault);
         return;
       }
     }
@@ -839,23 +778,18 @@ void Controller::execute_and_complete(std::uint16_t qid,
           std::min<std::uint64_t>(result.read_data.size(), declared));
     }
   }
-  post_completion(qid, sqe, result.status, dw0, dw1);
+  post_completion(qid, sqe, result.status, dw0, dw1, fault);
 }
 
-bool Controller::inline_read_eligible(
-    std::uint16_t qid, const SubmissionQueueEntry& sqe,
-    std::uint64_t data_len) const noexcept {
-  if (!config_.enable_inline_read || !inr::sqe_wants_inline_read(sqe)) {
-    return false;
-  }
-  const ReadRing& ring = read_rings_[qid];
-  return ring.valid && data_len > 0 &&
-         inr::read_chunks_for(data_len) <= ring.slots;
+bool Controller::reads_inline(std::uint16_t qid,
+                              const SubmissionQueueEntry& sqe) const noexcept {
+  return config_.enable_inline_read && inr::sqe_wants_inline_read(sqe) &&
+         read_rings_[qid].valid;
 }
 
 std::uint32_t Controller::emit_inline_read(std::uint16_t qid,
                                            const SubmissionQueueEntry& sqe,
-                                           ConstByteSpan data) {
+                                           ConstByteSpan data, bool corrupt) {
   ReadRing& ring = read_rings_[qid];
   const std::uint32_t chunks = inr::read_chunks_for(data.size());
   const std::uint32_t first_slot = ring.cursor;
@@ -869,11 +803,10 @@ std::uint32_t Controller::emit_inline_read(std::uint16_t qid,
         static_cast<std::uint16_t>(chunks),
         data.subspan(static_cast<std::size_t>(offset),
                      static_cast<std::size_t>(take)));
-    if (corrupt_next_read_chunk_) {
+    if (corrupt && i == 0) {
       // Injected kChunkCorrupt: flip one payload byte after the CRC was
       // computed — the host-side CRC32-C check must reject the chunk.
       slot.raw[inr::kReadHeaderBytes] ^= 0xff;
-      corrupt_next_read_chunk_ = false;
     }
     link_.clock().advance(config_.timing.chunk_copy_ns);
     // One 64-byte MWr TLP per ring slot — the symmetric counterpart of the
@@ -904,65 +837,48 @@ void Controller::complete_with_fault(std::uint16_t qid,
                                      const SubmissionQueueEntry& sqe,
                                      ConstByteSpan payload,
                                      fault::FaultKind fault) {
+  nvme::GenericStatus status;
   switch (fault) {
-    case fault::FaultKind::kNone:
-      execute_and_complete(qid, sqe, payload);
-      return;
     case fault::FaultKind::kChunkCorrupt:
-      if (config_.enable_inline_read && inr::sqe_wants_inline_read(sqe) &&
-          read_rings_[qid].valid) {
-        // Inline-read command: apply the corruption physically to an
+      if (reads_inline(qid, sqe)) {
+        // Inline-read command: the corruption is applied physically to an
         // emitted chunk so the *host-side* CRC check has to catch it
         // (zero-undetected-corruption acceptance criterion). The host
         // rewrites the completion to a retryable Data Transfer Error.
-        corrupt_next_read_chunk_ = true;
-        execute_and_complete(qid, sqe, payload);
-        corrupt_next_read_chunk_ = false;
+        execute_and_complete(qid, sqe, payload, fault);
         return;
       }
       // The device detected a CRC mismatch while assembling the payload:
       // the command fails without executing, retryably.
-      post_completion(
-          qid, sqe,
-          nvme::StatusField::generic(nvme::GenericStatus::kDataTransferError),
-          0);
-      return;
+      status = nvme::GenericStatus::kDataTransferError;
+      break;
     case fault::FaultKind::kErrorCompletion:
-      post_completion(
-          qid, sqe,
-          nvme::StatusField::generic(nvme::GenericStatus::kInternalError), 0);
-      return;
+      status = nvme::GenericStatus::kInternalError;
+      break;
     case fault::FaultKind::kErrorRetryable:
-      post_completion(
-          qid, sqe,
-          nvme::StatusField::generic(nvme::GenericStatus::kNamespaceNotReady),
-          0);
-      return;
-    case fault::FaultKind::kCompletionDrop:
-    case fault::FaultKind::kCompletionDelay:
-      // The command executes normally; only its completion is diverted
-      // (consumed by the post_completion wrapper). A later host retry
-      // after the timeout re-executes the command — standard NVMe abort
-      // -and-resubmit semantics.
-      completion_fault_ = fault;
-      execute_and_complete(qid, sqe, payload);
-      completion_fault_ = fault::FaultKind::kNone;
+      status = nvme::GenericStatus::kNamespaceNotReady;
+      break;
+    default:
+      // kNone, or a drop/delay: the command executes normally and only
+      // its completion is diverted. A later host retry after the timeout
+      // re-executes the command — standard NVMe abort-and-resubmit
+      // semantics.
+      execute_and_complete(qid, sqe, payload, fault);
       return;
   }
+  post_completion(qid, sqe, nvme::StatusField::generic(status), 0);
 }
 
 void Controller::post_completion(std::uint16_t qid,
                                  const SubmissionQueueEntry& sqe,
-                                 nvme::StatusField status,
-                                 std::uint32_t dw0, std::uint32_t dw1) {
-  if (completion_fault_ == fault::FaultKind::kCompletionDrop) {
-    completion_fault_ = fault::FaultKind::kNone;
+                                 nvme::StatusField status, std::uint32_t dw0,
+                                 std::uint32_t dw1, fault::FaultKind fault) {
+  if (fault == fault::FaultKind::kCompletionDrop) {
     lost_.push_back(LostCompletion{qid, sqe.cid});
     completions_dropped_.increment();
     return;
   }
-  if (completion_fault_ == fault::FaultKind::kCompletionDelay) {
-    completion_fault_ = fault::FaultKind::kNone;
+  if (fault == fault::FaultKind::kCompletionDelay) {
     const Nanoseconds delay =
         injector_ != nullptr ? injector_->policy().delay_ns : 0;
     delayed_.push_back(DelayedCompletion{qid, sqe, status, dw0, dw1,
@@ -970,13 +886,6 @@ void Controller::post_completion(std::uint16_t qid,
     completions_delayed_.increment();
     return;
   }
-  post_completion_now(qid, sqe, status, dw0, dw1);
-}
-
-void Controller::post_completion_now(std::uint16_t qid,
-                                     const SubmissionQueueEntry& sqe,
-                                     nvme::StatusField status,
-                                     std::uint32_t dw0, std::uint32_t dw1) {
   const SqState& sq = sqs_[qid];
   BX_ASSERT(sq.valid);
   CqState& cq = cqs_[sq.cqid];
@@ -1028,8 +937,8 @@ nvme::TransferStatsLog Controller::transfer_stats() const noexcept {
   log.completions_posted = completions_posted_.value();
   log.ooo_payloads_reassembled = ooo_reassembled_.value();
   log.fetch_stage_total_ns =
-      static_cast<std::uint64_t>(fetch_stage_hist_.mean() *
-                                 double(fetch_stage_hist_.count()));
+      stage_ns_[std::size_t(obs::TraceStage::kSqeFetch)].value() +
+      stage_ns_[std::size_t(obs::TraceStage::kChunkFetch)].value();
   return log;
 }
 
@@ -1136,18 +1045,7 @@ void Controller::drain_deferred() {
             static_cast<std::uint64_t>(link_.clock().now() -
                                        item.defer_start_ns));
       }
-      auto payload =
-          reassembly_.take(payload_id, item.sqe.inline_length());
-      commands_processed_.increment();
-      if (payload.is_ok()) ooo_reassembled_.increment();
-      if (!payload.is_ok()) {
-        post_completion(item.qid, item.sqe,
-                        nvme::StatusField::vendor(
-                            nvme::VendorStatus::kInlineLengthMismatch),
-                        0);
-      } else {
-        complete_with_fault(item.qid, item.sqe, *payload, item.fault);
-      }
+      finish_ooo(item.qid, item.sqe, item.fault);
     } else {
       ++i;
     }

@@ -13,8 +13,7 @@
 //     matter the payload size — the amplification of Figures 1(b)/(c)),
 //   * SGL data DMA is exact-sized (§5),
 //   * BandSlim fragment commands are reassembled per stream,
-//   * the §3.3.2 out-of-order identifier-based reassembly is implemented
-//     behind Config::enable_ooo_reassembly.
+//   * the §3.3.2 out-of-order identifier-based reassembly is implemented.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +22,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/histogram.h"
 #include "fault/fault.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
@@ -48,10 +46,6 @@ class Controller {
 
   struct Config {
     nvme::DeviceTimingModel timing{};
-    /// Firmware support switch: with ByteExpress disabled, a non-zero
-    /// inline length is an invalid field (forward-compatibility tests).
-    bool byteexpress_enabled = true;
-    bool enable_ooo_reassembly = true;
     /// ByteExpress-R firmware support switch: with inline reads disabled
     /// the controller rejects kVendorReadRing advertisements (Invalid
     /// Field) and ignores the SQE inline-read marker, so the driver falls
@@ -102,17 +96,6 @@ class Controller {
   /// Drains all pending work.
   void run_until_idle();
 
-  /// Fetch-stage cost (Table 1, controller column) of the most recent
-  /// command: SQE fetch + inline chunk fetches, firmware and link time.
-  [[nodiscard]] Nanoseconds last_fetch_cost() const noexcept {
-    return last_fetch_cost_ns_;
-  }
-  [[nodiscard]] const LatencyHistogram& fetch_stage_histogram()
-      const noexcept {
-    return fetch_stage_hist_;
-  }
-  void reset_fetch_stats() noexcept { fetch_stage_hist_.reset(); }
-
   [[nodiscard]] const ReassemblyEngine& reassembly() const noexcept {
     return reassembly_;
   }
@@ -127,11 +110,13 @@ class Controller {
     return stage_count_[std::size_t(obs::TraceStage::kChunkFetch)].value();
   }
   /// The vendor transfer-stats log (also served via Get Log Page 0xC0).
+  /// Its fetch-stage total is the stage ledger's SQE + chunk fetch time.
   [[nodiscard]] nvme::TransferStatsLog transfer_stats() const noexcept;
 
   /// The vendor stage-stats log (also served via Get Log Page 0xC1):
   /// always-on per-stage firmware timing for I/O queues, built on read
-  /// from the stage ledger.
+  /// from the stage ledger. A delta of it around a command is that
+  /// command's stage cost (Table 1's controller column).
   [[nodiscard]] nvme::StageStatsLog stage_stats() const noexcept;
 
   /// Attaches the trace recorder; device-side stage events flow into it.
@@ -281,21 +266,40 @@ class Controller {
   void fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
                        ByteSpan payload);
 
+  /// Fetches the SQE at the head and builds its kSqeFetch event, which
+  /// each command path records once.
   void process_one(std::uint16_t qid);
   void handle_admin(const nvme::SubmissionQueueEntry& sqe);
-  /// `sqe_slot` is the ring index the SQE was fetched from (trace events).
+  /// `fetch` is the command's kSqeFetch event; handle_io adds the
+  /// announced chunks, the OOO flag and the inline length, then records it.
   void handle_io(std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe,
-                 std::uint32_t sqe_slot);
+                 obs::TraceEvent fetch);
   void handle_ooo_chunk(const nvme::SqSlot& slot, std::uint16_t qid,
                         std::uint32_t ring_slot, Nanoseconds fetch_start);
   void handle_fragment(std::uint16_t qid,
                        const nvme::SubmissionQueueEntry& sqe);
 
+  /// The completion point of an I/O command that reached it: counts the
+  /// command, draws its fault and completes it (complete_with_fault).
+  /// `inline_path` selects the injector's `inline_only` scope.
+  void finish(std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe,
+              ConstByteSpan payload, bool inline_path);
+  /// Fails an I/O command before execution: posts `status` and counts it.
+  void reject(std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe,
+              nvme::StatusField status);
+  /// Completes an OOO command whose chunks have all arrived, with the
+  /// fault drawn at its fetch: takes the reassembled payload, then
+  /// rejects a length mismatch or counts and completes it.
+  void finish_ooo(std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe,
+                  fault::FaultKind fault);
+
   /// Runs the executor and sends the completion (including read-direction
-  /// data return through the command's data pointer).
+  /// data return through the command's data pointer). A drop or delay
+  /// `fault` diverts the completion; kChunkCorrupt corrupts an inline-read
+  /// return.
   void execute_and_complete(std::uint16_t qid,
                             const nvme::SubmissionQueueEntry& sqe,
-                            ConstByteSpan payload);
+                            ConstByteSpan payload, fault::FaultKind fault);
 
   /// Gathers write-direction PRP/SGL data from host memory (charging DMA
   /// traffic); returns the payload bytes.
@@ -308,38 +312,35 @@ class Controller {
                            ConstByteSpan data,
                            std::uint64_t declared_length);
 
-  /// ByteExpress-R: true when this command's read payload should return
-  /// inline through the queue's completion ring instead of PRP/SGL.
-  [[nodiscard]] bool inline_read_eligible(
-      std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe,
-      std::uint64_t data_len) const noexcept;
+  /// ByteExpress-R: true when this command asks for its read payload
+  /// inline and the queue has an advertised completion ring.
+  [[nodiscard]] bool reads_inline(
+      std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe) const noexcept;
   /// Emits `data` as CRC-framed chunk MWr TLPs into the queue's completion
   /// ring and returns the CQE DW1 encoding (flag | first slot | chunks).
+  /// `corrupt` flips one payload byte of the first chunk after its CRC is
+  /// computed (an injected kChunkCorrupt).
   std::uint32_t emit_inline_read(std::uint16_t qid,
                                  const nvme::SubmissionQueueEntry& sqe,
-                                 ConstByteSpan data);
+                                 ConstByteSpan data, bool corrupt);
 
   /// Bytes a PRP data transaction moves for `length` payload bytes across
   /// `page_count` pages, honoring the configured transfer unit.
   [[nodiscard]] std::uint64_t prp_transfer_bytes(
       std::uint64_t length, std::size_t page_count) const noexcept;
 
-  /// Diversion wrapper: consumes a pending completion fault (drop/delay)
-  /// before delegating to post_completion_now.
-  void post_completion(std::uint16_t qid,
-                       const nvme::SubmissionQueueEntry& sqe,
-                       nvme::StatusField status, std::uint32_t dw0,
-                       std::uint32_t dw1 = 0);
-  /// Builds and posts the CQE unconditionally (the original post path).
-  void post_completion_now(std::uint16_t qid,
-                           const nvme::SubmissionQueueEntry& sqe,
-                           nvme::StatusField status, std::uint32_t dw0,
-                           std::uint32_t dw1 = 0);
+  /// Builds and posts the CQE. A kCompletionDrop `fault` loses it (a host
+  /// Abort later finds it in lost_); a kCompletionDelay holds it in
+  /// delayed_ until the injector's delay passes.
+  void post_completion(
+      std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe,
+      nvme::StatusField status, std::uint32_t dw0, std::uint32_t dw1 = 0,
+      fault::FaultKind fault = fault::FaultKind::kNone);
 
-  /// Applies the fault drawn for a command at its completion point:
-  /// kNone executes normally; corrupt/error kinds post the corresponding
-  /// NVMe error status instead of executing; drop/delay kinds execute but
-  /// divert the completion.
+  /// Applies the fault drawn for a command at its completion point. The
+  /// error kinds, and kChunkCorrupt on a command that does not read
+  /// inline, post their NVMe error status instead of executing; every
+  /// other fault executes and travels on to execute_and_complete.
   void complete_with_fault(std::uint16_t qid,
                            const nvme::SubmissionQueueEntry& sqe,
                            ConstByteSpan payload, fault::FaultKind fault);
@@ -389,8 +390,6 @@ class Controller {
   /// Per-qid inline-read completion rings (ByteExpress-R).
   std::vector<ReadRing> read_rings_;
 
-  Nanoseconds last_fetch_cost_ns_ = 0;
-  LatencyHistogram fetch_stage_hist_;
   // obs::Counter so bind_metrics() can expose the live counters without a
   // second source of truth; single-writer under the firmware mutex.
   obs::Counter commands_processed_;
@@ -407,9 +406,9 @@ class Controller {
   obs::Counter inline_read_chunks_;
 
   // The stage ledger: per-stage event counts and summed durations for
-  // I/O queues, TraceStage-indexed. It serves Get Log Page 0xC1, the
-  // telemetry stage columns, ctrl.chunks_fetched (kChunkFetch) and
-  // ctrl.inline_read_completions (kReadChunkWrite).
+  // I/O queues, TraceStage-indexed. It serves Get Log Page 0xC1, 0xC0's
+  // fetch-stage total, the telemetry stage columns, ctrl.chunks_fetched
+  // (kChunkFetch) and ctrl.inline_read_completions (kReadChunkWrite).
   obs::StageCounters stage_count_;
   obs::StageCounters stage_ns_;
   // Inline transfer work the firmware is still holding: open BandSlim
@@ -426,13 +425,6 @@ class Controller {
   /// Payload ids whose next arriving OOO chunk gets one byte flipped
   /// (kChunkCorrupt drawn while the payload was still incomplete).
   std::unordered_set<std::uint32_t> corrupt_payloads_;
-  /// Completion fault pending for the command currently completing; the
-  /// post_completion wrapper consumes it.
-  fault::FaultKind completion_fault_ = fault::FaultKind::kNone;
-  /// kChunkCorrupt drawn for an inline-read command: the next
-  /// emit_inline_read flips one payload byte after the CRC is computed,
-  /// so the host-side CRC check must catch it.
-  bool corrupt_next_read_chunk_ = false;
 };
 
 }  // namespace bx::controller

@@ -38,8 +38,12 @@ std::string system_report(Testbed& testbed) {
        static_cast<unsigned long long>(stats.sgl_transactions),
        static_cast<unsigned long long>(stats.completions_posted),
        static_cast<unsigned long long>(stats.ooo_payloads_reassembled));
-  line(out, "fetch stage: %s",
-       testbed.controller().fetch_stage_histogram().summary().c_str());
+  const nvme::StageStatsLog stages = testbed.controller().stage_stats();
+  line(out, "fetch stage: sqe=%llu (%llu ns) chunks=%llu (%llu ns)",
+       static_cast<unsigned long long>(stages.sqe_fetch.count),
+       static_cast<unsigned long long>(stages.sqe_fetch.total_ns),
+       static_cast<unsigned long long>(stages.chunk_fetch.count),
+       static_cast<unsigned long long>(stages.chunk_fetch.total_ns));
 
   auto& device = testbed.device();
   out += "\n--- NAND / FTL ---\n";

@@ -362,7 +362,7 @@ StressResult run_stress(const StressOptions& options) {
   // Payloads must always be submittable with the planned method: cap at
   // the inline bound and what a ring burst can hold.
   const std::uint32_t inline_cap =
-      std::min(config.driver.max_inline_bytes,
+      std::min(driver::NvmeDriver::kMaxInlineBytes,
                (options.queue_depth - 5) *
                    nvme::inline_chunk::kOooChunkCapacity);
   const std::uint32_t payload_cap =
@@ -745,7 +745,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options) {
   Testbed bed(config);
 
   const std::uint32_t payload_cap = std::min(
-      options.max_payload_bytes, config.driver.max_inline_bytes);
+      options.max_payload_bytes, driver::NvmeDriver::kMaxInlineBytes);
 
   FailureSink sink;
   std::mt19937_64 rng(options.seed);

@@ -14,7 +14,10 @@ Testbed::Testbed(TestbedConfig config)
 
   // Observability wiring: one recorder/registry spanning every layer.
   trace_.set_enabled(config.trace_enabled);
-  link_.set_metrics(&metrics_);
+  const pcie::TrafficCounter::Cell& link_totals = traffic_.totals();
+  metrics_.expose_counter("pcie.tlps", &link_totals.tlps);
+  metrics_.expose_counter("pcie.wire_bytes", &link_totals.wire_bytes);
+  metrics_.expose_counter("pcie.data_bytes", &link_totals.data_bytes);
   device_->set_tracer(&trace_);
   controller_->set_tracer(&trace_);
   controller_->bind_metrics(metrics_);
@@ -26,7 +29,6 @@ Testbed::Testbed(TestbedConfig config)
   // policy.qN.congested gauges.
   if (config.policy_enabled) {
     policy::AdaptivePolicyConfig pconfig = config.policy;
-    pconfig.max_inline_bytes = config.driver.max_inline_bytes;
     pconfig.link_bytes_per_ns = link_.config().bytes_per_ns();
     policy_ = std::make_unique<policy::AdaptivePolicy>(pconfig);
     policy_->bind_metrics(metrics_);
@@ -99,7 +101,6 @@ StatusOr<driver::Completion> Testbed::raw_write(
 
 void Testbed::reset_counters() {
   traffic_.reset();
-  controller_->reset_fetch_stats();
   trace_.clear();
   // Re-bases the windows on the reset traffic counter before any window
   // can close against the old baseline.

@@ -37,8 +37,8 @@ struct TestbedConfig {
   driver::NvmeDriver::Config driver{};
   controller::Controller::Config controller{};
   ssd::SsdDevice::Config ssd{};
-  /// Runtime switch for the end-to-end trace recorder (compile-time gate:
-  /// -DBX_OBS_TRACE). Metrics and the 0xC1 stage log stay on regardless.
+  /// Runtime switch for the end-to-end trace recorder. Metrics and the
+  /// 0xC1 stage log stay on regardless.
   bool trace_enabled = true;
   /// Windowed time-series sampler (PCM-style link telemetry). With
   /// `telemetry.enabled = false` no window ever closes and the link gets
@@ -54,9 +54,8 @@ struct TestbedConfig {
   /// Adaptive method selection (TransferMethod::kAuto, docs/POLICY.md).
   /// When enabled an AdaptivePolicy is built and attached to the driver
   /// and telemetry; otherwise kAuto degrades to kHybrid semantics. The
-  /// feasibility mirror (`policy.max_inline_bytes`) and link rate
-  /// (`policy.link_bytes_per_ns`) are overwritten at assembly from the
-  /// driver and link configs so they cannot drift.
+  /// link rate (`policy.link_bytes_per_ns`) is overwritten at assembly
+  /// from the link config so it cannot drift.
   bool policy_enabled = false;
   policy::AdaptivePolicyConfig policy{};
 };
@@ -116,9 +115,10 @@ class Testbed {
                                          driver::TransferMethod method,
                                          std::uint16_t qid = 1);
 
-  /// Resets traffic counters, the controller's fetch-stage histogram and
+  /// Resets the traffic counters (and with them the `pcie.*` metrics) and
   /// the trace buffer, and restarts telemetry sampling (the clock keeps
-  /// running — simulated time is monotonic).
+  /// running — simulated time is monotonic). Controller counters and the
+  /// stage ledger keep counting; measure them as deltas.
   void reset_counters();
 
  private:

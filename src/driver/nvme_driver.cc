@@ -362,10 +362,10 @@ StatusOr<ResolvedMethod> NvmeDriver::resolve_method(
   const std::uint64_t len = request.write_data.size();
 
   // The largest payload that can actually go inline on this queue: the
-  // config cap AND the ring-capacity bound (command + chunks must fit the
+  // inline cap AND the ring-capacity bound (command + chunks must fit the
   // depth - 1 usable slots).
   const std::uint64_t inline_cap = std::min<std::uint64_t>(
-      config_.max_inline_bytes,
+      kMaxInlineBytes,
       std::uint64_t{config_.io_queue_depth - 2} * nvme::kChunkSize);
 
   if (method == TransferMethod::kAuto) {
@@ -391,7 +391,7 @@ StatusOr<ResolvedMethod> NvmeDriver::resolve_method(
 
   if (method == TransferMethod::kHybrid) {
     // Clamp the hybrid cut to what can actually go inline: a threshold
-    // configured above max_inline_bytes (or the ring bound) must classify
+    // configured above kMaxInlineBytes (or the ring bound) must classify
     // oversized payloads as PRP outright, not as ByteExpress commands
     // that immediately take the feasibility-fallback branch and inflate
     // driver.inline_fallback_prp.
@@ -414,7 +414,7 @@ StatusOr<ResolvedMethod> NvmeDriver::resolve_method(
             ? UINT32_MAX  // BandSlim commands recycle slot by slot
             : (config_.io_queue_depth - 2) * nvme::kChunkSize;
     if (!nvme::is_write_direction(request.opcode) || len == 0 ||
-        len > config_.max_inline_bytes || len > max_ring_payload) {
+        len > kMaxInlineBytes || len > max_ring_payload) {
       method = TransferMethod::kPrp;
       resolved.feasibility_fallback = true;
       inline_like = false;
@@ -1436,7 +1436,7 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
       request.write_data.empty()) {
     return invalid_argument("OOO striping requires a write-direction payload");
   }
-  if (request.write_data.size() > config_.max_inline_bytes) {
+  if (request.write_data.size() > kMaxInlineBytes) {
     return invalid_argument("payload too large for inline transfer");
   }
   // Striping is an explicit caller choice, so a kAuto request keeps its

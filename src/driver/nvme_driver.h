@@ -70,6 +70,9 @@ class NvmeDriver {
  public:
   /// Admin SQ/CQ depth.
   static constexpr std::uint32_t kAdminQueueDepth = 32;
+  /// Writes above this many bytes (or too large for the ring) cannot go
+  /// inline and fall back to PRP.
+  static constexpr std::uint32_t kMaxInlineBytes = 8192;
   /// Reads at or below this many bytes return inline when completion-ring
   /// slots are available; larger reads use the native PRP/SGL return.
   static constexpr std::uint32_t kMaxInlineReadBytes = 4096;
@@ -80,9 +83,6 @@ class NvmeDriver {
     nvme::HostTimingModel timing{};
     /// kHybrid: payloads at or below this go inline, above go PRP (§4.2).
     std::uint32_t hybrid_threshold_bytes = 256;
-    /// Payloads above this (or too large for the ring, or read-direction)
-    /// cannot go inline and fall back to PRP.
-    std::uint32_t max_inline_bytes = 8192;
 
     // ---- ByteExpress-R inline read completions (docs/READPATH.md) ----
 

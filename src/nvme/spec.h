@@ -69,6 +69,7 @@ struct TransferStatsLog {
   std::uint64_t sgl_transactions = 0;
   std::uint64_t completions_posted = 0;
   std::uint64_t ooo_payloads_reassembled = 0;
+  /// The 0xC1 ledger's sqe_fetch + chunk_fetch ns.
   std::uint64_t fetch_stage_total_ns = 0;
 };
 static_assert(sizeof(TransferStatsLog) == 64);

@@ -47,11 +47,10 @@ bool is_device_service_stage(TraceStage stage) noexcept {
 
 void TraceRecorder::store_events(std::span<const TraceEvent> events) {
   const std::uint64_t n = events.size();
-  const std::uint64_t capacity = capacity_.load(std::memory_order_relaxed);
   const std::uint64_t before =
       stored_.fetch_add(n, std::memory_order_relaxed);
   const std::uint64_t kept =
-      before >= capacity ? 0 : std::min(n, capacity - before);
+      before >= kCapacity ? 0 : std::min(n, kCapacity - before);
   if (kept < n) {
     stored_.fetch_sub(n - kept, std::memory_order_relaxed);
     dropped_.fetch_add(n - kept, std::memory_order_relaxed);

@@ -32,9 +32,9 @@
 // two runs of the same seeded scenario produce byte-identical dump()
 // output (tests/trace_golden_test.cc asserts this).
 //
-// Cost when disabled: configure with -DBX_OBS_TRACE=OFF and enabled() is
-// a compile-time false — every instrumentation site is
-// `if (tracer && tracer->enabled())`, which the compiler folds away.
+// Cost when disabled: every instrumentation site is
+// `if (tracer && tracer->enabled())`, one relaxed load. Memory: at most
+// kCapacity events are kept; later ones are dropped and counted.
 #pragma once
 
 #include <array>
@@ -177,11 +177,9 @@ struct SamplingConfig {
 
 class TraceRecorder {
  public:
-#ifdef BX_OBS_TRACE_DISABLED
-  static constexpr bool kCompiledIn = false;
-#else
-  static constexpr bool kCompiledIn = true;
-#endif
+  /// Events kept before new ones are dropped (memory bound for very long
+  /// benchmark runs); dropped events are counted, never silently lost.
+  static constexpr std::uint64_t kCapacity = std::uint64_t{1} << 20;
 
   TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
@@ -190,17 +188,11 @@ class TraceRecorder {
   void set_enabled(bool enabled) noexcept {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
-  /// Folds to `false` at compile time when tracing is configured out; all
-  /// instrumentation sites guard on this.
+  /// All instrumentation sites guard on this.
   [[nodiscard]] bool enabled() const noexcept {
-    return kCompiledIn && enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Events kept before new ones are dropped (memory bound for very long
-  /// benchmark runs); dropped events are counted, never silently lost.
-  void set_capacity(std::uint64_t max_events) noexcept {
-    capacity_.store(max_events, std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
@@ -309,7 +301,6 @@ class TraceRecorder {
 
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> capacity_{1u << 20};
   std::atomic<std::uint64_t> stored_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::array<Shard, kShards> shards_;

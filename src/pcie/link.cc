@@ -34,16 +34,6 @@ Nanoseconds PcieLink::serialize_time(std::uint64_t wire_bytes) const noexcept {
       std::llround(double(wire_bytes) / config_.bytes_per_ns()));
 }
 
-void PcieLink::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    tlps_metric_ = wire_bytes_metric_ = data_bytes_metric_ = nullptr;
-    return;
-  }
-  tlps_metric_ = &metrics->counter("pcie.tlps");
-  wire_bytes_metric_ = &metrics->counter("pcie.wire_bytes");
-  data_bytes_metric_ = &metrics->counter("pcie.data_bytes");
-}
-
 // pcie::Direction / TlpType share numeric values with obs::LinkDir /
 // TlpKind (bx_obs sits below bx_pcie and cannot include these headers).
 static_assert(int(Direction::kUpstream) == int(obs::LinkDir::kUpstream) &&
@@ -66,17 +56,6 @@ void PcieLink::set_telemetry(obs::Telemetry* telemetry) {
   }
 }
 
-void PcieLink::record(Direction dir, TrafficClass cls, TlpType type,
-                      std::uint64_t tlps, std::uint64_t data_bytes,
-                      std::uint64_t wire_bytes) noexcept {
-  counter_.record(dir, cls, type, tlps, data_bytes, wire_bytes);
-  if (tlps_metric_ != nullptr) {
-    tlps_metric_->add(tlps);
-    wire_bytes_metric_->add(wire_bytes);
-    data_bytes_metric_->add(data_bytes);
-  }
-}
-
 Nanoseconds PcieLink::maybe_replay(Direction dir, TrafficClass cls,
                                    TlpType type,
                                    std::uint64_t wire_bytes) noexcept {
@@ -86,7 +65,7 @@ Nanoseconds PcieLink::maybe_replay(Direction dir, TrafficClass cls,
   // The retransmitted TLP costs wire bytes and time only: no data bytes
   // and no logical TLP, so per-TLP/data-byte conservation checks see the
   // same logical traffic with or without replays.
-  record(dir, cls, type, 0, 0, wire_bytes);
+  counter_.record(dir, cls, type, 0, 0, wire_bytes);
   return config_.propagation_ns + serialize_time(wire_bytes);
 }
 
@@ -102,7 +81,7 @@ Nanoseconds PcieLink::post_write(Direction dir, TrafficClass cls,
     wire += tlp_wire_bytes(TlpType::kMemoryWrite, chunk, config_.overhead);
     remaining -= chunk;
   }
-  record(dir, cls, TlpType::kMemoryWrite, tlps, data_bytes, wire);
+  counter_.record(dir, cls, TlpType::kMemoryWrite, tlps, data_bytes, wire);
   Nanoseconds t = config_.propagation_ns + serialize_time(wire);
   t += maybe_replay(
       dir, cls, TlpType::kMemoryWrite,
@@ -149,10 +128,11 @@ Nanoseconds PcieLink::read_n(Direction data_dir, TrafficClass cls,
   const Direction req_dir = data_dir == Direction::kUpstream
                                 ? Direction::kDownstream
                                 : Direction::kUpstream;
-  record(req_dir, cls, TlpType::kMemoryRead, count * cost.requests, 0,
-         count * cost.request_wire);
-  record(data_dir, cls, TlpType::kCompletion, count * cost.completions,
-         count * cost.data_bytes, count * cost.completion_wire);
+  counter_.record(req_dir, cls, TlpType::kMemoryRead, count * cost.requests,
+                  0, count * cost.request_wire);
+  counter_.record(data_dir, cls, TlpType::kCompletion,
+                  count * cost.completions, count * cost.data_bytes,
+                  count * cost.completion_wire);
   Nanoseconds t = count * cost.ns;
   if (injector_ != nullptr) {
     // A replay resends the first completion TLP.

@@ -19,7 +19,6 @@
 
 #include "common/sim_clock.h"
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "fault/fault.h"
 #include "pcie/tlp.h"
@@ -107,10 +106,6 @@ class PcieLink {
   [[nodiscard]] Nanoseconds serialize_time(std::uint64_t wire_bytes)
       const noexcept;
 
-  /// Mirrors every record into `pcie.tlps` / `pcie.wire_bytes` /
-  /// `pcie.data_bytes` counters of `metrics` (pass nullptr to detach).
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   /// Registers every TrafficCounter cell with `telemetry` as a flow of
   /// its direction and TLP kind (MWr/MRd/Cpl), and rolls its sampling
   /// window forward after each primitive advances the clock. Call once,
@@ -133,16 +128,10 @@ class PcieLink {
   /// returns the extra link time (0 when it does not).
   Nanoseconds maybe_replay(Direction dir, TrafficClass cls, TlpType type,
                            std::uint64_t wire_bytes) noexcept;
-  void record(Direction dir, TrafficClass cls, TlpType type,
-              std::uint64_t tlps, std::uint64_t data_bytes,
-              std::uint64_t wire_bytes) noexcept;
 
   LinkConfig config_;
   SimClock& clock_;
   TrafficCounter& counter_;
-  obs::Counter* tlps_metric_ = nullptr;
-  obs::Counter* wire_bytes_metric_ = nullptr;
-  obs::Counter* data_bytes_metric_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
 };

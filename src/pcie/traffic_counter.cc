@@ -33,6 +33,9 @@ void TrafficCounter::record(Direction dir, TrafficClass cls, TlpType type,
   cell.tlps.add(tlps);
   cell.data_bytes.add(data_bytes);
   cell.wire_bytes.add(wire_bytes);
+  totals_.tlps.add(tlps);
+  totals_.data_bytes.add(data_bytes);
+  totals_.wire_bytes.add(wire_bytes);
 }
 
 TrafficCell TrafficCounter::cell(Direction dir,
@@ -55,9 +58,8 @@ TrafficCell TrafficCounter::total(Direction dir) const noexcept {
 }
 
 TrafficCell TrafficCounter::total() const noexcept {
-  TrafficCell sum = total(Direction::kDownstream);
-  sum += total(Direction::kUpstream);
-  return sum;
+  return {totals_.tlps.value(), totals_.data_bytes.value(),
+          totals_.wire_bytes.value()};
 }
 
 const TrafficCounter::Cell& TrafficCounter::counters(
@@ -76,6 +78,9 @@ void TrafficCounter::reset() noexcept {
       }
     }
   }
+  totals_.tlps.reset();
+  totals_.data_bytes.reset();
+  totals_.wire_bytes.reset();
 }
 
 std::string TrafficCounter::breakdown() const {

@@ -79,7 +79,11 @@ class TrafficCounter {
   [[nodiscard]] TrafficCell cell(Direction dir,
                                  TrafficClass cls) const noexcept;
   [[nodiscard]] TrafficCell total(Direction dir) const noexcept;
+  /// Both directions, every class: the running totals record() keeps.
   [[nodiscard]] TrafficCell total() const noexcept;
+  /// The live counters behind total(), which reset() clears with the
+  /// cells (the Testbed exposes them as the `pcie.*` metrics).
+  [[nodiscard]] const Cell& totals() const noexcept { return totals_; }
   /// The counters of one (direction, class, TLP type) cell, for samplers
   /// that read them live (PcieLink registers them with obs::Telemetry).
   [[nodiscard]] const Cell& counters(Direction dir, TrafficClass cls,
@@ -104,6 +108,7 @@ class TrafficCounter {
       static_cast<std::size_t>(TrafficClass::kCount_);
 
   std::array<std::array<std::array<Cell, kTlpTypes>, kClasses>, 2> cells_{};
+  Cell totals_;
 };
 
 }  // namespace bx::pcie

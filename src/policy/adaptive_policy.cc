@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <string>
 
+#include "driver/nvme_driver.h"
+
 namespace bx::policy {
 
 AdaptivePolicy::AdaptivePolicy(AdaptivePolicyConfig config)
     : config_(config) {
+  constexpr std::uint64_t kInlineCap = driver::NvmeDriver::kMaxInlineBytes;
   config_.inline_cutoff_bytes =
-      std::min(config_.inline_cutoff_bytes, config_.max_inline_bytes);
+      std::min(config_.inline_cutoff_bytes, kInlineCap);
   config_.loaded_cutoff_bytes =
-      std::min(config_.loaded_cutoff_bytes, config_.max_inline_bytes);
+      std::min(config_.loaded_cutoff_bytes, kInlineCap);
   config_.ewma_alpha = std::clamp(config_.ewma_alpha, 0.01, 1.0);
 }
 

@@ -47,7 +47,8 @@ namespace bx::policy {
 
 struct AdaptivePolicyConfig {
   /// Inline-size cutoff while Relaxed: writes at or below ride
-  /// ByteExpress, larger go SGL. Clamped to max_inline_bytes. The
+  /// ByteExpress, larger go SGL. Clamped to NvmeDriver::kMaxInlineBytes,
+  /// so decide() never picks an infeasible inline transfer. The
   /// default sits at the measured ByteExpress/SGL latency crossover
   /// (between 128 B and 256 B in this testbed's calibration).
   std::uint64_t inline_cutoff_bytes = 128;
@@ -64,9 +65,6 @@ struct AdaptivePolicyConfig {
   /// instantaneous gauges): shed at/above high, reopen at/below low.
   double shed_high = 0.90;
   double shed_low = 0.50;
-  /// Driver feasibility mirror so decide() never picks an infeasible
-  /// inline transfer (DriverConfig::max_inline_bytes).
-  std::uint64_t max_inline_bytes = 8192;
   /// Link serialization rate for window utilization (pcie config).
   double link_bytes_per_ns = 1.0;
 };

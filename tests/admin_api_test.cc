@@ -63,6 +63,29 @@ TEST(AdminApiTest, TransferStatsLogTracksInlineActivity) {
   EXPECT_GE(after->completions_posted, before->completions_posted + 5);
 }
 
+// 0xC0's fetch-stage total is the 0xC1 ledger's SQE + chunk fetch time,
+// over every method: BandSlim fragment commands and OOO chunk slots too.
+TEST(AdminApiTest, TransferLogFetchTotalIsTheLedgerSum) {
+  Testbed testbed(test::small_testbed_config());
+  ByteVec payload(200);
+  fill_pattern(payload, 1);
+  for (const TransferMethod method :
+       {TransferMethod::kPrp, TransferMethod::kByteExpress,
+        TransferMethod::kBandSlim, TransferMethod::kByteExpressOoo,
+        TransferMethod::kSgl}) {
+    auto completion = testbed.raw_write(payload, method);
+    ASSERT_TRUE(completion.is_ok() && completion->ok());
+  }
+  auto transfer = testbed.driver().get_transfer_stats();
+  auto stages = testbed.driver().get_stage_stats();
+  ASSERT_TRUE(transfer.is_ok() && stages.is_ok());
+  // Five command SQEs plus BandSlim's 4 fragments; 4 raw + 5 OOO chunks.
+  EXPECT_EQ(stages->sqe_fetch.count, 9u);
+  EXPECT_EQ(stages->chunk_fetch.count, 9u);
+  EXPECT_EQ(transfer->fetch_stage_total_ns,
+            stages->sqe_fetch.total_ns + stages->chunk_fetch.total_ns);
+}
+
 TEST(AdminApiTest, SystemReportContainsAllSections) {
   Testbed testbed(test::small_testbed_config());
   ByteVec payload(128);

@@ -499,15 +499,16 @@ TEST(ArbitrationTest, RoundRobinAlternatesBetweenQueues) {
   }
 }
 
-TEST(FetchCostTest, StatsHistogramAccumulates) {
+TEST(FetchCostTest, LedgerAccumulatesAndFeedsTheTransferLog) {
   MiniHost host;
   host.create_io_queues(1);
   for (int i = 0; i < 5; ++i) host.push_io(raw_write_sqe(0));
   host.controller_.run_until_idle();
-  EXPECT_EQ(host.controller_.fetch_stage_histogram().count(), 5u);
-  EXPECT_GT(host.controller_.fetch_stage_histogram().mean(), 1000.0);
-  host.controller_.reset_fetch_stats();
-  EXPECT_EQ(host.controller_.fetch_stage_histogram().count(), 0u);
+  const nvme::StageStatsLog stages = host.controller_.stage_stats();
+  EXPECT_EQ(stages.sqe_fetch.count, 5u);
+  EXPECT_GT(stages.sqe_fetch.total_ns, 5000u);
+  EXPECT_EQ(host.controller_.transfer_stats().fetch_stage_total_ns,
+            stages.sqe_fetch.total_ns + stages.chunk_fetch.total_ns);
 }
 
 TEST(SglErrorTest, WrongDescriptorTypeForWriteFails) {

@@ -82,7 +82,7 @@ TEST(DriverEdgeTest, ZeroLengthVendorWriteUsesNoDataPath) {
 
 TEST(DriverEdgeTest, HugePayloadBeyondInlineCapStillWorks) {
   Testbed testbed(test::small_testbed_config());
-  ByteVec payload(64 * 1024);  // way past max_inline_bytes
+  ByteVec payload(64 * 1024);  // way past NvmeDriver::kMaxInlineBytes
   fill_pattern(payload, 9);
   auto completion =
       testbed.raw_write(payload, TransferMethod::kByteExpress);
@@ -144,7 +144,7 @@ TEST(DriverEdgeTest, RetryBackoffShiftSaturatesAtCap) {
             3u * config.driver.retry_backoff_cap_ns);
 }
 
-// Regression: a hybrid threshold above max_inline_bytes classified
+// Regression: a hybrid threshold above the inline cap classified
 // mid-size payloads as ByteExpress and then took the feasibility
 // fallback, inflating driver.inline_fallback_prp on every such write.
 // resolve_method now clamps the threshold to the inline cap first, so
@@ -152,10 +152,10 @@ TEST(DriverEdgeTest, RetryBackoffShiftSaturatesAtCap) {
 // pure infeasibility signal.
 TEST(DriverEdgeTest, HybridThresholdClampedToInlineCap) {
   auto config = test::small_testbed_config();
-  config.driver.hybrid_threshold_bytes = 16'384;  // > max_inline_bytes
+  config.driver.hybrid_threshold_bytes = 16'384;  // > kMaxInlineBytes
   Testbed testbed(config);
   ASSERT_GT(config.driver.hybrid_threshold_bytes,
-            config.driver.max_inline_bytes);
+            NvmeDriver::kMaxInlineBytes);
 
   // Inside the configured threshold, above the inline cap (8192).
   ByteVec payload(12'000);

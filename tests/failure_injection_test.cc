@@ -133,19 +133,6 @@ TEST(ProtocolViolationTest, InlineLengthBeyondDoorbellRejected) {
   EXPECT_TRUE(completion->ok());
 }
 
-TEST(ProtocolViolationTest, ControllerWithoutByteExpressReportsInvalidField) {
-  auto config = test::small_testbed_config();
-  config.controller.byteexpress_enabled = false;
-  Testbed strict(config);
-  ByteVec payload(128);
-  fill_pattern(payload, 1);
-  auto completion = strict.raw_write(payload, TransferMethod::kByteExpress);
-  ASSERT_TRUE(completion.is_ok());
-  EXPECT_FALSE(completion->ok());
-  EXPECT_EQ(completion->status.code,
-            static_cast<std::uint8_t>(nvme::GenericStatus::kInvalidField));
-}
-
 TEST(ProtocolViolationTest, OrphanBandSlimFragmentIsDroppedSafely) {
   Testbed testbed(test::small_testbed_config());
   nvme::SqRing& sq = testbed.driver().sq_for_test(1);
@@ -228,9 +215,7 @@ TEST(ResourceTest, InlinePayloadLargerThanQueueFallsBackOrFailsCleanly) {
   // Queue depth 16 -> max 14 inline payload slots; a 4KB inline payload
   // (65 entries) can never fit, so the driver falls back to PRP instead
   // of deadlocking.
-  auto with_fallback = test::small_testbed_config(1, 16);
-  with_fallback.driver.max_inline_bytes = 8192;
-  Testbed fallback_bed(with_fallback);
+  Testbed fallback_bed(test::small_testbed_config(1, 16));
   ByteVec payload(4096);  // 65 entries > 14 usable slots
   fill_pattern(payload, 1);
   fallback_bed.reset_counters();
@@ -737,9 +722,7 @@ TEST(FaultRecoveryTest, ConsecutiveInlineFailuresDegradeToPrpThenReprobe) {
 // The silent inline->PRP feasibility fallback is observable: counter plus
 // a flagged kSubmit trace event.
 TEST(FaultRecoveryTest, FeasibilityFallbackEmitsCounterAndTraceFlag) {
-  auto config = test::small_testbed_config(1, 16);
-  config.driver.max_inline_bytes = 8192;
-  Testbed bed(config);
+  Testbed bed(test::small_testbed_config(1, 16));
   ByteVec payload(4096);  // 65 inline entries can never fit a 16-deep ring
   fill_pattern(payload, 9);
   auto completion = bed.raw_write(payload, TransferMethod::kByteExpress);

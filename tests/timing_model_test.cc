@@ -58,23 +58,32 @@ TEST(Table1Test, DriverSubmitCostsMatchAnchors) {
 
 TEST(Table1Test, ControllerFetchGrowsPerChunk) {
   Testbed testbed(test::small_testbed_config());
+  // Controller fetch time of one write: its stage-ledger delta over the
+  // SQE fetch and the chunk fetches.
+  const auto fetch_cost = [&testbed](ConstByteSpan payload,
+                                     TransferMethod method) {
+    const auto fetch_ns = [&testbed] {
+      const nvme::StageStatsLog log = testbed.controller().stage_stats();
+      return log.sqe_fetch.total_ns + log.chunk_fetch.total_ns;
+    };
+    const std::uint64_t before = fetch_ns();
+    EXPECT_TRUE(testbed.raw_write(payload, method).is_ok());
+    return static_cast<Nanoseconds>(fetch_ns() - before);
+  };
   ByteVec p64(64);
   fill_pattern(p64, 1);
-  ASSERT_TRUE(testbed.raw_write(p64, TransferMethod::kPrp).is_ok());
-  const Nanoseconds prp_fetch = testbed.controller().last_fetch_cost();
-
-  ASSERT_TRUE(testbed.raw_write(p64, TransferMethod::kByteExpress).is_ok());
-  const Nanoseconds bx64_fetch = testbed.controller().last_fetch_cost();
+  const Nanoseconds prp_fetch = fetch_cost(p64, TransferMethod::kPrp);
+  const Nanoseconds bx64_fetch = fetch_cost(p64, TransferMethod::kByteExpress);
 
   ByteVec p128(128);
   fill_pattern(p128, 2);
-  ASSERT_TRUE(testbed.raw_write(p128, TransferMethod::kByteExpress).is_ok());
-  const Nanoseconds bx128_fetch = testbed.controller().last_fetch_cost();
+  const Nanoseconds bx128_fetch =
+      fetch_cost(p128, TransferMethod::kByteExpress);
 
   ByteVec p256(256);
   fill_pattern(p256, 3);
-  ASSERT_TRUE(testbed.raw_write(p256, TransferMethod::kByteExpress).is_ok());
-  const Nanoseconds bx256_fetch = testbed.controller().last_fetch_cost();
+  const Nanoseconds bx256_fetch =
+      fetch_cost(p256, TransferMethod::kByteExpress);
 
   // Table 1 right column: ~2400 < ~2800 < ~3200 < ~4000 shape — strictly
   // increasing with a consistent per-chunk increment.

@@ -513,5 +513,23 @@ TEST(MetricsRegistry, MirrorsDeviceAndLinkCounters) {
   EXPECT_NE(json.find("\"driver.submit_cost_ns\""), std::string::npos);
 }
 
+// The pcie.* metrics are the traffic counter's totals, so a
+// reset_counters() re-baselines both views at once.
+TEST(MetricsRegistry, PcieMetricsFollowTrafficCounterReset) {
+  Testbed bed(test::small_testbed_config());
+  auto prp = bed.raw_write(patterned(kPayloadBytes), TransferMethod::kPrp);
+  ASSERT_TRUE(prp.is_ok() && prp->ok());
+  bed.reset_counters();
+  auto inline_write =
+      bed.raw_write(patterned(256), TransferMethod::kByteExpress);
+  ASSERT_TRUE(inline_write.is_ok() && inline_write->ok());
+  const pcie::TrafficCell total = bed.traffic().total();
+  const obs::MetricsRegistry& metrics = bed.metrics();
+  EXPECT_GT(total.tlps, 0u);
+  EXPECT_EQ(metrics.counter_value("pcie.wire_bytes"), total.wire_bytes);
+  EXPECT_EQ(metrics.counter_value("pcie.tlps"), total.tlps);
+  EXPECT_EQ(metrics.counter_value("pcie.data_bytes"), total.data_bytes);
+}
+
 }  // namespace
 }  // namespace bx

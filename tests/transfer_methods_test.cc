@@ -188,10 +188,10 @@ TEST(ByteExpressTest, SmallReadUsesInlineCompletionRing) {
 }
 
 TEST(ByteExpressTest, OversizedPayloadFallsBackToPrp) {
-  auto config = test::small_testbed_config();
-  config.driver.max_inline_bytes = 512;
-  Testbed testbed(config);
-  ByteVec payload(2048);
+  // 12 KiB is above NvmeDriver::kMaxInlineBytes but fits a depth-256 ring
+  // (254 entries, 16,256 B), so the inline cap, not the ring, decides.
+  Testbed testbed(test::small_testbed_config(2, 256));
+  ByteVec payload(12 * 1024);
   fill_pattern(payload, 3);
   testbed.reset_counters();
   ASSERT_TRUE(
@@ -199,7 +199,7 @@ TEST(ByteExpressTest, OversizedPayloadFallsBackToPrp) {
   EXPECT_EQ(testbed.traffic()
                 .cell(Direction::kDownstream, TrafficClass::kDataPrp)
                 .data_bytes,
-            4096u);
+            12'288u);
   EXPECT_EQ(read_scratch(testbed, payload.size()), payload);
 }
 
@@ -411,18 +411,6 @@ TEST(OooStripedTest, ValidatesArguments) {
   IoRequest read;
   read.opcode = IoOpcode::kVendorRawRead;
   EXPECT_FALSE(testbed.driver().execute_ooo_striped(read, {1}).is_ok());
-}
-
-TEST(OooStripedTest, ControllerCanDisableReassembly) {
-  auto config = test::small_testbed_config();
-  config.controller.enable_ooo_reassembly = false;
-  Testbed testbed(config);
-  ByteVec payload(100);
-  fill_pattern(payload, 11);
-  auto completion =
-      testbed.raw_write(payload, TransferMethod::kByteExpressOoo);
-  ASSERT_TRUE(completion.is_ok());
-  EXPECT_FALSE(completion->ok());
 }
 
 // ---- batched chunk fetch (ablation knob) ----
