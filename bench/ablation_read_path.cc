@@ -77,7 +77,6 @@ core::RunStats run_gets(core::Testbed& testbed, const Mode& mode,
   stats.wire_bytes = up.wire_bytes;
   stats.data_bytes = up.data_bytes;
   stats.total_time_ns = testbed.clock().now() - start;
-  testbed.telemetry().flush(testbed.clock().now());
   report_row(testbed, stats);
   return stats;
 }

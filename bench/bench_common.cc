@@ -1,12 +1,12 @@
 #include "bench_common.h"
 
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "obs/attribution.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace bx::bench {
@@ -144,22 +144,12 @@ core::RunStats sweep(core::Testbed& testbed, driver::TransferMethod method,
 
 void report_row(core::Testbed& testbed, const core::RunStats& stats) {
   if (g_report_name.empty()) return;
-  const obs::StageBreakdown breakdown =
-      obs::stage_breakdown(testbed.trace().snapshot());
-  // Close the final partial window so the row's timeseries covers the
-  // whole run (each measured run resets counters first, so the sampler
-  // holds exactly this run's windows).
-  testbed.telemetry().flush(testbed.clock().now());
-  SamplingStats sampling;
-  sampling.seen = testbed.trace().commands_seen();
-  sampling.kept = testbed.trace().commands_kept();
-  sampling.sampled_out = testbed.trace().commands_sampled_out();
-  sampling.events_sampled_out = testbed.trace().events_sampled_out();
-  g_rows.push_back(render_report_row(stats, breakdown,
-                                     testbed.trace().dropped(),
-                                     testbed.telemetry().samples(),
-                                     testbed.telemetry().link_rate(),
-                                     sampling));
+  // Each measured run resets counters first, so the trace and the
+  // driver's wait sums hold exactly this run.
+  g_rows.push_back(render_report_row(
+      stats, obs::stage_breakdown(testbed.trace().snapshot()),
+      testbed.trace().dropped(), testbed.driver().waits(),
+      testbed.driver().wait_ns()));
 }
 
 std::string render_config_json(const BenchEnv& env) {
@@ -179,93 +169,11 @@ std::string render_config_json(const BenchEnv& env) {
   return buf;
 }
 
-std::string render_timeseries_json(
-    const std::vector<obs::TelemetrySample>& samples, double bytes_per_ns,
-    std::size_t max_points) {
-  const std::vector<obs::TelemetrySample> points =
-      obs::Telemetry::downsample(samples, max_points);
-  std::string out = "[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const obs::TelemetrySample& s = points[i];
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"start_ns\": %lld, \"end_ns\": %lld, "
-        "\"payload_bytes\": %llu, "
-        "\"down_mwr_wire\": %llu, \"down_mrd_wire\": %llu, "
-        "\"down_cpl_wire\": %llu, \"up_mwr_wire\": %llu, "
-        "\"up_mrd_wire\": %llu, \"up_cpl_wire\": %llu, "
-        "\"util_down\": %.4f, \"util_up\": %.4f}",
-        i == 0 ? "" : ", ", static_cast<long long>(s.start_ns),
-        static_cast<long long>(s.end_ns),
-        static_cast<unsigned long long>(s.payload_bytes),
-        static_cast<unsigned long long>(
-            s.of(obs::LinkDir::kDownstream, obs::TlpKind::kMWr).wire_bytes),
-        static_cast<unsigned long long>(
-            s.of(obs::LinkDir::kDownstream, obs::TlpKind::kMRd).wire_bytes),
-        static_cast<unsigned long long>(
-            s.of(obs::LinkDir::kDownstream, obs::TlpKind::kCpl).wire_bytes),
-        static_cast<unsigned long long>(
-            s.of(obs::LinkDir::kUpstream, obs::TlpKind::kMWr).wire_bytes),
-        static_cast<unsigned long long>(
-            s.of(obs::LinkDir::kUpstream, obs::TlpKind::kMRd).wire_bytes),
-        static_cast<unsigned long long>(
-            s.of(obs::LinkDir::kUpstream, obs::TlpKind::kCpl).wire_bytes),
-        s.utilization(obs::LinkDir::kDownstream, bytes_per_ns),
-        s.utilization(obs::LinkDir::kUpstream, bytes_per_ns));
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
-
-namespace {
-
-/// The `waits` attribution block: completions attributed and per-segment
-/// nanoseconds, summed over the run's telemetry windows. All segments are
-/// present even when zero, so consumers (bxdiff, jq in CI) can index
-/// unconditionally; the segment values sum exactly to the attributed
-/// latency total (the additivity invariant, window-aggregated).
-std::string render_waits_json(
-    const std::vector<obs::TelemetrySample>& samples) {
-  std::uint64_t count = 0;
-  std::array<std::uint64_t, obs::kWaitSegmentCount> ns{};
-  for (const obs::TelemetrySample& sample : samples) {
-    count += sample.wait_count;
-    for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
-      ns[s] += sample.wait_ns[s];
-    }
-  }
-  std::string out = "{\"count\": " + std::to_string(count);
-  for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
-    out += ", \"";
-    out += obs::wait_segment_name(obs::WaitSegment(s));
-    out += "\": " + std::to_string(ns[s]);
-  }
-  out += "}";
-  return out;
-}
-
-std::string render_sampling_json(const SamplingStats& sampling) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"seen\": %llu, \"kept\": %llu, \"sampled_out\": %llu, "
-                "\"events_sampled_out\": %llu}",
-                static_cast<unsigned long long>(sampling.seen),
-                static_cast<unsigned long long>(sampling.kept),
-                static_cast<unsigned long long>(sampling.sampled_out),
-                static_cast<unsigned long long>(sampling.events_sampled_out));
-  return buf;
-}
-
-}  // namespace
-
 std::string render_report_row(const core::RunStats& stats,
                               const obs::StageBreakdown& breakdown,
                               std::uint64_t trace_events_dropped,
-                              const std::vector<obs::TelemetrySample>& samples,
-                              double bytes_per_ns,
-                              const SamplingStats& sampling) {
+                              std::uint64_t waits,
+                              const obs::LatencyBreakdown& wait_ns) {
   char head[576];
   std::snprintf(
       head, sizeof(head),
@@ -284,11 +192,10 @@ std::string render_report_row(const core::RunStats& stats,
       static_cast<unsigned long long>(stats.latency.percentile(50)),
       static_cast<unsigned long long>(stats.latency.percentile(99)),
       stats.kops(), static_cast<unsigned long long>(trace_events_dropped));
+  // The waits block is obs::to_json(wait_ns) with the count put first.
   return std::string(head) + obs::to_json(breakdown) +
-         ", \"waits\": " + render_waits_json(samples) +
-         ", \"sampling\": " + render_sampling_json(sampling) +
-         ", \"timeseries\": " +
-         render_timeseries_json(samples, bytes_per_ns) + "}";
+         ", \"waits\": {\"count\": " + std::to_string(waits) + ", " +
+         obs::to_json(wait_ns).substr(1) + "}";
 }
 
 std::string render_report(std::string_view bench_name,

@@ -10,10 +10,10 @@
 // machine-readable BENCH_<binary>.json next to the cwd at exit: one row
 // per measured configuration with the traffic counters, latency
 // percentiles, the per-stage p50/p99 breakdown derived from the command
-// trace, and a downsampled `timeseries` section of the run's telemetry
-// windows (see docs/OBSERVABILITY.md and docs/TELEMETRY.md). The document
-// carries `schema_version` and a run-config block so consumers can detect
-// layout changes and reproduce the run. CI uploads these as artifacts.
+// trace, and the run's wait/service decomposition read from the driver
+// (see docs/OBSERVABILITY.md). The document carries `schema_version` and
+// a run-config block so consumers can detect layout changes and reproduce
+// the run. CI uploads these as artifacts.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,8 @@
 #include "common/config.h"
 #include "core/measurement.h"
 #include "core/testbed.h"
-#include "obs/telemetry.h"
+#include "obs/attribution.h"
+#include "obs/trace.h"
 #include "workload/mixgraph.h"
 
 namespace bx::bench {
@@ -65,7 +66,8 @@ core::RunStats sweep(core::Testbed& testbed, driver::TransferMethod method,
                      std::uint32_t payload_size, std::uint64_t ops);
 
 /// Appends one row (stats + the current trace's stage breakdown + the
-/// telemetry timeseries) to the report written at exit. The report file is
+/// driver's wait sums) to the report written at exit. Call it after a run
+/// that began with Testbed::reset_counters(). The report file is
 /// BENCH_<binary>.json; it is written even when no rows were recorded, so
 /// every bench produces an artifact.
 void report_row(core::Testbed& testbed, const core::RunStats& stats);
@@ -73,38 +75,22 @@ void report_row(core::Testbed& testbed, const core::RunStats& stats);
 // --- report rendering (pure; unit-tested by tests/bench_report_test.cc) ---
 
 /// Report document layout version. Bump when field names/shape change.
-inline constexpr int kReportSchemaVersion = 2;
+inline constexpr int kReportSchemaVersion = 3;
 
 /// The `config` block: the knobs that determine the run (seed, link
 /// generation/lanes, queue topology, ops per point).
 [[nodiscard]] std::string render_config_json(const BenchEnv& env);
 
-/// The `timeseries` array: telemetry windows downsampled to at most
-/// `max_points`, each with per-direction wire bytes by TLP kind, payload
-/// bytes, and link utilization.
-[[nodiscard]] std::string render_timeseries_json(
-    const std::vector<obs::TelemetrySample>& samples, double bytes_per_ns,
-    std::size_t max_points = 48);
-
-/// Tail-based trace-sampling accounting for the run (obs::TraceRecorder
-/// counters). All-zero when sampling was never enabled.
-struct SamplingStats {
-  std::uint64_t seen = 0;
-  std::uint64_t kept = 0;
-  std::uint64_t sampled_out = 0;
-  std::uint64_t events_sampled_out = 0;
-};
-
-/// One `rows[]` element for `stats` given the run's trace breakdown and
-/// telemetry samples. Besides the stage breakdown, each row carries a
-/// `waits` attribution block (per-segment nanoseconds summed over the
-/// run's telemetry windows — the queue-depth-aware wait/service
-/// decomposition) and a `sampling` accounting block.
+/// One `rows[]` element for `stats` given the run's trace breakdown.
+/// Besides the stage breakdown, each row carries a `waits` block: the
+/// `waits` I/O commands the driver attributed over the run and the
+/// per-segment sums of their breakdowns, `wait_ns` (the queue-depth-aware
+/// wait/service decomposition; the segments sum to those commands' total
+/// latency, exactly).
 [[nodiscard]] std::string render_report_row(
     const core::RunStats& stats, const obs::StageBreakdown& breakdown,
-    std::uint64_t trace_events_dropped,
-    const std::vector<obs::TelemetrySample>& samples, double bytes_per_ns,
-    const SamplingStats& sampling = {});
+    std::uint64_t trace_events_dropped, std::uint64_t waits,
+    const obs::LatencyBreakdown& wait_ns);
 
 /// The whole BENCH_*.json document.
 [[nodiscard]] std::string render_report(std::string_view bench_name,

@@ -132,7 +132,6 @@ void run_read_panel(const BenchEnv& env) {
     const pcie::TrafficCell up =
         testbed.traffic().total(pcie::Direction::kUpstream);
     upstream_per_op[row] = double(up.wire_bytes) / double(env.ops);
-    testbed.telemetry().flush(testbed.clock().now());
     report_row(testbed, stats);
     std::printf("%-16s %-14.1f %-16.1f %-11.0f %-10.1f\n",
                 stats.label.c_str(), stats.wire_bytes_per_op(),

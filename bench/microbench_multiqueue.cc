@@ -28,7 +28,6 @@
 
 #include "core/testbed.h"
 #include "driver/nvme_driver.h"
-#include "obs/trace.h"
 
 namespace {
 
@@ -64,15 +63,6 @@ struct ScalingPoint {
   }
 };
 
-/// Trace-recorder accounting observed over one scaling point (the
-/// tail-sampling overhead gate reads these; zero when sampling is off).
-struct TraceAccounting {
-  std::uint64_t seen = 0;
-  std::uint64_t kept = 0;
-  std::uint64_t sampled_out = 0;
-  std::uint64_t events_retained = 0;
-};
-
 TestbedConfig scaling_config(std::uint16_t queues) {
   TestbedConfig config;
   config.ssd.geometry.channels = 2;
@@ -84,11 +74,8 @@ TestbedConfig scaling_config(std::uint16_t queues) {
 }
 
 ScalingPoint run_point(std::uint16_t queues, std::uint32_t depth,
-                       const ScalingOptions& options,
-                       const bx::obs::SamplingConfig* sampling = nullptr,
-                       TraceAccounting* accounting = nullptr) {
+                       const ScalingOptions& options) {
   Testbed bed(scaling_config(queues));
-  if (sampling != nullptr) bed.trace().configure_sampling(*sampling);
   ByteVec payload(options.payload);
   bx::fill_pattern(payload, 0x42);
 
@@ -143,12 +130,6 @@ ScalingPoint run_point(std::uint16_t queues, std::uint32_t depth,
   }
   point.sq_entries =
       bed.metrics().counter_value("driver.batched_commands");
-  if (accounting != nullptr) {
-    accounting->seen = bed.trace().commands_seen();
-    accounting->kept = bed.trace().commands_kept();
-    accounting->sampled_out = bed.trace().commands_sampled_out();
-    accounting->events_retained = bed.trace().snapshot().size();
-  }
   return point;
 }
 
@@ -179,69 +160,6 @@ std::string render_scaling_json(const ScalingOptions& options,
   }
   out += "  ]\n}\n";
   return out;
-}
-
-/// Tail-sampling overhead gate: re-runs the 4-queue depth-8 point with
-/// the aggressive tail policy and asserts the recorder is (a) invisible
-/// to the model — identical simulated time to the unsampled run, (b)
-/// exactly accounted — kept + sampled_out == seen, and (c) actually
-/// shedding retention — kept events under half of the unsampled run's.
-int run_sampling_gate(const ScalingOptions& options) {
-  constexpr std::uint16_t kQueues = 4;
-  constexpr std::uint32_t kDepth = 8;
-
-  TraceAccounting off_acct;
-  const ScalingPoint off =
-      run_point(kQueues, kDepth, options, nullptr, &off_acct);
-
-  bx::obs::SamplingConfig sampling;
-  sampling.enabled = true;
-  sampling.top_k = 8;
-  sampling.window_ns = 1'000'000;
-  sampling.sample_every = 32;
-  TraceAccounting on_acct;
-  const ScalingPoint on =
-      run_point(kQueues, kDepth, options, &sampling, &on_acct);
-
-  std::printf("\ntail-sampling overhead (4 queues, depth 8):\n"
-              "  off: sim_ns %llu, events retained %llu\n"
-              "  on:  sim_ns %llu, events retained %llu "
-              "(seen %llu = kept %llu + sampled_out %llu)\n",
-              static_cast<unsigned long long>(off.sim_ns),
-              static_cast<unsigned long long>(off_acct.events_retained),
-              static_cast<unsigned long long>(on.sim_ns),
-              static_cast<unsigned long long>(on_acct.events_retained),
-              static_cast<unsigned long long>(on_acct.seen),
-              static_cast<unsigned long long>(on_acct.kept),
-              static_cast<unsigned long long>(on_acct.sampled_out));
-
-  int failures = 0;
-  if (on.sim_ns != off.sim_ns) {
-    std::fprintf(stderr,
-                 "GATE FAIL: sampling perturbed simulated time "
-                 "(%llu != %llu ns)\n",
-                 static_cast<unsigned long long>(on.sim_ns),
-                 static_cast<unsigned long long>(off.sim_ns));
-    ++failures;
-  }
-  if (on_acct.kept + on_acct.sampled_out != on_acct.seen) {
-    std::fprintf(stderr,
-                 "GATE FAIL: sampling accounting broken: kept %llu + "
-                 "sampled_out %llu != seen %llu\n",
-                 static_cast<unsigned long long>(on_acct.kept),
-                 static_cast<unsigned long long>(on_acct.sampled_out),
-                 static_cast<unsigned long long>(on_acct.seen));
-    ++failures;
-  }
-  if (on_acct.events_retained * 2 >= off_acct.events_retained) {
-    std::fprintf(stderr,
-                 "GATE FAIL: sampling retained %llu of %llu events "
-                 "(must be < 50%%)\n",
-                 static_cast<unsigned long long>(on_acct.events_retained),
-                 static_cast<unsigned long long>(off_acct.events_retained));
-    ++failures;
-  }
-  return failures;
 }
 
 int run_scaling(const ScalingOptions& options) {
@@ -300,7 +218,6 @@ int run_scaling(const ScalingOptions& options) {
       ++failures;
     }
   }
-  failures += run_sampling_gate(options);
 
   if (failures == 0) std::printf("gates: PASS\n");
   return failures == 0 ? 0 : 1;

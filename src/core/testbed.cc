@@ -102,8 +102,9 @@ StatusOr<driver::Completion> Testbed::raw_write(
 void Testbed::reset_counters() {
   traffic_.reset();
   trace_.clear();
-  // Re-bases the windows on the reset traffic counter before any window
-  // can close against the old baseline.
+  driver_->reset_waits();
+  // Re-bases the windows on the reset traffic and wait counters before
+  // any window can close against the old baseline.
   telemetry_.clear(clock_.now());
 }
 

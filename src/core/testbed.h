@@ -115,10 +115,11 @@ class Testbed {
                                          driver::TransferMethod method,
                                          std::uint16_t qid = 1);
 
-  /// Resets the traffic counters (and with them the `pcie.*` metrics) and
-  /// the trace buffer, and restarts telemetry sampling (the clock keeps
-  /// running — simulated time is monotonic). Controller counters and the
-  /// stage ledger keep counting; measure them as deltas.
+  /// Resets the traffic counters (and with them the `pcie.*` metrics), the
+  /// trace buffer and the driver's wait sums (NvmeDriver::waits()), and
+  /// restarts telemetry sampling (the clock keeps running — simulated time
+  /// is monotonic). Controller counters and the stage ledger keep
+  /// counting; measure them as deltas.
   void reset_counters();
 
  private:

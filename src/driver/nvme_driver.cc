@@ -554,7 +554,6 @@ Status NvmeDriver::attach_data_sgl(nvme::SubmissionQueueEntry& sqe,
 }
 
 std::uint16_t NvmeDriver::register_pending(QueuePair& qp, Pending pending) {
-  const std::uint16_t tenant = pending.tenant;
   std::lock_guard<std::mutex> lock(qp.pending_mutex);
   std::uint16_t cid;
   do {
@@ -566,7 +565,7 @@ std::uint16_t NvmeDriver::register_pending(QueuePair& qp, Pending pending) {
   // every device-side stage event lands inside its window. Lock order:
   // pending_mutex -> TraceRecorder table mutex (never the reverse).
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->begin_command(qp.sq->qid(), cid, tenant);
+    tracer_->begin_command(qp.sq->qid(), cid);
   }
   return cid;
 }
@@ -1083,12 +1082,10 @@ void NvmeDriver::attribute_completion(std::uint16_t qid, std::uint16_t cid,
                                       Completion& completion) {
   const auto total = static_cast<std::uint64_t>(completion.latency_ns);
   // Close the attribution entry: the recorder derives the device report
-  // passively from the stage events the firmware already recorded, and
-  // applies the tail-sampling keep/drop decision for the buffered events.
+  // passively from the stage events the firmware already recorded.
   obs::DeviceReport report;
   if (tracer_ != nullptr && tracer_->enabled()) {
-    report = tracer_->finish_command(qid, cid, link_.clock().now(),
-                                     completion.latency_ns);
+    report = tracer_->finish_command(qid, cid);
   }
 
   std::array<std::uint64_t, obs::kWaitSegmentCount> want{};

@@ -285,6 +285,26 @@ class NvmeDriver {
   /// only, before init_io_queues().
   void set_telemetry(obs::Telemetry* telemetry);
 
+  /// I/O commands whose wait breakdown was attributed, and the sum of
+  /// their breakdowns (segments sum to their total latency, exactly), since
+  /// construction or the last reset_waits(). Kept with telemetry off too.
+  [[nodiscard]] std::uint64_t waits() const noexcept {
+    return waits_.value();
+  }
+  [[nodiscard]] obs::LatencyBreakdown wait_ns() const noexcept {
+    obs::LatencyBreakdown sum;
+    for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
+      sum.ns[s] = wait_ns_[s].value();
+    }
+    return sum;
+  }
+  /// Zeroes waits() and wait_ns(). Telemetry taps these counters, so
+  /// re-base it right after (Testbed::reset_counters() does both).
+  void reset_waits() noexcept {
+    waits_.reset();
+    for (obs::Counter& counter : wait_ns_) counter.reset();
+  }
+
   /// Inline-chunk slots a command of `method` occupies beyond its SQE —
   /// what the submission gate charges against the inline budget.
   static std::uint32_t inline_slots_for(TransferMethod method,

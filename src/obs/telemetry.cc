@@ -45,11 +45,6 @@ double TelemetrySample::utilization(LinkDir dir,
   return serialize_ns / double(end_ns - start_ns);
 }
 
-double TelemetrySample::amplification() const noexcept {
-  return payload_bytes == 0 ? 0.0
-                            : double(wire_bytes()) / double(payload_bytes);
-}
-
 Telemetry::Telemetry(TelemetryConfig config)
     : config_(config), window_end_(config.window_ns) {}
 
@@ -203,9 +198,10 @@ void Telemetry::flush(Nanoseconds now) {
     close_window_locked(window_start_ + config_.window_ns);
   }
   // Close the in-progress partial window (delta residuals -> sample) so
-  // sample sums match the owners' counters exactly. The window grid
-  // restarts at `now`.
-  if (now > window_start_) close_window_locked(now);
+  // sample sums match the owners' counters exactly — also when it is
+  // empty, [now, now): advance_to(now) may have closed a window ending at
+  // `now` before a counter moved. The window grid restarts at `now`.
+  close_window_locked(now);
 }
 
 void Telemetry::clear(Nanoseconds now) {

@@ -7,8 +7,7 @@
 // the sampler snapshots
 //   * per-direction, per-TLP-kind link flows (TLPs, data bytes, wire
 //     bytes), summed over pcie::TrafficCounter's cells,
-//   * the payload bytes the host handed to the driver (for the
-//     amplification ratio),
+//   * the payload bytes the host handed to the driver,
 //   * the controller's per-stage ledger (the counters behind the 0xC1
 //     log page; same taxonomy as TraceStage),
 //   * per-queue gauges (SQ occupancy, in-flight commands) and doorbell
@@ -34,7 +33,7 @@
 //
 // Consumers: obs::to_perfetto_json() (counter tracks), obs::
 // to_prometheus_text() (exposition snapshot), the bxmon CLI (per-window
-// table), and bench_common (the `timeseries` section of BENCH_*.json).
+// table and the `tsv=` dump), and the adaptive policy (WindowObserver).
 // See docs/TELEMETRY.md.
 #pragma once
 
@@ -173,8 +172,6 @@ struct TelemetrySample {
   /// `bytes_per_ns` (PcieLink's effective rate). 0 for an empty window.
   [[nodiscard]] double utilization(LinkDir dir, double bytes_per_ns)
       const noexcept;
-  /// Wire bytes per payload byte within the window (0 when no payload).
-  [[nodiscard]] double amplification() const noexcept;
 };
 
 class Telemetry {
@@ -266,9 +263,9 @@ class Telemetry {
     return config_.enabled ? window_end_.load(std::memory_order_relaxed)
                            : std::numeric_limits<Nanoseconds>::max();
   }
-  /// advance_to(now), then closes the in-progress partial window so that
-  /// sample sums reconcile exactly with the owners' counters. The next
-  /// window starts at `now`.
+  /// advance_to(now), then closes the in-progress partial window — even
+  /// an empty one, [now, now) — so that sample sums reconcile exactly with
+  /// the owners' counters. The next window starts at `now`.
   void flush(Nanoseconds now);
   /// Drops all samples and re-baselines deltas at `now` (the Testbed's
   /// reset_counters() analog — the owners keep counting, only the
@@ -291,8 +288,7 @@ class Telemetry {
 
   /// Merges adjacent windows until at most `max_points` remain. Sums
   /// (flows, payload, stages, doorbells) are preserved exactly; gauges
-  /// keep the last-window value. Used to bound BENCH_*.json timeseries
-  /// sections and bxmon tables.
+  /// keep the last-window value. Bounds the bxmon per-window table.
   [[nodiscard]] static std::vector<TelemetrySample> downsample(
       std::vector<TelemetrySample> samples, std::size_t max_points);
 

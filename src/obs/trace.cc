@@ -73,11 +73,10 @@ void TraceRecorder::record_run(std::span<TraceEvent> events) {
     std::lock_guard<std::mutex> lock(table_mutex_);
     auto it = open_.find(command_key(first.qid, first.cid));
     if (it != open_.end()) {
-      OpenCommand& open = it->second;
+      DeviceReport& report = it->second;
       for (const TraceEvent& event : events) {
         BX_ASSERT(event.qid == first.qid && event.cid == first.cid);
         if (!is_device_service_stage(event.stage)) continue;
-        DeviceReport& report = open.report;
         report.valid = true;
         if (event.end >= event.start) {
           report.service_ns +=
@@ -86,11 +85,6 @@ void TraceRecorder::record_run(std::span<TraceEvent> events) {
         if (event.stage == TraceStage::kCompletion) {
           report.cqe_end = event.end;
         }
-      }
-      if (open.buffering) {
-        open.buffered.insert(open.buffered.end(), events.begin(),
-                             events.end());
-        return;
       }
     }
   }
@@ -106,14 +100,10 @@ void TraceRecorder::record_in_device_context(TraceEvent event) {
   record(event);
 }
 
-void TraceRecorder::begin_command(std::uint16_t qid, std::uint16_t cid,
-                                  std::uint16_t tenant) {
+void TraceRecorder::begin_command(std::uint16_t qid, std::uint16_t cid) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(table_mutex_);
-  OpenCommand& open = open_[command_key(qid, cid)];
-  open = OpenCommand{};
-  open.tenant = tenant;
-  open.buffering = sampling_.enabled;
+  open_[command_key(qid, cid)] = DeviceReport{};
 }
 
 void TraceRecorder::note_command_wait(std::uint16_t qid, std::uint16_t cid,
@@ -121,83 +111,18 @@ void TraceRecorder::note_command_wait(std::uint16_t qid, std::uint16_t cid,
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(table_mutex_);
   auto it = open_.find(command_key(qid, cid));
-  if (it != open_.end()) it->second.report.wait_ns += wait_ns;
+  if (it != open_.end()) it->second.wait_ns += wait_ns;
 }
 
 DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
-                                           std::uint16_t cid, Nanoseconds now,
-                                           Nanoseconds latency_ns) {
-  DeviceReport report;
-  commands_seen_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<TraceEvent> buffered;
-  bool keep = true;
-  {
-    std::lock_guard<std::mutex> lock(table_mutex_);
-    auto it = open_.find(command_key(qid, cid));
-    if (it == open_.end()) {
-      // Unknown (recorder cleared mid-flight, or bracketing disabled):
-      // nothing was buffered, so nothing can be sampled out.
-      commands_kept_.fetch_add(1, std::memory_order_relaxed);
-      return report;
-    }
-    report = it->second.report;
-    buffered = std::move(it->second.buffered);
-    const bool buffering = it->second.buffering;
-    open_.erase(it);
-    if (buffering) {
-      keep = sampling_.keep_threshold_ns > 0 &&
-             latency_ns >= sampling_.keep_threshold_ns;
-      if (!keep && sampling_.top_k > 0 && sampling_.window_ns > 0) {
-        const std::uint64_t window =
-            static_cast<std::uint64_t>(now) /
-            static_cast<std::uint64_t>(sampling_.window_ns);
-        if (window != topk_window_index_) {
-          topk_window_index_ = window;
-          topk_heap_.clear();
-        }
-        const auto min_heap = [](Nanoseconds a, Nanoseconds b) {
-          return a > b;
-        };
-        if (topk_heap_.size() < sampling_.top_k) {
-          topk_heap_.push_back(latency_ns);
-          std::push_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
-          keep = true;
-        } else if (latency_ns > topk_heap_.front()) {
-          std::pop_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
-          topk_heap_.back() = latency_ns;
-          std::push_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
-          keep = true;
-        }
-      }
-      if (!keep && sampling_.sample_every > 0) {
-        keep = residual_counter_++ % sampling_.sample_every == 0;
-      }
-    }
-  }
-  if (keep) {
-    commands_kept_.fetch_add(1, std::memory_order_relaxed);
-    // Buffered events keep their original seq, so snapshot() interleaves
-    // them correctly with everything stored while they were pending.
-    store_events(buffered);
-  } else {
-    commands_sampled_out_.fetch_add(1, std::memory_order_relaxed);
-    events_sampled_out_.fetch_add(buffered.size(),
-                                  std::memory_order_relaxed);
-  }
+                                           std::uint16_t cid) {
+  std::lock_guard<std::mutex> lock(table_mutex_);
+  auto it = open_.find(command_key(qid, cid));
+  // Unknown: the recorder was cleared mid-flight or bracketing disabled.
+  if (it == open_.end()) return {};
+  const DeviceReport report = it->second;
+  open_.erase(it);
   return report;
-}
-
-void TraceRecorder::configure_sampling(const SamplingConfig& config) {
-  std::lock_guard<std::mutex> lock(table_mutex_);
-  sampling_ = config;
-  topk_window_index_ = 0;
-  topk_heap_.clear();
-  residual_counter_ = 0;
-}
-
-SamplingConfig TraceRecorder::sampling_config() const {
-  std::lock_guard<std::mutex> lock(table_mutex_);
-  return sampling_;
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
@@ -220,17 +145,8 @@ void TraceRecorder::clear() {
   }
   stored_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(table_mutex_);
-    open_.clear();
-    topk_window_index_ = 0;
-    topk_heap_.clear();
-    residual_counter_ = 0;
-  }
-  commands_seen_.store(0, std::memory_order_relaxed);
-  commands_kept_.store(0, std::memory_order_relaxed);
-  commands_sampled_out_.store(0, std::memory_order_relaxed);
-  events_sampled_out_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(table_mutex_);
+  open_.clear();
 }
 
 std::string TraceRecorder::dump(const std::vector<TraceEvent>& events) {

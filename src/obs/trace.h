@@ -16,9 +16,6 @@
 // each I/O command, record() accumulates its device-stage service and
 // completion times into a DeviceReport — from which the driver builds the
 // obs::LatencyBreakdown carried on every Completion (obs/attribution.h).
-// The same table drives tail-based sampling (SamplingConfig): buffer each
-// command's events and keep only the interesting tails, with exact
-// kept + sampled_out == seen accounting.
 //
 // Thread safety: the recorder is sharded by qid (shard mutex + vector),
 // with a global atomic sequence number, so the PR-1 multi-submitter path
@@ -151,30 +148,6 @@ struct DeviceReport {
   std::uint64_t wait_ns = 0;
 };
 
-/// Tail-based sampling policy for per-command event retention. Attribution
-/// (begin/finish, DeviceReport) is always on; when `enabled` is set the
-/// recorder additionally BUFFERS each open command's events and keeps them
-/// only if the finished command is interesting: latency at or above
-/// `keep_threshold_ns`, in the running top-k of its window, or picked by
-/// the deterministic 1-in-`sample_every` residual sampler. Everything else
-/// is discarded with exact accounting: commands_kept + commands_sampled_out
-/// == commands_seen, always. Events of commands the recorder never saw
-/// begin_command for (admin queue, aux commands) pass through unsampled.
-struct SamplingConfig {
-  bool enabled = false;
-  /// Keep every command whose latency_ns >= this (0 disables the rule).
-  Nanoseconds keep_threshold_ns = 0;
-  /// Keep any command in the running top-k latencies of its window
-  /// (0 disables the rule). "Running": membership is decided online at
-  /// completion time against the commands finished so far in the window,
-  /// so the kept set is a superset of the true top-k.
-  std::uint32_t top_k = 0;
-  /// Window length for the top-k rule.
-  Nanoseconds window_ns = 1'000'000;
-  /// Of the commands no rule kept, keep every Nth (0 keeps none).
-  std::uint32_t sample_every = 0;
-};
-
 class TraceRecorder {
  public:
   /// Events kept before new ones are dropped (memory bound for very long
@@ -221,51 +194,25 @@ class TraceRecorder {
   }
   void clear_device_context() noexcept { device_context_valid_ = false; }
 
-  // ---- per-command attribution + tail-based sampling ----------------
+  // ---- per-command attribution --------------------------------------
   // The driver brackets every I/O command's life with begin_command /
   // finish_command; in between, record() transparently accumulates the
-  // command's device-stage service into its table entry (and buffers the
-  // events when sampling is enabled). finish_command returns the device
-  // report and applies the keep/sample decision.
+  // command's device-stage service into its table entry.
 
-  void begin_command(std::uint16_t qid, std::uint16_t cid,
-                     std::uint16_t tenant);
+  void begin_command(std::uint16_t qid, std::uint16_t cid);
   /// Controller-noted wait (deferred-OOO reassembly, fragment assembly)
   /// attributed to WaitSegment::kReassembly. No-op for unknown commands.
   void note_command_wait(std::uint16_t qid, std::uint16_t cid,
                          std::uint64_t wait_ns);
-  /// Closes the command's table entry, decides keep/sample using
-  /// `latency_ns` against the sampling policy (`now` anchors the top-k
-  /// window), flushes or discards its buffered events, and returns the
-  /// accumulated device report. Unknown commands return {valid = false}
-  /// and count as kept.
-  DeviceReport finish_command(std::uint16_t qid, std::uint16_t cid,
-                              Nanoseconds now, Nanoseconds latency_ns);
-
-  void configure_sampling(const SamplingConfig& config);
-  [[nodiscard]] SamplingConfig sampling_config() const;
-
-  /// Exact sampling accounting: kept + sampled_out == seen, always.
-  [[nodiscard]] std::uint64_t commands_seen() const noexcept {
-    return commands_seen_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t commands_kept() const noexcept {
-    return commands_kept_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t commands_sampled_out() const noexcept {
-    return commands_sampled_out_.load(std::memory_order_relaxed);
-  }
-  /// Buffered events discarded with their sampled-out commands (distinct
-  /// from dropped(): those hit the capacity bound).
-  [[nodiscard]] std::uint64_t events_sampled_out() const noexcept {
-    return events_sampled_out_.load(std::memory_order_relaxed);
-  }
+  /// Closes the command's table entry and returns its accumulated device
+  /// report. Unknown commands return {valid = false}.
+  DeviceReport finish_command(std::uint16_t qid, std::uint16_t cid);
 
   /// All events so far, merged across shards in seq order.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
-  /// Drops all recorded events, open attribution entries and sampling
-  /// accounting (seq keeps counting upward).
+  /// Drops all recorded events and open attribution entries (seq keeps
+  /// counting upward).
   void clear();
 
   [[nodiscard]] std::uint64_t events_recorded() const noexcept {
@@ -282,14 +229,6 @@ class TraceRecorder {
     mutable std::mutex mutex;
     std::vector<TraceEvent> events;
   };
-  /// One open command in the attribution table, keyed (qid << 16) | cid.
-  struct OpenCommand {
-    std::uint16_t tenant = 0;
-    bool buffering = false;
-    DeviceReport report;
-    std::vector<TraceEvent> buffered;
-  };
-
   static constexpr std::uint32_t command_key(std::uint16_t qid,
                                              std::uint16_t cid) noexcept {
     return (std::uint32_t{qid} << 16) | cid;
@@ -305,18 +244,11 @@ class TraceRecorder {
   std::atomic<std::uint64_t> dropped_{0};
   std::array<Shard, kShards> shards_;
 
-  // Attribution table + sampling state. table_mutex_ is taken before a
-  // shard mutex (flush path) and never the other way around.
-  mutable std::mutex table_mutex_;
-  std::unordered_map<std::uint32_t, OpenCommand> open_;
-  SamplingConfig sampling_;
-  std::uint64_t topk_window_index_ = 0;
-  std::vector<Nanoseconds> topk_heap_;  // min-heap of kept window latencies
-  std::uint64_t residual_counter_ = 0;
-  std::atomic<std::uint64_t> commands_seen_{0};
-  std::atomic<std::uint64_t> commands_kept_{0};
-  std::atomic<std::uint64_t> commands_sampled_out_{0};
-  std::atomic<std::uint64_t> events_sampled_out_{0};
+  // Attribution table: each open command's report, keyed
+  // (qid << 16) | cid. table_mutex_ is released before a shard mutex is
+  // taken.
+  std::mutex table_mutex_;
+  std::unordered_map<std::uint32_t, DeviceReport> open_;
 
   std::uint16_t device_qid_ = 0;
   std::uint16_t device_cid_ = 0;

@@ -239,7 +239,8 @@ ExecResult SsdDevice::do_flush() {
 
 ExecResult SsdDevice::do_raw_write(ConstByteSpan payload) {
   const std::size_t take = std::min(payload.size(), scratch_.size());
-  std::memcpy(scratch_.data(), payload.data(), take);
+  // An empty payload may have no storage: memcpy from null is undefined.
+  if (take > 0) std::memcpy(scratch_.data(), payload.data(), take);
   scratch_valid_ = static_cast<std::uint32_t>(take);
   return ExecResult::success();
 }

@@ -1,33 +1,17 @@
 // BENCH_*.json report layout: schema_version, config block, per-row
-// method + timeseries section. Tests the pure render_* functions from
+// method, stages and waits. Tests the pure render_* functions from
 // bench_common so report-consumer breakage shows up here, not in CI
 // artifact diffing.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
-#include "obs/telemetry.h"
+#include "obs/attribution.h"
 #include "obs/trace.h"
 
 namespace bx::bench {
 namespace {
-
-obs::TelemetrySample sample_at(std::uint64_t index, Nanoseconds start,
-                               Nanoseconds end, std::uint64_t wire) {
-  obs::TelemetrySample sample;
-  sample.index = index;
-  sample.start_ns = start;
-  sample.end_ns = end;
-  auto& mwr = sample.flow[std::size_t(obs::LinkDir::kDownstream)]
-                         [std::size_t(obs::TlpKind::kMWr)];
-  mwr.tlps = 1;
-  mwr.data_bytes = wire > 32 ? wire - 32 : 0;
-  mwr.wire_bytes = wire;
-  sample.payload_bytes = wire / 2;
-  return sample;
-}
 
 TEST(BenchReportTest, DocumentCarriesSchemaVersionAndConfig) {
   BenchEnv env;  // default knobs, no argv
@@ -42,118 +26,56 @@ TEST(BenchReportTest, DocumentCarriesSchemaVersionAndConfig) {
       render_report("fig5_payload_sweep", config_json, /*rows=*/{});
   EXPECT_NE(doc.find("\"bench\": \"fig5_payload_sweep\""),
             std::string::npos);
-  EXPECT_NE(doc.find("\"schema_version\": 2"), std::string::npos);
-  EXPECT_EQ(kReportSchemaVersion, 2);
+  EXPECT_NE(doc.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_EQ(kReportSchemaVersion, 3);
   EXPECT_NE(doc.find("\"config\": {"), std::string::npos);
   EXPECT_NE(doc.find("\"rows\": ["), std::string::npos);
 }
 
-TEST(BenchReportTest, RowCarriesMethodStagesAndTimeseries) {
+core::RunStats row_stats() {
   core::RunStats stats;
   stats.label = "byteexpress/256B";
   stats.method = "byteexpress";
-  stats.ops = 10;
-  stats.payload_bytes = 2560;
+  stats.ops = 4;
+  stats.payload_bytes = 1024;
   stats.wire_bytes = 4000;
   stats.data_bytes = 3000;
-  stats.total_time_ns = 50'000;
-  stats.latency.record(1'000);
+  stats.total_time_ns = 10'000;
+  stats.latency.record(2'500);
+  return stats;
+}
 
-  const obs::StageBreakdown breakdown = obs::stage_breakdown({});
-  std::vector<obs::TelemetrySample> samples = {
-      sample_at(0, 0, 10'000, 400),
-      sample_at(1, 10'000, 20'000, 500),
-  };
-  const std::string row = render_report_row(
-      stats, breakdown, /*trace_events_dropped=*/0, samples,
-      /*bytes_per_ns=*/4.0);
+TEST(BenchReportTest, RowCarriesMethodAndStages) {
+  const std::string row =
+      render_report_row(row_stats(), obs::stage_breakdown({}),
+                        /*trace_events_dropped=*/0, /*waits=*/0,
+                        obs::LatencyBreakdown{});
 
   EXPECT_NE(row.find("\"label\": \"byteexpress/256B\""), std::string::npos);
   EXPECT_NE(row.find("\"method\": \"byteexpress\""), std::string::npos);
-  EXPECT_NE(row.find("\"stages\": "), std::string::npos);
-  EXPECT_NE(row.find("\"timeseries\": ["), std::string::npos);
-  EXPECT_NE(row.find("\"down_mwr_wire\": 400"), std::string::npos);
-  EXPECT_NE(row.find("\"down_mwr_wire\": 500"), std::string::npos);
-
-  // Sampling defaults to all-zero when the caller passes no stats (the
-  // legacy 5-argument call shape stays valid).
-  EXPECT_NE(row.find("\"sampling\": {\"seen\": 0"), std::string::npos);
+  EXPECT_NE(row.find("\"stages\": {}"), std::string::npos);
+  EXPECT_EQ(row.find("timeseries"), std::string::npos);
 }
 
-TEST(BenchReportTest, RowCarriesWaitsAttributionAndSampling) {
-  core::RunStats stats;
-  stats.label = "attr";
-  stats.method = "byteexpress";
-  stats.ops = 4;
-  stats.total_time_ns = 10'000;
-  stats.latency.record(2'500);
+TEST(BenchReportTest, RowCarriesWaitsAttribution) {
+  // The driver's sums over 4 commands: the segments of all four
+  // breakdowns, added up.
+  obs::LatencyBreakdown wait_ns;
+  wait_ns.of(obs::WaitSegment::kService) = 7'500;
+  wait_ns.of(obs::WaitSegment::kBellHold) = 250;
+  wait_ns.of(obs::WaitSegment::kDelivery) = 40;
 
-  std::vector<obs::TelemetrySample> samples = {
-      sample_at(0, 0, 10'000, 400),
-      sample_at(1, 10'000, 20'000, 500),
-  };
-  // Window-aggregated wait attribution: 3 + 1 completions, segments split
-  // across windows must sum in the rendered block.
-  samples[0].wait_count = 3;
-  samples[0].wait_ns[std::size_t(obs::WaitSegment::kService)] = 6'000;
-  samples[0].wait_ns[std::size_t(obs::WaitSegment::kBellHold)] = 250;
-  samples[1].wait_count = 1;
-  samples[1].wait_ns[std::size_t(obs::WaitSegment::kService)] = 1'500;
-  samples[1].wait_ns[std::size_t(obs::WaitSegment::kDelivery)] = 40;
+  const std::string row =
+      render_report_row(row_stats(), obs::stage_breakdown({}),
+                        /*trace_events_dropped=*/0, /*waits=*/4, wait_ns);
 
-  SamplingStats sampling;
-  sampling.seen = 100;
-  sampling.kept = 12;
-  sampling.sampled_out = 88;
-  sampling.events_sampled_out = 704;
-
-  const std::string row = render_report_row(
-      stats, obs::stage_breakdown({}), /*trace_events_dropped=*/0, samples,
-      /*bytes_per_ns=*/4.0, sampling);
-
-  EXPECT_NE(row.find("\"waits\": {\"count\": 4"), std::string::npos);
-  EXPECT_NE(row.find("\"service\": 7500"), std::string::npos);
-  EXPECT_NE(row.find("\"bell\": 250"), std::string::npos);
-  EXPECT_NE(row.find("\"delivery\": 40"), std::string::npos);
-  EXPECT_NE(row.find("\"gate\": 0"), std::string::npos);
-  EXPECT_NE(row.find("\"sampling\": {\"seen\": 100, \"kept\": 12, "
-                     "\"sampled_out\": 88, \"events_sampled_out\": 704}"),
-            std::string::npos);
-}
-
-TEST(BenchReportTest, TimeseriesDownsamplesToMaxPoints) {
-  std::vector<obs::TelemetrySample> samples;
-  std::uint64_t total_wire = 0;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    samples.push_back(
-        sample_at(i, Nanoseconds(i * 100), Nanoseconds((i + 1) * 100),
-                  64 + i));
-    total_wire += 64 + i;
-  }
-  const std::string json =
-      render_timeseries_json(samples, /*bytes_per_ns=*/4.0,
-                             /*max_points=*/16);
-
-  std::size_t points = 0;
-  for (std::size_t pos = json.find("\"start_ns\""); pos != std::string::npos;
-       pos = json.find("\"start_ns\"", pos + 1)) {
-    ++points;
-  }
-  EXPECT_LE(points, 16u);
-  EXPECT_GT(points, 0u);
-
-  // Downsampling preserves the wire-byte sum: re-add the rendered
-  // down_mwr_wire values.
-  std::uint64_t rendered_wire = 0;
-  const std::string key = "\"down_mwr_wire\": ";
-  for (std::size_t pos = json.find(key); pos != std::string::npos;
-       pos = json.find(key, pos + 1)) {
-    rendered_wire += std::stoull(json.substr(pos + key.size()));
-  }
-  EXPECT_EQ(rendered_wire, total_wire);
-
-  // Empty runs render an empty array, not invalid JSON.
-  EXPECT_EQ(render_timeseries_json({}, 4.0), "[]");
+  EXPECT_NE(row.find("\"waits\": {\"count\": 4, \"gate\": 0, \"ring\": 0, "
+                     "\"slot\": 0, \"bell\": 250, \"arb\": 0, "
+                     "\"service\": 7500, \"reassembly\": 0, "
+                     "\"delivery\": 40}}"),
+            std::string::npos)
+      << row;
+  EXPECT_EQ(row.find("sampling"), std::string::npos);
 }
 
 }  // namespace

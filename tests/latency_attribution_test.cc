@@ -1,9 +1,7 @@
 // Queue-depth-aware latency attribution: Completion::breakdown decomposes
 // latency_ns into the eight obs::WaitSegment segments with ZERO residual —
 // at QD 1, 8 and 32, for every transfer method, on the direct, batched
-// and tenant submission paths, and for backdated arrivals. Also covers the
-// tail-based trace sampling accounting (kept + sampled_out == seen,
-// exactly).
+// and tenant submission paths, and for backdated arrivals.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +11,6 @@
 #include "core/testbed.h"
 #include "obs/attribution.h"
 #include "obs/invariants.h"
-#include "obs/trace.h"
 #include "tenant/scheduler.h"
 #include "test_util.h"
 
@@ -324,66 +321,6 @@ TEST(LatencyAttributionSurfacing, MethodHistogramsAndTelemetryWaits) {
   // Telemetry aggregates completed breakdowns, so the windowed segment sum
   // equals the sum of the attributed latencies (additivity, end to end).
   EXPECT_EQ(segment_sum, latency_sum);
-}
-
-// ---------------------------------------------------------------------------
-// Tail-based sampling accounting.
-
-TEST(SamplingAccounting, KeptPlusSampledOutEqualsSeen) {
-  Testbed bed(test::small_testbed_config());
-  obs::SamplingConfig sampling;
-  sampling.enabled = true;
-  sampling.top_k = 2;
-  sampling.window_ns = 1'000'000;
-  sampling.sample_every = 8;
-  bed.trace().configure_sampling(sampling);
-
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    const ByteVec payload = patterned(32 + (i % 8) * 64);
-    auto completion = bed.raw_write(payload, TransferMethod::kByteExpress);
-    ASSERT_TRUE(completion.is_ok() && completion->ok());
-  }
-  const std::uint64_t seen = bed.trace().commands_seen();
-  const std::uint64_t kept = bed.trace().commands_kept();
-  const std::uint64_t sampled_out = bed.trace().commands_sampled_out();
-  // >= 100: testbed construction's admin commands are seen (and kept — the
-  // recorder only samples out commands completed while sampling is on).
-  EXPECT_GE(seen, 100u);
-  EXPECT_EQ(kept + sampled_out, seen);
-  EXPECT_GT(kept, 0u);
-  EXPECT_GT(sampled_out, 0u);
-  EXPECT_GT(bed.trace().events_sampled_out(), 0u);
-
-  // Sampled-out commands left no events behind; kept commands did.
-  const std::vector<obs::TraceEvent> events = bed.trace().snapshot();
-  EXPECT_FALSE(events.empty());
-}
-
-TEST(SamplingAccounting, ThresholdKeepsEverySlowCommand) {
-  Testbed bed(test::small_testbed_config());
-  obs::SamplingConfig sampling;
-  sampling.enabled = true;
-  sampling.keep_threshold_ns = 1;  // every completed command qualifies
-  bed.trace().configure_sampling(sampling);
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    const ByteVec payload = patterned(64);
-    auto completion = bed.raw_write(payload, TransferMethod::kByteExpress);
-    ASSERT_TRUE(completion.is_ok() && completion->ok());
-  }
-  EXPECT_EQ(bed.trace().commands_kept(), bed.trace().commands_seen());
-  EXPECT_EQ(bed.trace().commands_sampled_out(), 0u);
-}
-
-TEST(SamplingAccounting, DisabledByDefaultKeepsEverything) {
-  Testbed bed(test::small_testbed_config());
-  EXPECT_FALSE(bed.trace().sampling_config().enabled);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    const ByteVec payload = patterned(64);
-    auto completion = bed.raw_write(payload, TransferMethod::kByteExpress);
-    ASSERT_TRUE(completion.is_ok() && completion->ok());
-  }
-  EXPECT_EQ(bed.trace().commands_sampled_out(), 0u);
-  EXPECT_EQ(bed.trace().events_sampled_out(), 0u);
 }
 
 }  // namespace

@@ -112,6 +112,17 @@ TEST(TelemetryWindowTest, FlushClosesPartialWindowAndConservesSums) {
   std::uint64_t payload = 0;
   for (const TelemetrySample& s : samples) payload += s.payload_bytes;
   EXPECT_EQ(payload, 300u);
+
+  // The grid restarted at 150. A counter that moves after advance_to(250)
+  // closed [150, 250) lands in the zero-length final window [250, 250).
+  telemetry.advance_to(250);
+  sources.waits.increment();
+  telemetry.flush(250);
+  std::uint64_t waits = 0;
+  for (const TelemetrySample& s : telemetry.samples()) waits += s.wait_count;
+  EXPECT_EQ(waits, 1u);
+  EXPECT_EQ(telemetry.samples().back().start_ns, 250);
+  EXPECT_EQ(telemetry.samples().back().end_ns, 250);
 }
 
 TEST(TelemetryWindowTest, RingCapDropsOldestAndCounts) {
@@ -412,9 +423,14 @@ TEST(TelemetryTestbedTest, ResetCountersRestartsSampling) {
   bed.reset_counters();
   EXPECT_TRUE(bed.telemetry().samples().empty());
   EXPECT_EQ(bed.telemetry().windows_closed(), 0u);
+  EXPECT_EQ(bed.driver().waits(), 0u);
+  EXPECT_EQ(bed.driver().wait_ns().total_ns(), 0u);
 
   auto second = bed.raw_write(payload, TransferMethod::kByteExpress, 1);
   ASSERT_TRUE(second.is_ok() && second->ok());
+  EXPECT_EQ(bed.driver().waits(), 1u);
+  EXPECT_EQ(bed.driver().wait_ns().total_ns(),
+            static_cast<std::uint64_t>(second->latency_ns));
   bed.telemetry().flush(bed.clock().now());
 
   // Post-reset samples reconcile with the post-reset traffic counters.
@@ -446,6 +462,8 @@ TEST(TelemetryTestbedTest, DisabledTelemetryStaysEmpty) {
   bed.telemetry().flush(bed.clock().now());
   EXPECT_TRUE(bed.telemetry().samples().empty());
   EXPECT_EQ(bed.telemetry().windows_closed(), 0u);
+  // The driver's wait sums do not depend on the sampler.
+  EXPECT_EQ(bed.driver().waits(), 5u);
 }
 
 }  // namespace

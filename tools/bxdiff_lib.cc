@@ -12,7 +12,7 @@ namespace {
 /// never a regression regardless of relative size. Chosen to sit above
 /// scheduler-interleaving wobble but far below a real 10% regression at
 /// the scales the benches run at. Metrics not listed here (stages,
-/// timeseries, counts like "ops") are deliberately not compared: they are
+/// waits, counts like "ops") are deliberately not compared: they are
 /// either inputs or diagnostic payloads, not gated outputs.
 double metric_floor(const std::string& name) {
   if (name == "mean_latency_ns" || name == "p50_latency_ns") return 50.0;

@@ -3,8 +3,8 @@
 // Compares a candidate bench report against a committed golden baseline and
 // flags metric regressions. Understands both report shapes the repo emits:
 //
-//  * bench_common.h schema (schema_version 2): rows keyed by "label" (and
-//    "method"), metrics like mean/p50/p99 latency, kops, wire_bytes.
+//  * bench_common.h schema (schema_version >= 2): rows keyed by "label"
+//    (and "method"), metrics like mean/p50/p99 latency, kops, wire_bytes.
 //  * microbench_multiqueue scaling sweep (schema_version 1): rows keyed by
 //    (queues, depth), metrics like doorbells_per_op, sim_ns, ops_per_sec.
 //
