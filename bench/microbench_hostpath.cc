@@ -77,6 +77,25 @@ void BM_KvPut(benchmark::State& state) {
   }
 }
 
+// One advance_to across N windows after one counter moved: the first
+// window is a sample, the other N - 1 are idle, as when a NAND operation
+// moves the clock across several windows in one step. The cost of an
+// idle window, /64 against /1, is what CI gates.
+void BM_TelemetryAdvance(benchmark::State& state) {
+  Testbed testbed;  // telemetry on: 10 us windows, 65,536 kept
+  bx::obs::Telemetry& telemetry = testbed.telemetry();
+  const bx::Nanoseconds window = telemetry.config().window_ns;
+  const auto windows = static_cast<bx::Nanoseconds>(state.range(0));
+  bx::Nanoseconds now = telemetry.next_close_ns() - window;
+  for (auto _ : state) {
+    testbed.traffic().record(bx::pcie::Direction::kDownstream,
+                             bx::pcie::TrafficClass::kDoorbell,
+                             bx::pcie::TlpType::kMemoryWrite, 1, 4, 28);
+    now += windows * window;
+    telemetry.advance_to(now);
+  }
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_RawWrite, prp, TransferMethod::kPrp)
@@ -93,5 +112,6 @@ BENCHMARK_CAPTURE(BM_RawWriteTelemetry, byteexpress,
                   TransferMethod::kByteExpress)
     ->Arg(64)
     ->Arg(4096);
+BENCHMARK(BM_TelemetryAdvance)->Arg(1)->Arg(64);
 BENCHMARK(BM_PrpChainBuild)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 BENCHMARK(BM_KvPut)->Arg(64)->Arg(1024);

@@ -3,11 +3,38 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/status.h"
+
 namespace bx::obs {
 
 namespace {
 
 constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
+
+/// Turns `sample` into the idle window `windows` windows after it: every
+/// delta column reads 0, every gauge keeps its value, and the bounds move
+/// on by `windows` lengths of the sample's own window. A delta column
+/// added to TelemetrySample must be zeroed here too.
+void skip_idle(TelemetrySample& sample, std::uint64_t windows) noexcept {
+  sample.flow = {};
+  sample.payload_bytes = 0;
+  sample.stage_count = {};
+  sample.stage_ns = {};
+  sample.wait_count = 0;
+  sample.wait_ns = {};
+  for (QueueWindow& queue : sample.queues) {
+    queue.sq_doorbells = queue.sq_entries = queue.cq_doorbells = 0;
+  }
+  for (TenantWindow& tenant : sample.tenants) {
+    tenant.admitted = tenant.rejected = tenant.payload_bytes =
+        tenant.completions = 0;
+  }
+  sample.policy_inline = sample.policy_dma = sample.policy_rejects = 0;
+  const Nanoseconds length = sample.end_ns - sample.start_ns;
+  sample.index += windows;
+  sample.start_ns += windows * length;
+  sample.end_ns += windows * length;
+}
 
 }  // namespace
 
@@ -46,9 +73,12 @@ double TelemetrySample::utilization(LinkDir dir,
 }
 
 Telemetry::Telemetry(TelemetryConfig config)
-    : config_(config), window_end_(config.window_ns) {}
+    : config_(config), window_end_(config.window_ns) {
+  BX_ASSERT(!config_.enabled || config_.window_ns > 0);
+}
 
 void Telemetry::configure(const TelemetryConfig& config) {
+  BX_ASSERT(!config.enabled || config.window_ns > 0);
   std::lock_guard<std::mutex> lock(mutex_);
   config_ = config;
   window_end_.store(window_start_ + config_.window_ns, kRelaxed);
@@ -165,43 +195,76 @@ TelemetrySample Telemetry::take_sample_locked(Nanoseconds end) {
   return sample;
 }
 
-void Telemetry::close_window_locked(Nanoseconds end) {
+void Telemetry::close_locked(Nanoseconds end, std::uint64_t idle) {
   TelemetrySample sample = take_sample_locked(end);
-  sample.index = next_index_++;
-  if (observer_ != nullptr) observer_->on_window(sample);
-
-  ring_.push_back(std::move(sample));
-  if (ring_.size() > config_.max_windows) {
-    ring_.pop_front();
-    windows_dropped_.fetch_add(1, kRelaxed);
+  sample.index = next_index_;
+  if (observer_ != nullptr) {
+    observer_->on_window(sample);
+    if (idle != 0) {
+      TelemetrySample window = sample;
+      for (std::uint64_t i = 0; i < idle; ++i) {
+        skip_idle(window, 1);
+        observer_->on_window(window);
+      }
+    }
   }
-  windows_closed_.fetch_add(1, kRelaxed);
 
-  window_start_ = end;
-  window_end_.store(end + config_.window_ns, kRelaxed);
+  const std::uint64_t windows = 1 + idle;
+  ring_.push_back({std::move(sample), idle});
+  ring_windows_ += windows;
+  drop_oldest_locked();
+  windows_closed_.fetch_add(windows, kRelaxed);
+
+  next_index_ += windows;
+  window_start_ = end + idle * config_.window_ns;
+  window_end_.store(window_start_ + config_.window_ns, kRelaxed);
+}
+
+void Telemetry::drop_oldest_locked() {
+  while (ring_windows_ > config_.max_windows) {
+    Entry& oldest = ring_.front();
+    const std::uint64_t excess = ring_windows_ - config_.max_windows;
+    std::uint64_t dropped = 1 + oldest.idle;
+    if (excess < dropped) {
+      // The drop ends inside the run: its first `excess` windows go, and
+      // the entry now starts at the idle window after them.
+      dropped = excess;
+      skip_idle(oldest.sample, excess);
+      oldest.idle -= excess;
+    } else {
+      ring_.pop_front();
+    }
+    ring_windows_ -= dropped;
+    windows_dropped_.fetch_add(dropped, kRelaxed);
+  }
+}
+
+void Telemetry::close_expired_locked(Nanoseconds now) {
+  // Checked under the lock: another thread may have rolled the window.
+  const Nanoseconds end = window_start_ + config_.window_ns;
+  if (now < end) return;
+  // No counter moves between the closes of one call, so every window
+  // after the first is idle.
+  close_locked(end, (now - end) / config_.window_ns);
 }
 
 void Telemetry::advance_to(Nanoseconds now) {
   if (!config_.enabled) return;
   if (now < window_end_.load(kRelaxed)) return;  // fast path
   std::lock_guard<std::mutex> lock(mutex_);
-  // Re-check under the lock: another thread may have rolled the window.
-  while (now >= window_end_.load(kRelaxed)) {
-    close_window_locked(window_start_ + config_.window_ns);
-  }
+  close_expired_locked(now);
 }
 
 void Telemetry::flush(Nanoseconds now) {
   if (!config_.enabled) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  while (now >= window_end_.load(kRelaxed)) {
-    close_window_locked(window_start_ + config_.window_ns);
-  }
+  close_expired_locked(now);
   // Close the in-progress partial window (delta residuals -> sample) so
   // sample sums match the owners' counters exactly — also when it is
   // empty, [now, now): advance_to(now) may have closed a window ending at
-  // `now` before a counter moved. The window grid restarts at `now`.
-  close_window_locked(now);
+  // `now` before a counter moved. Its length differs from the grid's, so
+  // it is a sample, never idle. The window grid restarts at `now`.
+  close_locked(now, 0);
 }
 
 void Telemetry::clear(Nanoseconds now) {
@@ -210,6 +273,7 @@ void Telemetry::clear(Nanoseconds now) {
   // the owners keep counting upward, only the sampling restarts.
   take_sample_locked(now);
   ring_.clear();
+  ring_windows_ = 0;
   next_index_ = 0;
   windows_closed_.store(0, kRelaxed);
   windows_dropped_.store(0, kRelaxed);
@@ -219,7 +283,16 @@ void Telemetry::clear(Nanoseconds now) {
 
 std::vector<TelemetrySample> Telemetry::samples() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
+  std::vector<TelemetrySample> out;
+  out.reserve(ring_windows_);
+  for (const Entry& entry : ring_) {
+    out.push_back(entry.sample);
+    for (std::uint64_t i = 0; i < entry.idle; ++i) {
+      out.push_back(out.back());
+      skip_idle(out.back(), 1);
+    }
+  }
+  return out;
 }
 
 std::array<std::array<FlowCell, kTlpKinds>, kLinkDirs> Telemetry::sum_flows(

@@ -27,6 +27,17 @@
 // has closed the final partial window (tests/traffic_conservation_test.cc
 // asserts this against pcie::TrafficCounter for every transfer method).
 //
+// Idle windows cost no sample. One advance_to() or flush() call may close
+// many windows at once (NAND time moves the clock tens of us in one
+// step). Nothing counts between two closes of one call, so every window
+// after the call's first has zero deltas and the gauges of the window
+// before it: an *idle* window. The ring stores it as a count on the
+// previous entry, and samples() expands it again, so readers see every
+// window. Without an observer, closing k windows costs one sample plus
+// O(1) arithmetic. Under concurrent submitters a counter that moves while
+// one call closes a run lands in the next sampled window, not inside the
+// run; every sum still telescopes.
+//
 // Layering: bx_obs sits below bx_pcie, so this header cannot name
 // pcie::Direction or pcie::TlpType. LinkDir and TlpKind mirror their
 // numeric values; PcieLink casts when it registers its counter cells.
@@ -76,9 +87,11 @@ using WaitCounters = std::array<Counter, kWaitSegmentCount>;
 struct TelemetryConfig {
   bool enabled = true;
   /// Window length in simulated nanoseconds (PCM-style sampling period).
+  /// Must be > 0 when enabled.
   Nanoseconds window_ns = 10'000;
-  /// Samples kept before the oldest are dropped (memory bound for long
-  /// runs); drops are counted, never silent.
+  /// Windows kept before the oldest are dropped (memory bound for long
+  /// runs); drops are counted, never silent. An idle window counts as a
+  /// window here, although the ring stores it as a count.
   std::size_t max_windows = 1u << 16;
 };
 
@@ -177,7 +190,8 @@ struct TelemetrySample {
 class Telemetry {
  public:
   /// Consumer of every closed window, invoked synchronously from
-  /// close_window_locked() with the telemetry mutex held. The observer
+  /// close_locked() with the telemetry mutex held. Each idle window is
+  /// delivered on its own, with its index and bounds. The observer
   /// must only update its own (innermost-locked) state: calling back into
   /// Telemetry, the driver or the link from on_window() deadlocks. The
   /// adaptive policy (policy::AdaptivePolicy) uses this to run its EWMA
@@ -193,7 +207,8 @@ class Telemetry {
   Telemetry& operator=(const Telemetry&) = delete;
 
   /// Reconfigures the sampler. Call during testbed assembly, before
-  /// traffic flows.
+  /// traffic flows. Both this and the constructor assert window_ns > 0
+  /// when the sampler is enabled: a zero-length window never ends.
   void configure(const TelemetryConfig& config);
   [[nodiscard]] const TelemetryConfig& config() const noexcept {
     return config_;
@@ -252,8 +267,9 @@ class Telemetry {
 
   // ---- window rolling ----
 
-  /// Closes every window that `now` has moved past. The common case (still
-  /// inside the current window) is one relaxed load.
+  /// Closes every window that `now` has moved past: the first as a
+  /// sample, the rest as idle windows. The common case (still inside the
+  /// current window) is one relaxed load.
   void advance_to(Nanoseconds now);
   /// The end of the open window: advance_to(t) closes a window iff
   /// t >= next_close_ns(). The maximum time when sampling is disabled.
@@ -274,6 +290,8 @@ class Telemetry {
 
   // ---- consumption ----
 
+  /// Every window in the ring, oldest first, idle windows expanded: one
+  /// sample per window, with consecutive index, start_ns and end_ns.
   [[nodiscard]] std::vector<TelemetrySample> samples() const;
   [[nodiscard]] std::uint64_t windows_closed() const noexcept {
     return windows_closed_.load(std::memory_order_relaxed);
@@ -338,10 +356,23 @@ class Telemetry {
     const Gauge* inflight_slots = nullptr;
   };
 
+  /// A closed window and the idle windows after it, which have zero
+  /// deltas and its gauges. Only a full window starts a run of idle ones.
+  struct Entry {
+    TelemetrySample sample;
+    std::uint64_t idle = 0;
+  };
+
   /// Reads every source into the sample [window_start_, end), moving each
   /// tap's baseline to the current counter value.
   TelemetrySample take_sample_locked(Nanoseconds end);
-  void close_window_locked(Nanoseconds end);
+  /// Closes every full window that `now` has moved past, if any.
+  void close_expired_locked(Nanoseconds now);
+  /// Closes [window_start_, end) as a sample and then `idle` more windows
+  /// as a count on its entry.
+  void close_locked(Nanoseconds end, std::uint64_t idle);
+  /// Drops the oldest windows until at most max_windows remain.
+  void drop_oldest_locked();
 
   TelemetryConfig config_;
   double bytes_per_ns_ = 1.0;
@@ -372,7 +403,9 @@ class Telemetry {
   mutable std::mutex mutex_;
   Nanoseconds window_start_ = 0;
   std::uint64_t next_index_ = 0;
-  std::deque<TelemetrySample> ring_;
+  std::deque<Entry> ring_;
+  /// Windows held by ring_: its entries plus their idle counts.
+  std::uint64_t ring_windows_ = 0;
 };
 
 }  // namespace bx::obs

@@ -1,8 +1,9 @@
 // Windowed telemetry sampler: window-grid semantics over registered
-// counters, exact conservation against the TrafficCounter under QD>1
-// multi-queue load, windows that close at the same chunk read under bulk
-// chunk-run accounting, ring bounds, downsampling, reset semantics, the
-// disabled path, and the TSV dump.
+// counters, idle windows (zero deltas, repeated gauges, ring drops inside
+// a run, the observer path), exact conservation against the
+// TrafficCounter under QD>1 multi-queue load, windows that close at the
+// same chunk read under bulk chunk-run accounting, ring bounds,
+// downsampling, reset semantics, the disabled path, and the TSV dump.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -179,6 +180,243 @@ TEST(TelemetryWindowTest, DumpTsvHasHeaderAndOneRowPerWindow) {
   std::size_t lines = 0;
   for (const char c : tsv) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, telemetry.samples().size() + 2);  // 2 header comments
+}
+
+// --- idle windows ---
+
+/// One source of every column kind, each counter listed in the order
+/// deltas() reads its column.
+struct AllSources {
+  explicit AllSources(Telemetry& telemetry) {
+    for (std::size_t dir = 0; dir < obs::kLinkDirs; ++dir) {
+      for (std::size_t kind = 0; kind < obs::kTlpKinds; ++kind) {
+        pcie::TrafficCounter::Cell& cell = flows[dir][kind];
+        telemetry.register_flow(LinkDir(dir), TlpKind(kind), &cell.tlps,
+                                &cell.data_bytes, &cell.wire_bytes);
+        counters.insert(counters.end(),
+                        {&cell.tlps, &cell.data_bytes, &cell.wire_bytes});
+      }
+    }
+    telemetry.register_driver(&payload, &waits, wait_ns);
+    telemetry.register_controller(stage_count, stage_ns, &backlog);
+    telemetry.register_queue(1, &sq_occupancy, &inflight, &sq_doorbells,
+                             &sq_entries, &cq_doorbells);
+    telemetry.register_tenant(1, &admitted, &rejected, &tenant_payload,
+                              &completions, &inflight_slots);
+    telemetry.register_policy(&policy_inline, &policy_dma, &policy_rejects,
+                              &shedding);
+    counters.push_back(&payload);
+    for (obs::Counter& counter : stage_count) counters.push_back(&counter);
+    for (obs::Counter& counter : stage_ns) counters.push_back(&counter);
+    counters.push_back(&waits);
+    for (obs::Counter& counter : wait_ns) counters.push_back(&counter);
+    counters.insert(counters.end(),
+                    {&sq_doorbells, &sq_entries, &cq_doorbells, &admitted,
+                     &rejected, &tenant_payload, &completions,
+                     &policy_inline, &policy_dma, &policy_rejects});
+  }
+
+  /// Moves counter i by i + 1 and returns those deltas in column order.
+  std::vector<std::uint64_t> move_every_counter() {
+    std::vector<std::uint64_t> moved;
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      counters[i]->add(i + 1);
+      moved.push_back(i + 1);
+    }
+    return moved;
+  }
+
+  /// Sets every gauge to a distinct non-zero value.
+  void set_every_gauge() {
+    backlog.set(3);
+    sq_occupancy.set(5);
+    inflight.set(7);
+    inflight_slots.set(11);
+    shedding.set(1);
+  }
+
+  std::array<std::array<pcie::TrafficCounter::Cell, obs::kTlpKinds>,
+             obs::kLinkDirs>
+      flows;
+  obs::Counter payload, waits;
+  obs::WaitCounters wait_ns;
+  obs::StageCounters stage_count, stage_ns;
+  obs::Gauge backlog;
+  obs::Gauge sq_occupancy, inflight;
+  obs::Counter sq_doorbells, sq_entries, cq_doorbells;
+  obs::Counter admitted, rejected, tenant_payload, completions;
+  obs::Gauge inflight_slots;
+  obs::Counter policy_inline, policy_dma, policy_rejects;
+  obs::Gauge shedding;
+  std::vector<obs::Counter*> counters;
+};
+
+/// Every summed column of `s`, in a fixed order.
+std::vector<std::uint64_t> deltas(const TelemetrySample& s) {
+  std::vector<std::uint64_t> out;
+  for (const auto& dir : s.flow) {
+    for (const obs::FlowCell& cell : dir) {
+      out.insert(out.end(), {cell.tlps, cell.data_bytes, cell.wire_bytes});
+    }
+  }
+  out.push_back(s.payload_bytes);
+  out.insert(out.end(), s.stage_count.begin(), s.stage_count.end());
+  out.insert(out.end(), s.stage_ns.begin(), s.stage_ns.end());
+  out.push_back(s.wait_count);
+  out.insert(out.end(), s.wait_ns.begin(), s.wait_ns.end());
+  for (const obs::QueueWindow& q : s.queues) {
+    out.insert(out.end(), {q.sq_doorbells, q.sq_entries, q.cq_doorbells});
+  }
+  for (const obs::TenantWindow& t : s.tenants) {
+    out.insert(out.end(),
+               {t.admitted, t.rejected, t.payload_bytes, t.completions});
+  }
+  out.insert(out.end(), {s.policy_inline, s.policy_dma, s.policy_rejects});
+  return out;
+}
+
+/// Every gauge column of `s`, with the ids of its queue and tenant rows.
+std::vector<std::int64_t> gauges(const TelemetrySample& s) {
+  std::vector<std::int64_t> out = {s.backlog};
+  for (const obs::QueueWindow& q : s.queues) {
+    out.insert(out.end(), {q.qid, q.sq_occupancy, q.inflight});
+  }
+  for (const obs::TenantWindow& t : s.tenants) {
+    out.insert(out.end(), {t.tenant, t.inflight_slots});
+  }
+  out.push_back(s.policy_shedding);
+  return out;
+}
+
+/// Every field of `s`: bounds, deltas and gauges.
+std::vector<std::uint64_t> fields(const TelemetrySample& s) {
+  std::vector<std::uint64_t> out = {s.index, s.start_ns, s.end_ns};
+  for (const std::uint64_t delta : deltas(s)) out.push_back(delta);
+  for (const std::int64_t gauge : gauges(s)) {
+    out.push_back(static_cast<std::uint64_t>(gauge));
+  }
+  return out;
+}
+
+// One advance_to across 5 windows: the first carries every delta, the 4
+// idle ones after it read 0 in every summed column and repeat its gauges.
+TEST(TelemetryIdleTest, IdleWindowsReadZeroDeltasAndRepeatGauges) {
+  Telemetry telemetry(tiny_config(100));
+  AllSources sources(telemetry);
+  const std::vector<std::uint64_t> moved = sources.move_every_counter();
+  sources.set_every_gauge();
+  telemetry.advance_to(540);  // closes [0, 100) .. [400, 500)
+
+  EXPECT_EQ(telemetry.windows_closed(), 5u);
+  EXPECT_EQ(telemetry.windows_dropped(), 0u);
+  const std::vector<TelemetrySample> samples = telemetry.samples();
+  ASSERT_EQ(samples.size(), 5u);
+  EXPECT_EQ(deltas(samples[0]), moved);
+  const std::vector<std::int64_t> want_gauges = {3, 1, 5, 7, 1, 11, 1};
+  EXPECT_EQ(gauges(samples[0]), want_gauges);
+  const std::vector<std::uint64_t> zero(moved.size(), 0);
+  for (std::uint64_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].index, i);
+    EXPECT_EQ(samples[i].start_ns, 100 * i);
+    EXPECT_EQ(samples[i].end_ns, 100 * (i + 1));
+    if (i == 0) continue;
+    EXPECT_EQ(deltas(samples[i]), zero) << "window " << i;
+    EXPECT_EQ(gauges(samples[i]), want_gauges) << "window " << i;
+  }
+
+  // The next busy window picks up where the run ended.
+  sources.payload.increment();
+  telemetry.flush(550);
+  const std::vector<TelemetrySample> after = telemetry.samples();
+  ASSERT_EQ(after.size(), 6u);
+  EXPECT_EQ(after.back().index, 5u);
+  EXPECT_EQ(after.back().start_ns, 500u);
+  EXPECT_EQ(after.back().end_ns, 550u);
+  EXPECT_EQ(after.back().payload_bytes, 1u);
+}
+
+// max_windows counts windows, not ring entries: a drop that ends inside
+// an idle run keeps the run's tail.
+TEST(TelemetryIdleTest, RingCapDropsInsideAnIdleRun) {
+  Telemetry telemetry(tiny_config(100, /*max_windows=*/4));
+  AllSources sources(telemetry);
+  sources.move_every_counter();
+  telemetry.advance_to(100);  // one busy window, [0, 100)
+  sources.move_every_counter();
+  telemetry.advance_to(1100);  // [100, 200) and 9 idle windows
+
+  EXPECT_EQ(telemetry.windows_closed(), 11u);
+  EXPECT_EQ(telemetry.windows_dropped(), 7u);
+  const std::vector<TelemetrySample> samples = telemetry.samples();
+  ASSERT_EQ(samples.size(), 4u);
+  const std::vector<std::uint64_t> zero(sources.counters.size(), 0);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].index, 7 + i);
+    EXPECT_EQ(samples[i].start_ns, 100 * (7 + i));
+    EXPECT_EQ(samples[i].end_ns, 100 * (8 + i));
+    EXPECT_EQ(deltas(samples[i]), zero) << "window " << 7 + i;
+  }
+}
+
+/// Keeps a copy of every window it is handed.
+class RecordingObserver : public Telemetry::WindowObserver {
+ public:
+  void on_window(const TelemetrySample& sample) override {
+    seen.push_back(sample);
+  }
+  std::vector<TelemetrySample> seen;
+};
+
+// The observer still sees every window, idle ones included, and each one
+// equals the window samples() reads back.
+TEST(TelemetryIdleTest, ObserverSeesEveryIdleWindow) {
+  Telemetry telemetry(tiny_config(100));
+  AllSources sources(telemetry);
+  RecordingObserver observer;
+  telemetry.set_window_observer(&observer);
+  sources.move_every_counter();
+  sources.set_every_gauge();
+  telemetry.advance_to(500);  // 5 windows, 4 of them idle
+  sources.move_every_counter();
+  sources.inflight.set(2);
+  telemetry.advance_to(799);  // 2 windows, 1 idle
+  telemetry.flush(850);       // [700, 800), then [800, 850)
+
+  const std::vector<TelemetrySample> samples = telemetry.samples();
+  ASSERT_EQ(samples.size(), 9u);
+  ASSERT_EQ(observer.seen.size(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(fields(observer.seen[i]), fields(samples[i])) << "window " << i;
+  }
+  EXPECT_EQ(samples[6].queues.at(0).inflight, 2);
+}
+
+// With no room at all the ring still drops every window, idle or not.
+TEST(TelemetryIdleTest, ZeroCapacityDropsEveryWindow) {
+  Telemetry telemetry(tiny_config(100, /*max_windows=*/0));
+  AllSources sources(telemetry);
+  sources.move_every_counter();
+  telemetry.advance_to(500);
+  telemetry.flush(520);
+
+  EXPECT_TRUE(telemetry.samples().empty());
+  EXPECT_EQ(telemetry.windows_closed(), 6u);
+  EXPECT_EQ(telemetry.windows_dropped(), 6u);
+}
+
+// A zero-length window never ends, so an enabled sampler refuses one.
+TEST(TelemetryDeathTest, ZeroLengthWindowAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH({ Telemetry telemetry(tiny_config(0)); }, "window_ns > 0");
+  Telemetry telemetry;
+  EXPECT_DEATH(telemetry.configure(tiny_config(0)), "window_ns > 0");
+
+  // A disabled sampler never closes a window.
+  TelemetryConfig off = tiny_config(0);
+  off.enabled = false;
+  telemetry.configure(off);
+  telemetry.advance_to(1'000);
+  EXPECT_EQ(telemetry.windows_closed(), 0u);
 }
 
 // --- testbed integration ---

@@ -8,7 +8,8 @@ BUILD_DIR is a configured and built tree of this repository (the CI
 bench-gates job uses a Release build). In a temporary directory the script
 runs every bench binary except the wall-clock microbench_hostpath, at the
 knobs the bench-gates job uses, plus the three bxmon invocations of that
-job. It hashes each run's stdout and every file the run writes: the
+job and two bxmon window dumps in which many windows carry no link
+traffic. It hashes each run's stdout and every file the run writes: the
 BENCH_*.json reports and bxmon's Perfetto JSON, Prometheus exposition and
 telemetry TSV.
 
@@ -60,6 +61,13 @@ RUNS = [
       "tsv=bxmon-windows.tsv"]),
     ("bxmon_waits", "tools/bxmon", ["waits", "ops=500", "qd=8"]),
     ("bxmon_policy", "tools/bxmon", ["policy", "ops=800", "qd=8"]),
+    # Window dumps with many windows that carry no link traffic (49,738
+    # of 65,536 and 1,323 of 4,004): the first overflows the ring, the
+    # second runs the adaptive policy's window observer.
+    ("bxmon_idle_ring", "tools/bxmon",
+     ["ops=800", "qd=8", "window=500", "tsv=bxmon-windows.tsv"]),
+    ("bxmon_idle_policy", "tools/bxmon",
+     ["policy", "ops=800", "qd=8", "window=1000", "tsv=bxmon-windows.tsv"]),
 ]
 
 

@@ -113,6 +113,17 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
+/// The `window=` knob, in simulated ns. A window shorter than 1 ns never
+/// ends, so it is refused: prints why and returns 0.
+Nanoseconds window_knob(const Config& config) {
+  const std::int64_t window = config.get_int("window", 10'000);
+  if (window < 1) {
+    std::fprintf(stderr, "bxmon: window must be >= 1\n");
+    return 0;
+  }
+  return static_cast<Nanoseconds>(window);
+}
+
 void print_window_table(const std::vector<obs::TelemetrySample>& samples,
                         double bytes_per_ns, std::size_t max_rows) {
   const std::vector<obs::TelemetrySample> rows =
@@ -334,6 +345,8 @@ int run_tenants(const Config& config) {
     std::fprintf(stderr, "bxmon: tenants must be >= 1\n");
     return 2;
   }
+  const Nanoseconds window_ns = window_knob(config);
+  if (window_ns == 0) return 2;
 
   core::TestbedConfig testbed_config;
   testbed_config.link.generation =
@@ -343,7 +356,7 @@ int run_tenants(const Config& config) {
   testbed_config.driver.io_queue_count = tenant_count;
   testbed_config.driver.io_queue_depth =
       static_cast<std::uint32_t>(config.get_int("depth", 256));
-  testbed_config.telemetry.window_ns = config.get_int("window", 10'000);
+  testbed_config.telemetry.window_ns = window_ns;
   core::Testbed testbed(testbed_config);
 
   const std::vector<std::string> weight_list =
@@ -563,6 +576,8 @@ int run(const Config& config) {
       static_cast<std::uint16_t>(config.get_int("queues", 2));
   const std::size_t max_rows =
       static_cast<std::size_t>(config.get_int("rows", 40));
+  const Nanoseconds window_ns = window_knob(config);
+  if (window_ns == 0) return 2;
 
   core::TestbedConfig testbed_config;
   testbed_config.link.generation =
@@ -572,7 +587,7 @@ int run(const Config& config) {
   testbed_config.driver.io_queue_count = queue_count;
   testbed_config.driver.io_queue_depth =
       static_cast<std::uint32_t>(config.get_int("depth", 256));
-  testbed_config.telemetry.window_ns = config.get_int("window", 10'000);
+  testbed_config.telemetry.window_ns = window_ns;
   testbed_config.policy_enabled = policy_mode;
 
   // Faulted mode: fault.rate spreads one per-command fault probability
