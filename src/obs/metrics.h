@@ -11,7 +11,8 @@
 //     0xC0 log page) under a name, without copying or double counting.
 //
 // Counters and gauges are relaxed atomics: safe from any thread, exact
-// once the system quiesces — the same contract as pcie::TrafficCounter.
+// once the system quiesces. An owner that already serializes a counter's
+// writers (pcie::TrafficCounter) adds with add_locked() instead.
 // Histograms are lock-striped (one mutex + LatencyHistogram per stripe,
 // hashed by thread), so concurrent recorders on hot per-command paths
 // contend only when they share a stripe; snapshot() merges the stripes
@@ -41,6 +42,13 @@ class Counter {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   void increment() noexcept { add(1); }
+  /// add() for an owner that serializes every writer of this counter
+  /// under a lock of its own: a relaxed load and store instead of a
+  /// locked read-modify-write. Readers still load without that lock.
+  void add_locked(std::uint64_t n) noexcept {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }

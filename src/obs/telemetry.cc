@@ -154,13 +154,13 @@ void Telemetry::register_policy(const Counter* inline_decisions,
   policy_shedding_ = shedding_queues;
 }
 
-TelemetrySample Telemetry::take_sample_locked(Nanoseconds end) {
+void Telemetry::take_sample_locked(TelemetrySample& sample, Nanoseconds end) {
   const auto read = [](const Gauge* gauge) -> std::int64_t {
     return gauge != nullptr ? gauge->value() : 0;
   };
-  TelemetrySample sample;
   sample.start_ns = window_start_;
   sample.end_ns = end;
+  sample.flow = {};  // several sources may add to one flow column
   for (FlowSource& source : flows_) {
     sample.flow[source.dir][source.kind] +=
         FlowCell{source.tlps.take(), source.data_bytes.take(),
@@ -176,12 +176,14 @@ TelemetrySample Telemetry::take_sample_locked(Nanoseconds end) {
   for (std::size_t i = 0; i < kWaitSegmentCount; ++i) {
     sample.wait_ns[i] = wait_ns_[i].take();
   }
+  sample.queues.clear();
   for (auto& [qid, source] : queues_) {
     sample.queues.push_back({qid, read(source.sq_occupancy),
                              read(source.inflight), source.sq_doorbells.take(),
                              source.sq_entries.take(),
                              source.cq_doorbells.take()});
   }
+  sample.tenants.clear();
   for (TenantSource& source : tenants_) {
     sample.tenants.push_back(
         {source.tenant, source.admitted.take(), source.rejected.take(),
@@ -192,25 +194,26 @@ TelemetrySample Telemetry::take_sample_locked(Nanoseconds end) {
   sample.policy_dma = policy_dma_.take();
   sample.policy_rejects = policy_rejects_.take();
   sample.policy_shedding = read(policy_shedding_);
-  return sample;
 }
 
 void Telemetry::close_locked(Nanoseconds end, std::uint64_t idle) {
-  TelemetrySample sample = take_sample_locked(end);
-  sample.index = next_index_;
+  if (live_ == ring_.size()) ring_.emplace_back();
+  Entry& entry = ring_[live_++];
+  take_sample_locked(entry.sample, end);
+  entry.sample.index = next_index_;
+  entry.idle = idle;
   if (observer_ != nullptr) {
-    observer_->on_window(sample);
+    observer_->on_window(entry.sample);
     if (idle != 0) {
-      TelemetrySample window = sample;
+      off_ring_ = entry.sample;
       for (std::uint64_t i = 0; i < idle; ++i) {
-        skip_idle(window, 1);
-        observer_->on_window(window);
+        skip_idle(off_ring_, 1);
+        observer_->on_window(off_ring_);
       }
     }
   }
 
   const std::uint64_t windows = 1 + idle;
-  ring_.push_back({std::move(sample), idle});
   ring_windows_ += windows;
   drop_oldest_locked();
   windows_closed_.fetch_add(windows, kRelaxed);
@@ -233,6 +236,7 @@ void Telemetry::drop_oldest_locked() {
       oldest.idle -= excess;
     } else {
       ring_.pop_front();
+      --live_;
     }
     ring_windows_ -= dropped;
     windows_dropped_.fetch_add(dropped, kRelaxed);
@@ -271,8 +275,11 @@ void Telemetry::clear(Nanoseconds now) {
   std::lock_guard<std::mutex> lock(mutex_);
   // A dropped sample moves every baseline to the owners' current values:
   // the owners keep counting upward, only the sampling restarts.
-  take_sample_locked(now);
-  ring_.clear();
+  take_sample_locked(off_ring_, now);
+  // The next period refills the slots this one filled; spares it did
+  // not reach are freed, so one long period leaves no pool behind.
+  ring_.resize(live_);
+  live_ = 0;
   ring_windows_ = 0;
   next_index_ = 0;
   windows_closed_.store(0, kRelaxed);
@@ -285,7 +292,8 @@ std::vector<TelemetrySample> Telemetry::samples() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TelemetrySample> out;
   out.reserve(ring_windows_);
-  for (const Entry& entry : ring_) {
+  for (std::size_t e = 0; e < live_; ++e) {
+    const Entry& entry = ring_[e];
     out.push_back(entry.sample);
     for (std::uint64_t i = 0; i < entry.idle; ++i) {
       out.push_back(out.back());

@@ -6,7 +6,8 @@
 // windows (Config::window_ns, default 10 us) and at every window boundary
 // the sampler snapshots
 //   * per-direction, per-TLP-kind link flows (TLPs, data bytes, wire
-//     bytes), summed over pcie::TrafficCounter's cells,
+//     bytes), from pcie::TrafficCounter's six (direction, TLP type)
+//     cells,
 //   * the payload bytes the host handed to the driver,
 //   * the controller's per-stage ledger (the counters behind the 0xC1
 //     log page; same taxonomy as TraceStage),
@@ -37,6 +38,10 @@
 // O(1) arithmetic. Under concurrent submitters a counter that moves while
 // one call closes a run lands in the next sampled window, not inside the
 // run; every sum still telescopes.
+//
+// A sampled window allocates nothing once the ring is warm: its sample is
+// filled in place, in a ring slot an earlier window used, and clear()
+// keeps as many slots as the period it ends filled.
 //
 // Layering: bx_obs sits below bx_pcie, so this header cannot name
 // pcie::Direction or pcie::TlpType. LinkDir and TlpKind mirror their
@@ -230,8 +235,8 @@ class Telemetry {
   // (same rule as init_io_queues()).
 
   /// Adds one link counter cell to flow[dir][kind]. PcieLink registers
-  /// every (direction, class, TLP type) cell of its TrafficCounter, so a
-  /// flow column is the sum over traffic classes.
+  /// its TrafficCounter's (direction, TLP type) cells, which count every
+  /// traffic class, so a flow column is the sum over classes.
   void register_flow(LinkDir dir, TlpKind kind, const Counter* tlps,
                      const Counter* data_bytes, const Counter* wire_bytes);
   /// The controller's per-stage ledger and its inline-backlog gauge.
@@ -363,9 +368,10 @@ class Telemetry {
     std::uint64_t idle = 0;
   };
 
-  /// Reads every source into the sample [window_start_, end), moving each
-  /// tap's baseline to the current counter value.
-  TelemetrySample take_sample_locked(Nanoseconds end);
+  /// Reads every source into `sample` as the window [window_start_, end),
+  /// moving each tap's baseline to the current counter value. Every
+  /// column but `index` is overwritten, so `sample` may be a reused slot.
+  void take_sample_locked(TelemetrySample& sample, Nanoseconds end);
   /// Closes every full window that `now` has moved past, if any.
   void close_expired_locked(Nanoseconds now);
   /// Closes [window_start_, end) as a sample and then `idle` more windows
@@ -403,9 +409,16 @@ class Telemetry {
   mutable std::mutex mutex_;
   Nanoseconds window_start_ = 0;
   std::uint64_t next_index_ = 0;
+  /// The first live_ entries hold the windows, oldest first. The slots
+  /// after them are spares that close_locked() fills in place before it
+  /// grows the deque; a drop pops the front.
   std::deque<Entry> ring_;
-  /// Windows held by ring_: its entries plus their idle counts.
+  std::size_t live_ = 0;
+  /// Windows held by ring_: its live entries plus their idle counts.
   std::uint64_t ring_windows_ = 0;
+  /// A sample no slot holds: the observer's idle windows and the window
+  /// clear() discards.
+  TelemetrySample off_ring_;
 };
 
 }  // namespace bx::obs

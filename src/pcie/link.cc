@@ -45,13 +45,11 @@ void PcieLink::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry == nullptr) return;
   for (std::size_t d = 0; d < obs::kLinkDirs; ++d) {
-    for (std::size_t c = 0; c < std::size_t(TrafficClass::kCount_); ++c) {
-      for (std::size_t t = 0; t < kTlpTypes; ++t) {
-        const TrafficCounter::Cell& cell = counter_.counters(
-            Direction(d), TrafficClass(c), TlpType(t));
-        telemetry->register_flow(obs::LinkDir(d), obs::TlpKind(t), &cell.tlps,
-                                 &cell.data_bytes, &cell.wire_bytes);
-      }
+    for (std::size_t t = 0; t < kTlpTypes; ++t) {
+      const TrafficCounter::Cell& cell =
+          counter_.counters(Direction(d), TlpType(t));
+      telemetry->register_flow(obs::LinkDir(d), obs::TlpKind(t), &cell.tlps,
+                               &cell.data_bytes, &cell.wire_bytes);
     }
   }
 }

@@ -106,11 +106,11 @@ class PcieLink {
   [[nodiscard]] Nanoseconds serialize_time(std::uint64_t wire_bytes)
       const noexcept;
 
-  /// Registers every TrafficCounter cell with `telemetry` as a flow of
-  /// its direction and TLP kind (MWr/MRd/Cpl), and rolls its sampling
-  /// window forward after each primitive advances the clock. Call once,
-  /// at assembly (nullptr leaves the link unsampled — the cost is one
-  /// pointer check per primitive).
+  /// Registers the TrafficCounter's six (direction, TLP type) cells with
+  /// `telemetry` as the flows of their direction and TLP kind
+  /// (MWr/MRd/Cpl), and rolls its sampling window forward after each
+  /// primitive advances the clock. Call once, at assembly (nullptr leaves
+  /// the link unsampled — the cost is one pointer check per primitive).
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Draws one data-link TLP replay per primitive, and per read within a

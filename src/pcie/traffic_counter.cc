@@ -22,6 +22,28 @@ std::string_view traffic_class_name(TrafficClass cls) noexcept {
   return "?";
 }
 
+namespace {
+
+void add(TrafficCounter::Cell& cell, std::uint64_t tlps,
+         std::uint64_t data_bytes, std::uint64_t wire_bytes) noexcept {
+  cell.tlps.add_locked(tlps);
+  cell.data_bytes.add_locked(data_bytes);
+  cell.wire_bytes.add_locked(wire_bytes);
+}
+
+TrafficCell read(const TrafficCounter::Cell& cell) noexcept {
+  return {cell.tlps.value(), cell.data_bytes.value(),
+          cell.wire_bytes.value()};
+}
+
+void clear(TrafficCounter::Cell& cell) noexcept {
+  cell.tlps.reset();
+  cell.data_bytes.reset();
+  cell.wire_bytes.reset();
+}
+
+}  // namespace
+
 void TrafficCounter::record(Direction dir, TrafficClass cls, TlpType type,
                             std::uint64_t tlps, std::uint64_t data_bytes,
                             std::uint64_t wire_bytes) noexcept {
@@ -29,58 +51,43 @@ void TrafficCounter::record(Direction dir, TrafficClass cls, TlpType type,
   const auto c = static_cast<std::size_t>(cls);
   const auto t = static_cast<std::size_t>(type);
   BX_ASSERT(d < 2 && c < kClasses && t < kTlpTypes);
-  Cell& cell = cells_[d][c][t];
-  cell.tlps.add(tlps);
-  cell.data_bytes.add(data_bytes);
-  cell.wire_bytes.add(wire_bytes);
-  totals_.tlps.add(tlps);
-  totals_.data_bytes.add(data_bytes);
-  totals_.wire_bytes.add(wire_bytes);
+  std::lock_guard<std::mutex> lock(writer_);
+  add(by_class_[d][c], tlps, data_bytes, wire_bytes);
+  add(by_type_[d][t], tlps, data_bytes, wire_bytes);
+  add(totals_, tlps, data_bytes, wire_bytes);
 }
 
 TrafficCell TrafficCounter::cell(Direction dir,
                                  TrafficClass cls) const noexcept {
-  TrafficCell sum;
-  for (const Cell& typed :
-       cells_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(cls)]) {
-    sum.add(typed.tlps.value(), typed.data_bytes.value(),
-            typed.wire_bytes.value());
-  }
-  return sum;
+  return read(
+      by_class_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(cls)]);
 }
 
 TrafficCell TrafficCounter::total(Direction dir) const noexcept {
   TrafficCell sum;
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    sum += cell(dir, static_cast<TrafficClass>(c));
+  for (const Cell& typed : by_type_[static_cast<std::size_t>(dir)]) {
+    sum += read(typed);
   }
   return sum;
 }
 
-TrafficCell TrafficCounter::total() const noexcept {
-  return {totals_.tlps.value(), totals_.data_bytes.value(),
-          totals_.wire_bytes.value()};
-}
+TrafficCell TrafficCounter::total() const noexcept { return read(totals_); }
 
 const TrafficCounter::Cell& TrafficCounter::counters(
-    Direction dir, TrafficClass cls, TlpType type) const noexcept {
-  return cells_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(cls)]
-               [static_cast<std::size_t>(type)];
+    Direction dir, TlpType type) const noexcept {
+  return by_type_[static_cast<std::size_t>(dir)]
+                 [static_cast<std::size_t>(type)];
 }
 
 void TrafficCounter::reset() noexcept {
-  for (auto& dir : cells_) {
-    for (auto& cls : dir) {
-      for (Cell& cell : cls) {
-        cell.tlps.reset();
-        cell.data_bytes.reset();
-        cell.wire_bytes.reset();
-      }
-    }
+  std::lock_guard<std::mutex> lock(writer_);
+  for (auto& dir : by_class_) {
+    for (Cell& cell : dir) clear(cell);
   }
-  totals_.tlps.reset();
-  totals_.data_bytes.reset();
-  totals_.wire_bytes.reset();
+  for (auto& dir : by_type_) {
+    for (Cell& cell : dir) clear(cell);
+  }
+  clear(totals_);
 }
 
 std::string TrafficCounter::breakdown() const {

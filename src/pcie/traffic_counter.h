@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "obs/metrics.h"
@@ -51,20 +52,24 @@ struct TrafficCell {
   }
 };
 
-/// Thread-safe and lock-free: record() sits on the hot path of every TLP,
-/// and under multi-submitter load it is called from every host thread plus
-/// whichever thread is pumping the device — so the cells are relaxed
-/// atomic obs::Counters rather than a shared mutex. Readers snapshot cell
-/// by cell; totals read while traffic is in flight are monotone lower
-/// bounds, and exact once the system quiesces (which is when tests and
-/// benchmarks read them).
+/// Thread-safe: record() sits on the hot path of every TLP, and under
+/// multi-submitter load it is called from every host thread plus whichever
+/// thread is pumping the device. A record adds to nine counters under one
+/// leaf writer lock (held for those adds only, never while another lock is
+/// taken), so each add is a plain relaxed load and store rather than a
+/// locked read-modify-write. Readers take no lock: they load the relaxed
+/// atomic obs::Counters cell by cell, so totals read while traffic is in
+/// flight are monotone lower bounds, and exact once the system quiesces
+/// (which is when tests and benchmarks read them).
 ///
-/// Cells are kept per (direction, class, TLP type): the class axis is the
-/// traffic breakdown, the type axis is what the telemetry windows sample
-/// as PCM's MWr/MRd/Cpl flows — one record() feeds both views.
+/// One record() feeds the three views the readers use:
+///   * per (direction, class) cells: the traffic breakdown;
+///   * per (direction, TLP type) cells: what the telemetry windows sample
+///     as PCM's MWr/MRd/Cpl flows;
+///   * the totals behind the `pcie.*` metrics.
 class TrafficCounter {
  public:
-  /// The live counters of one (direction, class, TLP type) cell.
+  /// The live counters of one cell.
   struct Cell {
     obs::Counter tlps;
     obs::Counter data_bytes;
@@ -75,7 +80,7 @@ class TrafficCounter {
               std::uint64_t tlps, std::uint64_t data_bytes,
               std::uint64_t wire_bytes) noexcept;
 
-  /// One (direction, class) cell, summed over TLP types.
+  /// One (direction, class) cell, over every TLP type.
   [[nodiscard]] TrafficCell cell(Direction dir,
                                  TrafficClass cls) const noexcept;
   [[nodiscard]] TrafficCell total(Direction dir) const noexcept;
@@ -84,9 +89,10 @@ class TrafficCounter {
   /// The live counters behind total(), which reset() clears with the
   /// cells (the Testbed exposes them as the `pcie.*` metrics).
   [[nodiscard]] const Cell& totals() const noexcept { return totals_; }
-  /// The counters of one (direction, class, TLP type) cell, for samplers
-  /// that read them live (PcieLink registers them with obs::Telemetry).
-  [[nodiscard]] const Cell& counters(Direction dir, TrafficClass cls,
+  /// The counters of one (direction, TLP type) cell, over every class,
+  /// for samplers that read them live (PcieLink registers them with
+  /// obs::Telemetry).
+  [[nodiscard]] const Cell& counters(Direction dir,
                                      TlpType type) const noexcept;
 
   /// Wire bytes across both directions — the headline "PCIe traffic" the
@@ -107,7 +113,9 @@ class TrafficCounter {
   static constexpr std::size_t kClasses =
       static_cast<std::size_t>(TrafficClass::kCount_);
 
-  std::array<std::array<std::array<Cell, kTlpTypes>, kClasses>, 2> cells_{};
+  std::mutex writer_;  // serializes record() and reset()
+  std::array<std::array<Cell, kClasses>, 2> by_class_{};
+  std::array<std::array<Cell, kTlpTypes>, 2> by_type_{};
   Cell totals_;
 };
 

@@ -1,8 +1,15 @@
 // Unit tests for the PCIe link model: TLP sizing, MPS segmentation,
-// traffic accounting per class/direction, serialization timing across link
-// generations, and doorbell MMIO.
+// traffic accounting per class/direction (and its three views under
+// concurrent records), serialization timing across link generations, and
+// doorbell MMIO.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
 #include "common/sim_clock.h"
 #include "pcie/bar.h"
 #include "pcie/link.h"
@@ -139,6 +146,60 @@ TEST(TrafficCounterTest, TotalsAcrossClassesAndDirections) {
   EXPECT_EQ(counter.total(Direction::kUpstream).wire_bytes, 48u);
   EXPECT_EQ(counter.total_wire_bytes(), 140u);
   EXPECT_EQ(counter.total_data_bytes(), 80u);
+}
+
+// Four threads record at once. Each record adds to its (direction, class)
+// cell, its (direction, TLP type) cell and the totals under one writer
+// lock, so once the threads are joined the three views agree exactly with
+// each other and with what the threads recorded.
+TEST(TrafficCounterTest, ViewsAgreeUnderConcurrentRecords) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRecords = 10'000;
+  constexpr auto kClasses = static_cast<std::size_t>(TrafficClass::kCount_);
+  const auto fields = [](const TrafficCell& cell) {
+    return std::array<std::uint64_t, 3>{cell.tlps, cell.data_bytes,
+                                        cell.wire_bytes};
+  };
+  TrafficCounter counter;
+  std::array<std::array<TrafficCell, 2>, kThreads> recorded{};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&counter, &sent = recorded[i], i] {
+      Rng rng(0x7a11c0 + i);
+      for (int r = 0; r < kRecords; ++r) {
+        const auto dir = static_cast<Direction>(rng.next_below(2));
+        const auto cls = static_cast<TrafficClass>(rng.next_below(kClasses));
+        const auto type = static_cast<TlpType>(rng.next_below(kTlpTypes));
+        const std::uint64_t tlps = rng.next_in(1, 4);
+        const std::uint64_t data = rng.next_below(4097);
+        const std::uint64_t wire = data + 32 * tlps;
+        counter.record(dir, cls, type, tlps, data, wire);
+        sent[static_cast<std::size_t>(dir)].add(tlps, data, wire);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  TrafficCell both;
+  for (std::size_t d = 0; d < 2; ++d) {
+    const auto dir = static_cast<Direction>(d);
+    TrafficCell want, by_class, by_type;
+    for (const auto& sent : recorded) want += sent[d];
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      by_class += counter.cell(dir, static_cast<TrafficClass>(c));
+    }
+    for (std::size_t t = 0; t < kTlpTypes; ++t) {
+      const TrafficCounter::Cell& cell =
+          counter.counters(dir, static_cast<TlpType>(t));
+      by_type.add(cell.tlps.value(), cell.data_bytes.value(),
+                  cell.wire_bytes.value());
+    }
+    EXPECT_EQ(fields(by_class), fields(want)) << "direction " << d;
+    EXPECT_EQ(fields(by_type), fields(want)) << "direction " << d;
+    EXPECT_EQ(fields(counter.total(dir)), fields(want)) << "direction " << d;
+    both += counter.total(dir);
+  }
+  EXPECT_EQ(fields(counter.total()), fields(both));
 }
 
 TEST(TrafficCounterTest, ResetZeroes) {

@@ -1,9 +1,10 @@
 // Windowed telemetry sampler: window-grid semantics over registered
 // counters, idle windows (zero deltas, repeated gauges, ring drops inside
-// a run, the observer path), exact conservation against the
-// TrafficCounter under QD>1 multi-queue load, windows that close at the
-// same chunk read under bulk chunk-run accounting, ring bounds,
-// downsampling, reset semantics, the disabled path, and the TSV dump.
+// a run, the observer path), ring slots refilled in place, exact
+// conservation against the TrafficCounter under QD>1 multi-queue load,
+// windows that close at the same chunk read under bulk chunk-run
+// accounting, ring bounds, downsampling, reset semantics, the disabled
+// path, and the TSV dump.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -389,6 +390,58 @@ TEST(TelemetryIdleTest, ObserverSeesEveryIdleWindow) {
     EXPECT_EQ(fields(observer.seen[i]), fields(samples[i])) << "window " << i;
   }
   EXPECT_EQ(samples[6].queues.at(0).inflight, 2);
+}
+
+// A ring slot is refilled in place: nothing of the window it held may
+// leak into the next. Two samplers with the same sources differ only in
+// their first period: one sees every flow, both queues' doorbells and its
+// tenant move, the other sees nothing. After clear() at the same time both
+// see the same second period, in which the ring (max_windows = 3) drops
+// from the front while a spare slot sits at the back. Their windows must
+// be identical.
+TEST(TelemetryIdleTest, ReusedSlotsKeepNothingOfTheirLastWindow) {
+  struct Sampler {
+    Sampler()
+        : telemetry(tiny_config(100, /*max_windows=*/3)),
+          sources(telemetry) {
+      telemetry.register_queue(2, &sq_occupancy, &inflight, &sq_doorbells,
+                               &sq_entries, &cq_doorbells);
+    }
+    Telemetry telemetry;
+    AllSources sources;
+    obs::Gauge sq_occupancy, inflight;
+    obs::Counter sq_doorbells, sq_entries, cq_doorbells;
+  };
+  Sampler busy, idle;
+  for (Nanoseconds end = 100; end <= 400; end += 100) {
+    busy.sources.move_every_counter();
+    busy.sq_doorbells.add(end);
+    busy.telemetry.advance_to(end);
+    idle.telemetry.advance_to(end);
+  }
+  for (Sampler* sampler : {&busy, &idle}) {
+    sampler->telemetry.clear(400);
+    sampler->sources.move_every_counter();
+    sampler->telemetry.advance_to(500);  // [400, 500)
+    sampler->sources.move_every_counter();
+    // [500, 600) and 3 idle windows: the drop pops [400, 500).
+    sampler->telemetry.advance_to(900);
+    sampler->sources.move_every_counter();
+    sampler->telemetry.advance_to(1000);  // [900, 1000), in the spare slot
+    sampler->telemetry.flush(1050);       // [1000, 1050)
+  }
+
+  for (const Sampler* sampler : {&busy, &idle}) {
+    EXPECT_EQ(sampler->telemetry.windows_closed(), 7u);
+    EXPECT_EQ(sampler->telemetry.windows_dropped(), 4u);
+  }
+  const std::vector<TelemetrySample> want = idle.telemetry.samples();
+  const std::vector<TelemetrySample> got = busy.telemetry.samples();
+  ASSERT_EQ(want.size(), 3u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(fields(got[i]), fields(want[i])) << "window " << want[i].index;
+  }
 }
 
 // With no room at all the ring still drops every window, idle or not.

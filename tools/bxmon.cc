@@ -45,6 +45,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -113,15 +114,44 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-/// The `window=` knob, in simulated ns. A window shorter than 1 ns never
-/// ends, so it is refused: prints why and returns 0.
-Nanoseconds window_knob(const Config& config) {
-  const std::int64_t window = config.get_int("window", 10'000);
-  if (window < 1) {
-    std::fprintf(stderr, "bxmon: window must be >= 1\n");
-    return 0;
+/// The count knob `name` (default `fallback`) as a T. A value below
+/// `min`, above `max` or beyond T's range is refused: prints why and exits
+/// 2, before anything is built. Config::get_int is signed, so without the
+/// check a negative count wraps to a huge one.
+template <typename T>
+T count_knob(const Config& config, const char* name, std::int64_t fallback,
+             std::int64_t min = 0,
+             std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+  const auto top = static_cast<std::int64_t>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(max), std::numeric_limits<T>::max()));
+  const std::int64_t value = config.get_int(name, fallback);
+  if (value < min || value > top) {
+    std::fprintf(stderr, "bxmon: %s must be %s %lld\n", name,
+                 value < min ? ">=" : "<=",
+                 static_cast<long long>(value < min ? min : top));
+    std::exit(2);
   }
-  return static_cast<Nanoseconds>(window);
+  return static_cast<T>(value);
+}
+
+/// The `window=` knob, in simulated ns. A window shorter than 1 ns never
+/// ends.
+Nanoseconds window_knob(const Config& config) {
+  return count_knob<Nanoseconds>(config, "window", 10'000, 1);
+}
+
+/// The `queues=` / `tenants=` knob: one I/O queue each, and the BAR has
+/// room for Controller::kMaxQueues queues including the admin queue.
+std::uint16_t queue_knob(const Config& config, const char* name,
+                         std::int64_t fallback) {
+  return count_knob<std::uint16_t>(config, name, fallback, 1,
+                                   controller::Controller::kMaxQueues - 1);
+}
+
+/// The `depth=` knob: entries per I/O queue. Create I/O SQ/CQ carry
+/// depth - 1 in 16 bits of cdw10, so a queue holds 2 to 65,536 entries.
+std::uint32_t depth_knob(const Config& config) {
+  return count_knob<std::uint32_t>(config, "depth", 256, 2, 65'536);
 }
 
 void print_window_table(const std::vector<obs::TelemetrySample>& samples,
@@ -336,17 +366,12 @@ void print_policy_section(const obs::MetricsRegistry& metrics,
 /// the tenants, then the per-tenant admission / latency / grant section
 /// plus the per-window TenantWindow deltas (docs/TENANCY.md).
 int run_tenants(const Config& config) {
-  const auto tenant_count =
-      static_cast<std::uint16_t>(config.get_int("tenants", 2));
-  const auto ops = static_cast<std::uint64_t>(config.get_int("ops", 2000));
-  const auto payload_size =
-      static_cast<std::uint32_t>(config.get_int("payload", 256));
-  if (tenant_count == 0) {
-    std::fprintf(stderr, "bxmon: tenants must be >= 1\n");
-    return 2;
-  }
+  const std::uint16_t tenant_count = queue_knob(config, "tenants", 2);
+  const auto ops = count_knob<std::uint64_t>(config, "ops", 2000);
+  const auto payload_size = count_knob<std::uint32_t>(config, "payload", 256);
+  const std::uint32_t depth = depth_knob(config);
+  const std::size_t max_rows = count_knob<std::size_t>(config, "rows", 40);
   const Nanoseconds window_ns = window_knob(config);
-  if (window_ns == 0) return 2;
 
   core::TestbedConfig testbed_config;
   testbed_config.link.generation =
@@ -354,8 +379,7 @@ int run_tenants(const Config& config) {
   testbed_config.link.lanes =
       static_cast<int>(config.get_int("pcie.lanes", 8));
   testbed_config.driver.io_queue_count = tenant_count;
-  testbed_config.driver.io_queue_depth =
-      static_cast<std::uint32_t>(config.get_int("depth", 256));
+  testbed_config.driver.io_queue_depth = depth;
   testbed_config.telemetry.window_ns = window_ns;
   core::Testbed testbed(testbed_config);
 
@@ -433,8 +457,6 @@ int run_tenants(const Config& config) {
   // export renders as tenant.t<id>.service counter tracks.
   const std::vector<obs::TelemetrySample> samples =
       testbed.telemetry().samples();
-  const std::size_t max_rows =
-      static_cast<std::size_t>(config.get_int("rows", 40));
   const std::vector<obs::TelemetrySample> rows =
       obs::Telemetry::downsample(samples, max_rows);
   std::printf("\n  win      t_start_us   tenant  admitted  complete  "
@@ -561,23 +583,19 @@ int run(const Config& config) {
     methods.push_back(method);
   }
 
-  const auto ops = static_cast<std::uint64_t>(config.get_int("ops", 2000));
-  const auto reads =
-      static_cast<std::uint64_t>(config.get_int("reads", 0));
+  const auto ops = count_knob<std::uint64_t>(config, "ops", 2000);
+  const auto reads = count_knob<std::uint64_t>(config, "reads", 0);
   const bool waits_mode = config.get_int("waits", 0) != 0;
   // Policy mode keeps the small payload under the adaptive inline cutoff
   // (128 B default) so the mixed pattern exercises both decision branches.
-  const auto payload_size = static_cast<std::uint32_t>(
-      config.get_int("payload", policy_mode ? 96 : 256));
-  const auto qd = static_cast<std::uint32_t>(config.get_int("qd", 4));
-  const auto batch =
-      static_cast<std::uint32_t>(config.get_int("batch", 1));
-  const auto queue_count =
-      static_cast<std::uint16_t>(config.get_int("queues", 2));
-  const std::size_t max_rows =
-      static_cast<std::size_t>(config.get_int("rows", 40));
+  const auto payload_size =
+      count_knob<std::uint32_t>(config, "payload", policy_mode ? 96 : 256);
+  const auto qd = count_knob<std::uint32_t>(config, "qd", 4);
+  const auto batch = count_knob<std::uint32_t>(config, "batch", 1);
+  const std::uint16_t queue_count = queue_knob(config, "queues", 2);
+  const std::size_t max_rows = count_knob<std::size_t>(config, "rows", 40);
+  const std::uint32_t depth = depth_knob(config);
   const Nanoseconds window_ns = window_knob(config);
-  if (window_ns == 0) return 2;
 
   core::TestbedConfig testbed_config;
   testbed_config.link.generation =
@@ -585,8 +603,7 @@ int run(const Config& config) {
   testbed_config.link.lanes =
       static_cast<int>(config.get_int("pcie.lanes", 8));
   testbed_config.driver.io_queue_count = queue_count;
-  testbed_config.driver.io_queue_depth =
-      static_cast<std::uint32_t>(config.get_int("depth", 256));
+  testbed_config.driver.io_queue_depth = depth;
   testbed_config.telemetry.window_ns = window_ns;
   testbed_config.policy_enabled = policy_mode;
 
@@ -622,8 +639,8 @@ int run(const Config& config) {
   fill_pattern(payload, payload_size);
   // Policy mode interleaves a large payload (`payload.large`, default
   // 4096 B) every fourth op so kAuto renders both decisions in one run.
-  const auto large_size = static_cast<std::uint32_t>(
-      config.get_int("payload.large", 4'096));
+  const auto large_size =
+      count_knob<std::uint32_t>(config, "payload.large", 4'096);
   ByteVec large_payload(large_size);
   fill_pattern(large_payload, large_size);
 
@@ -786,7 +803,9 @@ int run(const Config& config) {
   const double rate = testbed.telemetry().link_rate();
 
   if (!waits_mode) {
-    std::printf("\nwindows: %zu closed (%llu dropped)\n", samples.size(),
+    std::printf("\nwindows: %llu closed (%llu dropped)\n",
+                static_cast<unsigned long long>(
+                    testbed.telemetry().windows_closed()),
                 static_cast<unsigned long long>(
                     testbed.telemetry().windows_dropped()));
     print_window_table(samples, rate, max_rows);
@@ -912,8 +931,8 @@ int main(int argc, char** argv) {
   }
   const std::string input = config.get_string("input", "");
   if (!input.empty()) {
-    return bx::ingest(
-        input, static_cast<std::size_t>(config.get_int("rows", 40)));
+    return bx::ingest(input,
+                      bx::count_knob<std::size_t>(config, "rows", 40));
   }
   if (config.contains("tenants")) {
     return bx::run_tenants(config);
