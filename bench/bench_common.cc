@@ -147,9 +147,8 @@ void report_row(core::Testbed& testbed, const core::RunStats& stats) {
   // Each measured run resets counters first, so the trace and the
   // driver's wait sums hold exactly this run.
   g_rows.push_back(render_report_row(
-      stats, obs::stage_breakdown(testbed.trace().snapshot()),
-      testbed.trace().dropped(), testbed.driver().waits(),
-      testbed.driver().wait_ns()));
+      stats, testbed.trace().stage_breakdown(), testbed.trace().dropped(),
+      testbed.driver().waits(), testbed.driver().wait_ns()));
 }
 
 std::string render_config_json(const BenchEnv& env) {

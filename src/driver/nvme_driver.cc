@@ -563,7 +563,7 @@ std::uint16_t NvmeDriver::register_pending(QueuePair& qp, Pending pending) {
   qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
   // Open the command's attribution entry before any slot is published, so
   // every device-side stage event lands inside its window. Lock order:
-  // pending_mutex -> TraceRecorder table mutex (never the reverse).
+  // pending_mutex -> TraceRecorder mutex (never the reverse).
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->begin_command(qp.sq->qid(), cid);
   }
@@ -1329,26 +1329,18 @@ StatusOr<Completion> NvmeDriver::recover_timed_out(QueuePair& qp,
     return internal_error("timed-out command vanished while aborting");
   }
   if (it->second.done) return finish_pending_locked(qp, it);
-  // The synthesized Abort Requested completion resolves the command, so
-  // its gate charge is paid here, exactly once, like any completion. An
-  // inline read's ring-slot reservation is paid back the same way — the
-  // abandoned slots may be overwritten by later commands, which is safe
-  // because nothing will ever read them (docs/READPATH.md).
-  gate_release(it->second, /*completed=*/true);
-  release_read_slots(qp, it->second);
-  const Pending pending = std::move(it->second);
-  qp.pending.erase(it);
-  qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
-  Completion completion;
-  completion.status =
-      nvme::StatusField::generic(nvme::GenericStatus::kAbortRequested);
-  completion.dw0 = 0;
-  completion.latency_ns = link_.clock().now() - pending.submit_time_ns;
-  // The command never produced a CQE: everything after the doorbell is
-  // controller residency, so the breakdown books it as kArbWait (the
-  // attribution entry is closed without a device report).
-  attribute_completion(qp.sq->qid(), handle.cid, pending, completion);
-  return completion;
+  // A synthesized Abort Requested CQE (the pending's cqe is still blank:
+  // only a reaped one is ever stored) resolves the command like any other:
+  // its gate charge and an inline read's ring slots are paid back exactly
+  // once — the abandoned slots may be overwritten by later commands, which
+  // is safe because nothing will ever read them (docs/READPATH.md). The
+  // command never produced a CQE, so everything after the doorbell books
+  // as controller residency (kArbWait): its attribution entry closes
+  // without a device report.
+  it->second.done = true;
+  it->second.cqe.set_status(
+      nvme::StatusField::generic(nvme::GenericStatus::kAbortRequested));
+  return finish_pending_locked(qp, it);
 }
 
 std::size_t NvmeDriver::poll_completions(std::uint16_t qid) {

@@ -45,50 +45,37 @@ bool is_device_service_stage(TraceStage stage) noexcept {
 
 }  // namespace
 
-void TraceRecorder::store_events(std::span<const TraceEvent> events) {
-  const std::uint64_t n = events.size();
-  const std::uint64_t before =
-      stored_.fetch_add(n, std::memory_order_relaxed);
-  const std::uint64_t kept =
-      before >= kCapacity ? 0 : std::min(n, kCapacity - before);
-  if (kept < n) {
-    stored_.fetch_sub(n - kept, std::memory_order_relaxed);
-    dropped_.fetch_add(n - kept, std::memory_order_relaxed);
-  }
-  if (kept == 0) return;
-  Shard& shard = shards_[events.front().qid % kShards];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  for (const TraceEvent& event : events.first(kept)) {
-    shard.events.push_back(event);
-  }
-}
-
 void TraceRecorder::record_run(std::span<TraceEvent> events) {
   if (!enabled() || events.empty()) return;
-  std::uint64_t seq =
-      next_seq_.fetch_add(events.size(), std::memory_order_relaxed);
-  for (TraceEvent& event : events) event.seq = seq++;
   const TraceEvent& first = events.front();
-  {
-    std::lock_guard<std::mutex> lock(table_mutex_);
-    auto it = open_.find(command_key(first.qid, first.cid));
-    if (it != open_.end()) {
-      DeviceReport& report = it->second;
-      for (const TraceEvent& event : events) {
-        BX_ASSERT(event.qid == first.qid && event.cid == first.cid);
-        if (!is_device_service_stage(event.stage)) continue;
-        report.valid = true;
-        if (event.end >= event.start) {
-          report.service_ns +=
-              static_cast<std::uint64_t>(event.end - event.start);
-        }
-        if (event.stage == TraceStage::kCompletion) {
-          report.cqe_end = event.end;
-        }
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t seq = next_seq_.load(std::memory_order_relaxed);
+  next_seq_.store(seq + events.size(), std::memory_order_relaxed);
+  for (TraceEvent& event : events) event.seq = seq++;
+  auto it = open_.find(command_key(first.qid, first.cid));
+  if (it != open_.end()) {
+    DeviceReport& report = it->second;
+    for (const TraceEvent& event : events) {
+      BX_ASSERT(event.qid == first.qid && event.cid == first.cid);
+      if (!is_device_service_stage(event.stage)) continue;
+      report.valid = true;
+      if (event.end >= event.start) {
+        report.service_ns +=
+            static_cast<std::uint64_t>(event.end - event.start);
+      }
+      if (event.stage == TraceStage::kCompletion) {
+        report.cqe_end = event.end;
       }
     }
   }
-  store_events(events);
+  const std::size_t kept =
+      std::min<std::size_t>(events.size(), kCapacity - events_.size());
+  for (const TraceEvent& event : events.first(kept)) events_.push_back(event);
+  if (kept < events.size()) {
+    dropped_.store(dropped_.load(std::memory_order_relaxed) +
+                       (events.size() - kept),
+                   std::memory_order_relaxed);
+  }
 }
 
 void TraceRecorder::record_in_device_context(TraceEvent event) {
@@ -102,21 +89,21 @@ void TraceRecorder::record_in_device_context(TraceEvent event) {
 
 void TraceRecorder::begin_command(std::uint16_t qid, std::uint16_t cid) {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(table_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   open_[command_key(qid, cid)] = DeviceReport{};
 }
 
 void TraceRecorder::note_command_wait(std::uint16_t qid, std::uint16_t cid,
                                       std::uint64_t wait_ns) {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(table_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = open_.find(command_key(qid, cid));
   if (it != open_.end()) it->second.wait_ns += wait_ns;
 }
 
 DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
                                            std::uint16_t cid) {
-  std::lock_guard<std::mutex> lock(table_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = open_.find(command_key(qid, cid));
   // Unknown: the recorder was cleared mid-flight or bracketing disabled.
   if (it == open_.end()) return {};
@@ -126,26 +113,30 @@ DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
-  std::vector<TraceEvent> merged;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    merged.insert(merged.end(), shard.events.begin(), shard.events.end());
+  std::lock_guard<std::mutex> lock(mutex_);
+  return events_;
+}
+
+StageBreakdown TraceRecorder::stage_breakdown() const {
+  StageBreakdown breakdown;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const TraceEvent& e : events_) {
+    const auto index = static_cast<std::size_t>(e.stage);
+    if (index >= kStageCount) continue;
+    StageBreakdown::StageStats& stats = breakdown.stages[index];
+    const std::uint64_t duration =
+        e.end >= e.start ? static_cast<std::uint64_t>(e.end - e.start) : 0;
+    ++stats.count;
+    stats.total_ns += duration;
+    stats.durations.record(duration);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.seq < b.seq;
-            });
-  return merged;
+  return breakdown;
 }
 
 void TraceRecorder::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.events.clear();
-  }
-  stored_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  events_.clear();
   dropped_.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(table_mutex_);
   open_.clear();
 }
 
@@ -166,21 +157,6 @@ std::string TraceRecorder::dump(const std::vector<TraceEvent>& events) {
     out += line;
   }
   return out;
-}
-
-StageBreakdown stage_breakdown(const std::vector<TraceEvent>& events) {
-  StageBreakdown breakdown;
-  for (const TraceEvent& e : events) {
-    const auto index = static_cast<std::size_t>(e.stage);
-    if (index >= kStageCount) continue;
-    StageBreakdown::StageStats& stats = breakdown.stages[index];
-    const std::uint64_t duration =
-        e.end >= e.start ? static_cast<std::uint64_t>(e.end - e.start) : 0;
-    ++stats.count;
-    stats.total_ns += duration;
-    stats.durations.record(duration);
-  }
-  return breakdown;
 }
 
 std::string to_json(const StageBreakdown& breakdown) {

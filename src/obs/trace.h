@@ -17,13 +17,14 @@
 // completion times into a DeviceReport — from which the driver builds the
 // obs::LatencyBreakdown carried on every Completion (obs/attribution.h).
 //
-// Thread safety: the recorder is sharded by qid (shard mutex + vector),
-// with a global atomic sequence number, so the PR-1 multi-submitter path
-// stays clean under TSan. snapshot() merges shards in seq order. Device
-// -side layers that do not know (qid, cid) — the SSD executor — read them
-// from the recorder's device context, which the controller sets around
-// executor dispatch; all device-side code runs under the Testbed firmware
-// mutex, so the context needs no atomics.
+// Thread safety: the recorder is one ordered log under one leaf mutex.
+// A record numbers its events, adds their service to the open command's
+// report and appends them in one critical section, so the log is in seq
+// order as written and the multi-submitter path stays clean under TSan.
+// Device-side layers that do not know (qid, cid) — the SSD executor —
+// read them from the recorder's device context, which the controller
+// sets around executor dispatch; all device-side code runs under the
+// Testbed firmware mutex, so the context needs no atomics.
 //
 // Determinism: events carry only simulated time and the seq counter, so
 // two runs of the same seeded scenario produce byte-identical dump()
@@ -148,6 +149,21 @@ struct DeviceReport {
   std::uint64_t wait_ns = 0;
 };
 
+/// Per-stage latency distribution of the recorded events — the
+/// "per-stage p50/p99" the benches export.
+struct StageBreakdown {
+  struct StageStats {
+    std::uint64_t count = 0;
+    std::uint64_t total_ns = 0;
+    LatencyHistogram durations;
+  };
+  std::array<StageStats, kStageCount> stages{};
+
+  [[nodiscard]] const StageStats& of(TraceStage stage) const noexcept {
+    return stages[static_cast<std::size_t>(stage)];
+  }
+};
+
 class TraceRecorder {
  public:
   /// Events kept before new ones are dropped (memory bound for very long
@@ -174,10 +190,10 @@ class TraceRecorder {
   void record(TraceEvent event) { record_run({&event, 1}); }
 
   /// Appends `events`, which must all belong to one (qid, cid), in order
-  /// and under consecutive seqs (assigned here, into the span): one seq
-  /// range, one attribution-table lookup and one shard lock for the run.
-  /// The controller records a chunk run's per-chunk events this way; the
-  /// result is the same as recording them one by one.
+  /// and under consecutive seqs (assigned here, into the span): one lock
+  /// and one attribution-table lookup for the run. The controller records
+  /// a chunk run's per-chunk events this way; the result is the same as
+  /// recording them one by one.
   void record_run(std::span<TraceEvent> events);
 
   /// Appends `event` with (qid, cid) filled from the device context — for
@@ -208,8 +224,12 @@ class TraceRecorder {
   /// report. Unknown commands return {valid = false}.
   DeviceReport finish_command(std::uint16_t qid, std::uint16_t cid);
 
-  /// All events so far, merged across shards in seq order.
+  /// All events kept so far, in seq order.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
+
+  /// Per-stage counts and duration distributions of the events kept so
+  /// far, read in place.
+  [[nodiscard]] StageBreakdown stage_breakdown() const;
 
   /// Drops all recorded events and open attribution entries (seq keeps
   /// counting upward).
@@ -224,54 +244,27 @@ class TraceRecorder {
   [[nodiscard]] static std::string dump(const std::vector<TraceEvent>& events);
 
  private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<TraceEvent> events;
-  };
   static constexpr std::uint32_t command_key(std::uint16_t qid,
                                              std::uint16_t cid) noexcept {
     return (std::uint32_t{qid} << 16) | cid;
   }
 
-  /// Capacity-checked push of events of one qid into its shard (seqs
-  /// already assigned); events past the capacity are dropped and counted.
-  void store_events(std::span<const TraceEvent> events);
-
   std::atomic<bool> enabled_{true};
+  // Written under mutex_; atomic so the getters read them without it.
   std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> stored_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::array<Shard, kShards> shards_;
 
-  // Attribution table: each open command's report, keyed
-  // (qid << 16) | cid. table_mutex_ is released before a shard mutex is
-  // taken.
-  std::mutex table_mutex_;
+  // One leaf lock over the log (in seq order, at most kCapacity events)
+  // and the attribution table: each open command's report, keyed
+  // (qid << 16) | cid.
+  mutable std::mutex mutex_;
+  std::vector<TraceEvent> events_;
   std::unordered_map<std::uint32_t, DeviceReport> open_;
 
   std::uint16_t device_qid_ = 0;
   std::uint16_t device_cid_ = 0;
   bool device_context_valid_ = false;
 };
-
-/// Per-stage latency distribution derived from a trace snapshot — the
-/// "per-stage p50/p99" the benches export.
-struct StageBreakdown {
-  struct StageStats {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    LatencyHistogram durations;
-  };
-  std::array<StageStats, kStageCount> stages{};
-
-  [[nodiscard]] const StageStats& of(TraceStage stage) const noexcept {
-    return stages[static_cast<std::size_t>(stage)];
-  }
-};
-
-[[nodiscard]] StageBreakdown stage_breakdown(
-    const std::vector<TraceEvent>& events);
 
 /// JSON object keyed by stage name with count/total/p50/p99 per stage.
 [[nodiscard]] std::string to_json(const StageBreakdown& breakdown);

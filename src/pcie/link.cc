@@ -25,6 +25,7 @@ double LinkConfig::bytes_per_ns() const noexcept {
 PcieLink::PcieLink(const LinkConfig& config, SimClock& clock,
                    TrafficCounter& counter) noexcept
     : config_(config), clock_(clock), counter_(counter) {
+  BX_ASSERT(config.generation >= 1 && config.generation <= 5);
   BX_ASSERT(config.lanes > 0);
   BX_ASSERT(config.max_payload_size >= 64);
 }

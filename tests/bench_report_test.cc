@@ -47,7 +47,7 @@ core::RunStats row_stats() {
 
 TEST(BenchReportTest, RowCarriesMethodAndStages) {
   const std::string row =
-      render_report_row(row_stats(), obs::stage_breakdown({}),
+      render_report_row(row_stats(), obs::StageBreakdown{},
                         /*trace_events_dropped=*/0, /*waits=*/0,
                         obs::LatencyBreakdown{});
 
@@ -66,7 +66,7 @@ TEST(BenchReportTest, RowCarriesWaitsAttribution) {
   wait_ns.of(obs::WaitSegment::kDelivery) = 40;
 
   const std::string row =
-      render_report_row(row_stats(), obs::stage_breakdown({}),
+      render_report_row(row_stats(), obs::StageBreakdown{},
                         /*trace_events_dropped=*/0, /*waits=*/4, wait_ns);
 
   EXPECT_NE(row.find("\"waits\": {\"count\": 4, \"gate\": 0, \"ring\": 0, "

@@ -2,15 +2,20 @@
 // obs/invariants.h must pass every trace the system actually produces —
 // QD1 per-method runs, the PR-1 cooperative stress schedules, and the
 // OS-thread stress shape — and must catch deliberately corrupted traces
-// (its own negative coverage). A final reconciliation test cross-checks
-// the trace against the rings' own push/pop counters.
+// (its own negative coverage). A reconciliation test cross-checks the
+// trace against the rings' own push/pop counters, and the last tests check
+// the recorder itself: its capacity, and its order and attribution under
+// concurrent records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/stress.h"
 #include "core/testbed.h"
 #include "obs/invariants.h"
@@ -282,6 +287,108 @@ TEST(TraceReconciliation, DoorbellsMatchRingCounters) {
     EXPECT_EQ(cq_doorbells, bed.driver().cq_for_test(qid).cqes_popped())
         << "qid " << qid;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The recorder itself: one ordered log under one lock.
+// ---------------------------------------------------------------------------
+
+// A full log keeps its first kCapacity events, in seq order, and counts the
+// rest as dropped. clear() empties the log and the drop count, but seq
+// keeps counting, so no number is ever handed out twice.
+TEST(TraceRecorderLog, FullLogCountsDropsAndClearKeepsNumbering) {
+  constexpr std::uint64_t kCapacity = obs::TraceRecorder::kCapacity;
+  obs::TraceRecorder recorder;
+  std::vector<TraceEvent> run(4096);
+  // Runs up to two events short of capacity, then one run of five that
+  // straddles it: two kept, three dropped.
+  for (std::uint64_t left = kCapacity - 2; left > 0;) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(left, run.size()));
+    recorder.record_run({run.data(), n});
+    left -= n;
+  }
+  recorder.record_run({run.data(), 5});
+
+  const std::vector<TraceEvent> events = recorder.snapshot();
+  ASSERT_EQ(events.size(), kCapacity);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].seq, i);
+  }
+  EXPECT_EQ(recorder.dropped(), 3u);
+  EXPECT_EQ(recorder.events_recorded(), kCapacity + 3);
+
+  recorder.clear();
+  EXPECT_EQ(recorder.dropped(), 0u);
+  recorder.record(TraceEvent{});
+  const std::vector<TraceEvent> after = recorder.snapshot();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after.front().seq, kCapacity + 3);
+}
+
+// Four threads record at once, each on its own qid. A record numbers its
+// run, adds it to the open command's report and appends it in one
+// critical section, so the log's seqs rise by exactly 1 from event to
+// event, each thread's events keep the order that thread recorded them
+// in, and every finish_command returns exactly its own command's service.
+TEST(TraceRecorderLog, ConcurrentRunsStayOrderedAndAttributed) {
+  constexpr std::uint16_t kThreads = 4;
+  constexpr std::uint16_t kCommands = 5'000;
+  constexpr std::array<TraceStage, 5> kDeviceStages = {
+      TraceStage::kSqeFetch, TraceStage::kChunkFetch, TraceStage::kPrpDma,
+      TraceStage::kExec, TraceStage::kCompletion};
+  obs::TraceRecorder recorder;
+  std::array<std::uint64_t, kThreads> recorded{};
+  std::array<std::uint64_t, kThreads> misattributed{};
+  std::vector<std::thread> threads;
+  for (std::uint16_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&recorder, &kDeviceStages, &count = recorded[t],
+                          &wrong = misattributed[t], t] {
+      const auto qid = static_cast<std::uint16_t>(t + 1);
+      Rng rng(0x7ace + t);
+      Nanoseconds now = 0;
+      for (std::uint16_t cid = 0; cid < kCommands; ++cid) {
+        recorder.begin_command(qid, cid);
+        std::array<TraceEvent, 3> run{};
+        const auto n = static_cast<std::size_t>(rng.next_in(1, 3));
+        std::uint64_t service = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          TraceEvent& event = run[i];
+          event.stage = kDeviceStages[rng.next_below(kDeviceStages.size())];
+          event.qid = qid;
+          event.cid = cid;
+          event.aux = count++;  // this thread's record order
+          event.start = now;
+          now += static_cast<Nanoseconds>(rng.next_in(1, 500));
+          event.end = now;
+          service += static_cast<std::uint64_t>(event.end - event.start);
+        }
+        recorder.record_run({run.data(), n});
+        const obs::DeviceReport report = recorder.finish_command(qid, cid);
+        if (!report.valid || report.service_ns != service) ++wrong;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const std::vector<TraceEvent> events = recorder.snapshot();
+  std::uint64_t total = 0;
+  for (std::uint16_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(misattributed[t], 0u) << "thread " << t;
+    total += recorded[t];
+  }
+  ASSERT_EQ(events.size(), total);
+  std::array<std::uint64_t, kThreads> next{};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].seq, i);
+    ASSERT_GE(events[i].qid, 1u);
+    ASSERT_LE(events[i].qid, kThreads);
+    std::uint64_t& want = next[events[i].qid - 1];
+    ASSERT_EQ(events[i].aux, want) << "qid " << events[i].qid;
+    ++want;
+  }
+  EXPECT_EQ(next, recorded);
+  EXPECT_EQ(recorder.dropped(), 0u);
 }
 
 }  // namespace

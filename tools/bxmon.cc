@@ -154,6 +154,13 @@ std::uint32_t depth_knob(const Config& config) {
   return count_knob<std::uint32_t>(config, "depth", 256, 2, 65'536);
 }
 
+/// The `pcie.gen=` (Gen1 to Gen5) and `pcie.lanes=` (1 to 32) knobs, read
+/// into `link`. PcieLink asserts both ranges.
+void link_knobs(const Config& config, pcie::LinkConfig& link) {
+  link.generation = count_knob<int>(config, "pcie.gen", 2, 1, 5);
+  link.lanes = count_knob<int>(config, "pcie.lanes", 8, 1, 32);
+}
+
 void print_window_table(const std::vector<obs::TelemetrySample>& samples,
                         double bytes_per_ns, std::size_t max_rows) {
   const std::vector<obs::TelemetrySample> rows =
@@ -374,10 +381,7 @@ int run_tenants(const Config& config) {
   const Nanoseconds window_ns = window_knob(config);
 
   core::TestbedConfig testbed_config;
-  testbed_config.link.generation =
-      static_cast<int>(config.get_int("pcie.gen", 2));
-  testbed_config.link.lanes =
-      static_cast<int>(config.get_int("pcie.lanes", 8));
+  link_knobs(config, testbed_config.link);
   testbed_config.driver.io_queue_count = tenant_count;
   testbed_config.driver.io_queue_depth = depth;
   testbed_config.telemetry.window_ns = window_ns;
@@ -598,10 +602,7 @@ int run(const Config& config) {
   const Nanoseconds window_ns = window_knob(config);
 
   core::TestbedConfig testbed_config;
-  testbed_config.link.generation =
-      static_cast<int>(config.get_int("pcie.gen", 2));
-  testbed_config.link.lanes =
-      static_cast<int>(config.get_int("pcie.lanes", 8));
+  link_knobs(config, testbed_config.link);
   testbed_config.driver.io_queue_count = queue_count;
   testbed_config.driver.io_queue_depth = depth;
   testbed_config.telemetry.window_ns = window_ns;
