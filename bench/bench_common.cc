@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,21 @@ void write_report() {
   std::printf("report: %s (%zu rows)\n", path.c_str(), g_rows.size());
 }
 
+/// The knob `key` (default `fallback`) when it lies in [min, max].
+/// Otherwise prints "<binary>: <key> must be >= min" (or "<= max") and
+/// exits 2 without writing a report.
+std::int64_t knob(const Config& config, std::string_view key,
+                  std::int64_t fallback, std::int64_t min, std::int64_t max) {
+  const StatusOr<std::int64_t> value =
+      config.get_int_in(key, fallback, min, max);
+  if (value.is_ok()) return *value;
+  std::fprintf(stderr, "%s: %s\n",
+               g_report_name.empty() ? "bench" : g_report_name.c_str(),
+               value.status().message().c_str());
+  g_report_name.clear();
+  std::exit(2);
+}
+
 }  // namespace
 
 BenchEnv BenchEnv::from_args(int argc, const char* const* argv) {
@@ -42,9 +58,6 @@ BenchEnv BenchEnv::from_args(int argc, const char* const* argv) {
     std::fprintf(stderr, "bad arguments: %s\n", parsed.to_string().c_str());
     std::exit(2);
   }
-  env.ops = static_cast<std::uint64_t>(
-      env.config.get_int("ops", static_cast<std::int64_t>(env.ops)));
-
   if (g_report_name.empty() && argc > 0 && argv[0] != nullptr) {
     std::string name = argv[0];
     const std::size_t slash = name.find_last_of('/');
@@ -52,20 +65,29 @@ BenchEnv BenchEnv::from_args(int argc, const char* const* argv) {
     g_report_name = name.empty() ? "bench" : name;
     std::atexit(write_report);
   }
+  env.ops = static_cast<std::uint64_t>(
+      knob(env.config, "ops", static_cast<std::int64_t>(env.ops), 0,
+           std::numeric_limits<std::int64_t>::max()));
+  // Refuse an out-of-range link, queue or depth knob before the bench
+  // prints its banner.
+  static_cast<void>(env.testbed_config());
   g_config_json = render_config_json(env);
   return env;
 }
 
 core::TestbedConfig BenchEnv::testbed_config() const {
   core::TestbedConfig testbed;
+  // PcieLink asserts these link ranges; the queue count must leave the
+  // admin queue a BAR slot, and Create I/O SQ/CQ carry depth - 1 in 16
+  // bits.
   testbed.link.generation =
-      static_cast<int>(config.get_int("pcie.gen", 2));
-  testbed.link.lanes = static_cast<int>(config.get_int("pcie.lanes", 8));
+      static_cast<int>(knob(config, "pcie.gen", 2, 1, 5));
+  testbed.link.lanes = static_cast<int>(knob(config, "pcie.lanes", 8, 1, 32));
 
-  testbed.driver.io_queue_count =
-      static_cast<std::uint16_t>(config.get_int("queues", 2));
+  testbed.driver.io_queue_count = static_cast<std::uint16_t>(
+      knob(config, "queues", 2, 1, controller::Controller::kMaxQueues - 1));
   testbed.driver.io_queue_depth =
-      static_cast<std::uint32_t>(config.get_int("depth", 256));
+      static_cast<std::uint32_t>(knob(config, "depth", 256, 2, 65'536));
   testbed.driver.hybrid_threshold_bytes =
       static_cast<std::uint32_t>(config.get_int("hybrid.threshold", 256));
 

@@ -36,10 +36,14 @@ struct BenchEnv {
   /// convergence of the deterministic model (override with ops=1000000).
   std::uint64_t ops = 20'000;
 
+  /// Parses key=value arguments. A negative `ops`, or a `pcie.gen`,
+  /// `pcie.lanes`, `queues` or `depth` testbed_config() would refuse,
+  /// prints "<binary>: <knob> must be >= N" (or "<= N") and exits 2.
   static BenchEnv from_args(int argc, const char* const* argv);
 
-  /// The paper's testbed: PCIe Gen2 x8, OpenSSD-like geometry. `pcie.gen`,
-  /// `pcie.lanes`, `queues`, `depth` and NAND keys can override.
+  /// The paper's testbed: PCIe Gen2 x8, OpenSSD-like geometry. `pcie.gen`
+  /// (1-5), `pcie.lanes` (1-32), `queues` (1-63), `depth` (2-65,536) and
+  /// NAND keys can override.
   [[nodiscard]] core::TestbedConfig testbed_config() const;
 };
 

@@ -57,6 +57,22 @@ std::int64_t Config::get_int(std::string_view key,
   return value;
 }
 
+StatusOr<std::int64_t> Config::get_int_in(std::string_view key,
+                                          std::int64_t fallback,
+                                          std::int64_t min,
+                                          std::int64_t max) const {
+  const std::int64_t value = get_int(key, fallback);
+  if (value < min) {
+    return invalid_argument(std::string(key) + " must be >= " +
+                            std::to_string(min));
+  }
+  if (value > max) {
+    return invalid_argument(std::string(key) + " must be <= " +
+                            std::to_string(max));
+  }
+  return value;
+}
+
 double Config::get_double(std::string_view key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;

@@ -30,6 +30,14 @@ class Config {
                                        std::string_view fallback) const;
   [[nodiscard]] std::int64_t get_int(std::string_view key,
                                      std::int64_t fallback) const;
+  /// get_int() of a knob that must lie in [min, max]. Out of range, the
+  /// error names the knob and the bound it crosses: "<key> must be >= min"
+  /// or "<key> must be <= max". A count read without it can wrap (a
+  /// negative ops= becomes a huge unsigned count) or reach an assertion.
+  [[nodiscard]] StatusOr<std::int64_t> get_int_in(std::string_view key,
+                                                  std::int64_t fallback,
+                                                  std::int64_t min,
+                                                  std::int64_t max) const;
   [[nodiscard]] double get_double(std::string_view key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;

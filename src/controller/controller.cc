@@ -114,24 +114,19 @@ void Controller::fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
     const Nanoseconds gap_ns = fw_ns + batch * copy_ns;
     const std::uint64_t reads =
         link_.reads_until_sample(cost, gap_ns, (chunks - fetched) / batch);
-    // Only the step's last read can close a telemetry window. The ledger
-    // gets every earlier read's chunks before it and the last read's
-    // after, so each window samples the counters a read-at-a-time fetch
-    // leaves it (the chunks of one read sum to its round trip + gap).
+    // Only the step's last read can close a telemetry window, so the
+    // earlier reads' gaps go before it: each window samples the link flows
+    // a read-at-a-time fetch leaves it.
     const Nanoseconds step_start = link_.clock().now();
-    if (reads > 1) {
-      stage_count_[stage].add((reads - 1) * batch);
-      stage_ns_[stage].add((reads - 1) * (cost.ns + gap_ns));
-      link_.clock().advance((reads - 1) * gap_ns);
-    }
+    if (reads > 1) link_.clock().advance((reads - 1) * gap_ns);
     const Nanoseconds link_ns = link_.read_n(
         Direction::kDownstream, TrafficClass::kCommandFetch, cost, reads);
     link_.clock().advance(gap_ns);
     // Reads of a multi-read step cannot replay, so only the last read's
     // time may differ from cost.ns.
     const Nanoseconds last_read_ns = link_ns - (reads - 1) * cost.ns;
-    stage_count_[stage].add(batch);
-    stage_ns_[stage].add(last_read_ns + gap_ns);
+    stage_count_[stage].add(reads * batch);
+    stage_ns_[stage].add(link_ns + reads * gap_ns);
 
     if (traced) {
       for (std::uint64_t r = 0; r < reads; ++r) {
@@ -268,12 +263,7 @@ bool Controller::service_fault_recovery() {
       reassembly_.drop(payload_id);
       corrupt_payloads_.erase(payload_id);
       deferred_evictions_.increment();
-      if (tracer_ != nullptr && tracer_->enabled() &&
-          now > item.defer_start_ns) {
-        tracer_->note_command_wait(
-            item.qid, item.sqe.cid,
-            static_cast<std::uint64_t>(now - item.defer_start_ns));
-      }
+      add_wait(item.qid, item.sqe.cid, item.defer_start_ns);
       // Retryable: the host re-sends the command and all of its chunks.
       reject(item.qid, item.sqe,
              nvme::StatusField::generic(
@@ -321,17 +311,19 @@ void Controller::process_one(std::uint16_t qid) {
   std::memcpy(&sqe, slot.raw, sizeof(sqe));
   fetch.cid = sqe.cid;
 
+  if (qid != 0 &&
+      sqe.io_opcode() == nvme::IoOpcode::kVendorBandSlimFragment) {
+    fetch.flags = obs::kFlagAuxCommand;
+    record_stage(fetch);
+    handle_fragment(qid, sqe);
+    return;
+  }
+
+  residency_[obs::command_key(qid, sqe.cid)] = Residency{fetch.start};
   if (qid == 0) {
     record_stage(fetch);
     handle_admin(sqe);
     commands_processed_.increment();
-    return;
-  }
-
-  if (sqe.io_opcode() == nvme::IoOpcode::kVendorBandSlimFragment) {
-    fetch.flags = obs::kFlagAuxCommand;
-    record_stage(fetch);
-    handle_fragment(qid, sqe);
     return;
   }
 
@@ -369,6 +361,7 @@ void Controller::process_one(std::uint16_t qid) {
       setup.qid = qid;
       setup.cid = sqe.cid;
       record_stage(setup);
+      stream.assembly_start = setup.end;
       const std::uint16_t stream_id = bsw::header_stream_id(sqe);
       streams_[stream_id] = std::move(stream);
     }
@@ -563,29 +556,26 @@ void Controller::handle_fragment(std::uint16_t qid,
   }
   FragmentStream& stream = it->second;
   const ConstByteSpan data = bsw::fragment_payload(sqe, fragment);
-  if (std::uint64_t{fragment.offset} + data.size() > stream.buffer.size()) {
+  const bool overflow =
+      std::uint64_t{fragment.offset} + data.size() > stream.buffer.size();
+  if (!overflow) {
+    std::memcpy(stream.buffer.data() + fragment.offset, data.data(),
+                data.size());
+    stream.received += static_cast<std::uint32_t>(data.size());
+    if (!fragment.last) return;
+  }
+  // This fragment ends the stream: the header command waited for its
+  // fragments from the end of its setup until now.
+  add_wait(stream.qid, stream.header.cid, stream.assembly_start);
+  if (overflow || stream.received != stream.expected) {
     post_completion(stream.qid, stream.header,
                     nvme::StatusField::vendor(
                         nvme::VendorStatus::kFragmentProtocolError),
                     0);
-    streams_.erase(it);
-    return;
+  } else {
+    finish(stream.qid, stream.header, stream.buffer, /*inline_path=*/true);
   }
-  std::memcpy(stream.buffer.data() + fragment.offset, data.data(),
-              data.size());
-  stream.received += static_cast<std::uint32_t>(data.size());
-
-  if (fragment.last) {
-    if (stream.received != stream.expected) {
-      post_completion(stream.qid, stream.header,
-                      nvme::StatusField::vendor(
-                          nvme::VendorStatus::kFragmentProtocolError),
-                      0);
-    } else {
-      finish(stream.qid, stream.header, stream.buffer, /*inline_path=*/true);
-    }
-    streams_.erase(it);
-  }
+  streams_.erase(it);
   (void)qid;
 }
 
@@ -873,12 +863,17 @@ void Controller::post_completion(std::uint16_t qid,
                                  const SubmissionQueueEntry& sqe,
                                  nvme::StatusField status, std::uint32_t dw0,
                                  std::uint32_t dw1, fault::FaultKind fault) {
+  const auto record = residency_.find(obs::command_key(qid, sqe.cid));
   if (fault == fault::FaultKind::kCompletionDrop) {
+    if (record != residency_.end()) residency_.erase(record);
     lost_.push_back(LostCompletion{qid, sqe.cid});
     completions_dropped_.increment();
     return;
   }
   if (fault == fault::FaultKind::kCompletionDelay) {
+    if (record != residency_.end()) {
+      record->second.held_at = link_.clock().now();
+    }
     const Nanoseconds delay =
         injector_ != nullptr ? injector_->policy().delay_ns : 0;
     delayed_.push_back(DelayedCompletion{qid, sqe, status, dw0, dw1,
@@ -920,9 +915,22 @@ void Controller::post_completion(std::uint16_t qid,
     e.cid = sqe.cid;
     record_stage(e);
   }
+  if (record != residency_.end()) {
+    const Residency& r = record->second;
+    const Nanoseconds cqe_end = link_.clock().now();
+    const std::uint64_t hold = r.held_at != 0 ? cpl_start - r.held_at : 0;
+    if (tracer_ != nullptr) {
+      tracer_->report_command(
+          qid, sqe.cid,
+          {true, cqe_end, cqe_end - r.fetch_start - r.wait_ns - hold,
+           r.wait_ns});
+    }
+    residency_.erase(record);
+  }
   // The CQE becomes host-visible only after the kCompletion event is
-  // recorded, so a concurrently polling host always observes the record
-  // before it can reap the CQE (trace invariant 5 relies on this order).
+  // recorded and the device report filed, so a concurrently polling host
+  // always observes both before it can reap the CQE (trace invariant 5
+  // relies on this order).
   memory_.write_object(cqe_addr, cqe);
   completions_posted_.increment();
 }
@@ -983,7 +991,15 @@ nvme::StageStatsLog Controller::stage_stats() const noexcept {
 }
 
 void Controller::bind_telemetry(obs::Telemetry& telemetry) const {
-  telemetry.register_controller(stage_count_, stage_ns_, &inline_backlog_);
+  telemetry.register_controller(&inline_backlog_);
+}
+
+void Controller::add_wait(std::uint16_t qid, std::uint16_t cid,
+                          Nanoseconds since) {
+  const auto record = residency_.find(obs::command_key(qid, cid));
+  if (record != residency_.end()) {
+    record->second.wait_ns += link_.clock().now() - since;
+  }
 }
 
 void Controller::record_stage(const obs::TraceEvent& event) {
@@ -998,6 +1014,9 @@ void Controller::record_stage(const obs::TraceEvent& event) {
 }
 
 bool Controller::abort_command(std::uint16_t sqid, std::uint16_t cid) {
+  // An aborted command never posts its CQE, so its residency record goes
+  // (a dropped completion's record went at the drop).
+  residency_.erase(obs::command_key(sqid, cid));
   for (std::size_t i = 0; i < lost_.size(); ++i) {
     if (lost_[i].qid == sqid && lost_[i].cid == cid) {
       lost_.erase(lost_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -1036,15 +1055,9 @@ void Controller::drain_deferred() {
     if (reassembly_.complete(payload_id)) {
       const DeferredInline item = deferred_[i];
       deferred_.erase(deferred_.begin() + static_cast<std::ptrdiff_t>(i));
-      // Report how long the command sat waiting for its striped chunks —
-      // the host books it as the kReassembly segment of the breakdown.
-      if (tracer_ != nullptr && tracer_->enabled() &&
-          link_.clock().now() > item.defer_start_ns) {
-        tracer_->note_command_wait(
-            item.qid, item.sqe.cid,
-            static_cast<std::uint64_t>(link_.clock().now() -
-                                       item.defer_start_ns));
-      }
+      // The command waited for its striped chunks: the host books the
+      // wait as the kReassembly segment of the breakdown.
+      add_wait(item.qid, item.sqe.cid, item.defer_start_ns);
       finish_ooo(item.qid, item.sqe, item.fault);
     } else {
       ++i;

@@ -122,8 +122,8 @@ class Controller {
   /// Attaches the trace recorder; device-side stage events flow into it.
   void set_tracer(obs::TraceRecorder* tracer) noexcept { tracer_ = tracer; }
 
-  /// Registers the stage ledger and the inline-chunk backlog gauge with
-  /// the windowed sampler. Assembly-time only.
+  /// Registers the inline-chunk backlog gauge with the windowed sampler.
+  /// Assembly-time only.
   void bind_telemetry(obs::Telemetry& telemetry) const;
 
   /// Publishes the controller's counters into `metrics` as `ctrl.*`.
@@ -176,6 +176,19 @@ class Controller {
     std::uint32_t tail = 0;
     bool phase = true;
   };
+  /// Device residency of one fetched command: opened at its SQE fetch
+  /// (a BandSlim fragment or an OOO chunk opens none), filed with the
+  /// tracer as a DeviceReport when its CQE is posted, discarded when the
+  /// completion is dropped or the command aborted.
+  struct Residency {
+    Nanoseconds fetch_start = 0;
+    /// Reassembly wait: a deferred OOO command waiting for its chunks, a
+    /// BandSlim header waiting for its fragments.
+    std::uint64_t wait_ns = 0;
+    /// When an injected delay took the CQE; 0 when it was never held (a
+    /// command is always fetched first, so no hold starts at time 0).
+    Nanoseconds held_at = 0;
+  };
   /// BandSlim per-stream assembly state.
   struct FragmentStream {
     nvme::SubmissionQueueEntry header{};
@@ -183,6 +196,9 @@ class Controller {
     ByteVec buffer;
     std::uint32_t received = 0;
     std::uint32_t expected = 0;
+    /// End of the header's stream setup; the time from here to the last
+    /// fragment is the header command's reassembly wait.
+    Nanoseconds assembly_start = 0;
   };
   /// An OOO inline command whose chunks have not all arrived yet.
   struct DeferredInline {
@@ -195,8 +211,7 @@ class Controller {
     /// Fault drawn for this command at fetch, applied when it completes.
     fault::FaultKind fault = fault::FaultKind::kNone;
     /// Sim-time the command entered the deferred list; the time until it
-    /// leaves (reassembled or evicted) is reported to the TraceRecorder as
-    /// the command's kReassembly wait (obs/attribution.h).
+    /// leaves (reassembled or evicted) is its reassembly wait.
     Nanoseconds defer_start_ns = 0;
   };
   /// A completion the injector delayed; posted once sim-time passes
@@ -329,9 +344,10 @@ class Controller {
   [[nodiscard]] std::uint64_t prp_transfer_bytes(
       std::uint64_t length, std::size_t page_count) const noexcept;
 
-  /// Builds and posts the CQE. A kCompletionDrop `fault` loses it (a host
-  /// Abort later finds it in lost_); a kCompletionDelay holds it in
-  /// delayed_ until the injector's delay passes.
+  /// Builds and posts the CQE and files the command's device report with
+  /// the tracer. A kCompletionDrop `fault` loses it (a host Abort later
+  /// finds it in lost_); a kCompletionDelay holds it in delayed_ until the
+  /// injector's delay passes.
   void post_completion(
       std::uint16_t qid, const nvme::SubmissionQueueEntry& sqe,
       nvme::StatusField status, std::uint32_t dw0, std::uint32_t dw1 = 0,
@@ -355,6 +371,10 @@ class Controller {
   /// completions and deferred OOO commands. Returns true when the command
   /// was found (Abort completion DW0 bit 0 clear).
   bool abort_command(std::uint16_t sqid, std::uint16_t cid);
+
+  /// Adds the time from `since` to now to command (qid, cid)'s
+  /// reassembly wait.
+  void add_wait(std::uint16_t qid, std::uint16_t cid, Nanoseconds since);
 
   /// Accumulates a device-side stage interval into the stage ledger
   /// (I/O queues only) and forwards it to the tracer when enabled.
@@ -383,6 +403,9 @@ class Controller {
   std::uint32_t urgent_run_ = 0;
   std::uint64_t namespace_blocks_ = 0;
 
+  /// Residency records of the fetched commands not yet completed, keyed
+  /// by obs::command_key.
+  std::unordered_map<std::uint32_t, Residency> residency_;
   std::unordered_map<std::uint16_t, FragmentStream> streams_;
   std::unordered_map<std::uint8_t, std::uint32_t> features_;
   ReassemblyEngine reassembly_;
@@ -407,8 +430,8 @@ class Controller {
 
   // The stage ledger: per-stage event counts and summed durations for
   // I/O queues, TraceStage-indexed. It serves Get Log Page 0xC1, 0xC0's
-  // fetch-stage total, the telemetry stage columns, ctrl.chunks_fetched
-  // (kChunkFetch) and ctrl.inline_read_completions (kReadChunkWrite).
+  // fetch-stage total, ctrl.chunks_fetched (kChunkFetch) and
+  // ctrl.inline_read_completions (kReadChunkWrite).
   obs::StageCounters stage_count_;
   obs::StageCounters stage_ns_;
   // Inline transfer work the firmware is still holding: open BandSlim

@@ -37,8 +37,10 @@ struct TestbedConfig {
   driver::NvmeDriver::Config driver{};
   controller::Controller::Config controller{};
   ssd::SsdDevice::Config ssd{};
-  /// Runtime switch for the end-to-end trace recorder. Metrics and the
-  /// 0xC1 stage log stay on regardless.
+  /// Runtime switch for the end-to-end trace recorder's event log.
+  /// Metrics, the 0xC1 stage log and every completion's wait/service
+  /// breakdown (built from the controller's device reports) stay on
+  /// regardless.
   bool trace_enabled = true;
   /// Windowed time-series sampler (PCM-style link telemetry). With
   /// `telemetry.enabled = false` no window ever closes and the link gets

@@ -134,8 +134,7 @@ Status NvmeDriver::init_io_queues() {
     }
     if (telemetry_ != nullptr) {
       telemetry_->register_queue(i, &created.sq_occupancy, &created.inflight,
-                                 &created.sq_doorbells, &created.sq_entries,
-                                 &created.cq_doorbells);
+                                 &created.sq_doorbells, &created.sq_entries);
     }
     if (policy_ != nullptr) {
       policy_->register_queue(i, config_.io_queue_depth,
@@ -561,12 +560,6 @@ std::uint16_t NvmeDriver::register_pending(QueuePair& qp, Pending pending) {
   } while (qp.pending.count(cid) != 0);
   qp.pending.emplace(cid, std::move(pending));
   qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
-  // Open the command's attribution entry before any slot is published, so
-  // every device-side stage event lands inside its window. Lock order:
-  // pending_mutex -> TraceRecorder mutex (never the reverse).
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->begin_command(qp.sq->qid(), cid);
-  }
   return cid;
 }
 
@@ -1081,12 +1074,11 @@ void NvmeDriver::attribute_completion(std::uint16_t qid, std::uint16_t cid,
                                       const Pending& pending,
                                       Completion& completion) {
   const auto total = static_cast<std::uint64_t>(completion.latency_ns);
-  // Close the attribution entry: the recorder derives the device report
-  // passively from the stage events the firmware already recorded.
-  obs::DeviceReport report;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    report = tracer_->finish_command(qid, cid);
-  }
+  // Take the device report the controller filed as it posted the CQE.
+  // Lock order: pending_mutex -> TraceRecorder mutex (never the reverse).
+  const obs::DeviceReport report =
+      tracer_ != nullptr ? tracer_->finish_command(qid, cid)
+                         : obs::DeviceReport{};
 
   std::array<std::uint64_t, obs::kWaitSegmentCount> want{};
   const auto seg = [](obs::WaitSegment s) {
@@ -1119,19 +1111,19 @@ void NvmeDriver::attribute_completion(std::uint16_t qid, std::uint16_t cid,
     // No doorbell mark (defensive: a path that never published) — the
     // whole window is host-side service.
     want[seg(obs::WaitSegment::kService)] = total;
-  } else if (report.valid && report.cqe_end != 0) {
+  } else if (report.valid) {
     want[seg(obs::WaitSegment::kService)] = host_build + report.service_ns;
     want[seg(obs::WaitSegment::kReassembly)] = report.wait_ns;
     if (reap_end > report.cqe_end) {
       want[seg(obs::WaitSegment::kDelivery)] =
           static_cast<std::uint64_t>(reap_end - report.cqe_end);
     }
-    // Device residency between the stages (arbitration, injected delays)
-    // is the remainder -> kArbWait via make_additive.
+    // The doorbell-to-fetch gap (arbitration) and the time an injected
+    // delay held the CQE are the remainder -> kArbWait via make_additive.
   } else {
-    // No CQE ever arrived (timeout -> synthesized Abort, tracing off):
-    // the command left the host and never came back, so everything after
-    // the doorbell books as controller residency (kArbWait).
+    // No device report (timeout -> synthesized Abort): the command left
+    // the host and never came back, so everything after the doorbell
+    // books as controller residency (kArbWait).
     want[seg(obs::WaitSegment::kService)] = host_build;
   }
   completion.breakdown = obs::make_additive(total, want);
@@ -1334,9 +1326,9 @@ StatusOr<Completion> NvmeDriver::recover_timed_out(QueuePair& qp,
   // its gate charge and an inline read's ring slots are paid back exactly
   // once — the abandoned slots may be overwritten by later commands, which
   // is safe because nothing will ever read them (docs/READPATH.md). The
-  // command never produced a CQE, so everything after the doorbell books
-  // as controller residency (kArbWait): its attribution entry closes
-  // without a device report.
+  // command never produced a CQE, so the controller filed no device
+  // report and everything after the doorbell books as controller
+  // residency (kArbWait).
   it->second.done = true;
   it->second.cqe.set_status(
       nvme::StatusField::generic(nvme::GenericStatus::kAbortRequested));
@@ -1355,7 +1347,6 @@ std::size_t NvmeDriver::poll_completions(std::uint16_t qid) {
     qp.cq->pop();
     link_.clock().advance(config_.timing.completion_handle_ns);
     doorbell_.ring_cq_head(qid, qp.cq->head());
-    qp.cq_doorbells.increment();
     if (tracer_ != nullptr && tracer_->enabled()) {
       obs::TraceEvent event;
       event.stage = obs::TraceStage::kCqDoorbell;

@@ -445,14 +445,14 @@ class NvmeDriver {
     std::atomic<std::uint32_t> read_inline_failures{0};
     std::atomic<Nanoseconds> read_degraded_until{0};
     /// Per-queue doorbell accounting (the SQ trio exposed as driver.qN.*
-    /// by init_io_queues; all three sampled by the telemetry windows).
-    /// sq_doorbells counts BAR MWr writes — one per ring, NOT one per
-    /// command, so coalesced batches keep sq_entries / sq_doorbells > 1
-    /// and doorbells/op = sq_doorbells / commands < 1.
+    /// by init_io_queues; the two doorbell counters are sampled by the
+    /// telemetry windows). sq_doorbells counts BAR MWr writes — one per
+    /// ring, NOT one per command, so coalesced batches keep sq_entries /
+    /// sq_doorbells > 1 and doorbells/op = sq_doorbells / commands < 1.
+    /// CQ head doorbells are counted by BarSpace::cq_doorbell_writes.
     obs::Counter sq_doorbells;
     obs::Counter sq_entries;
     obs::Counter commands;
-    obs::Counter cq_doorbells;
   };
 
   [[nodiscard]] QueuePair& queue(std::uint16_t qid);
@@ -558,8 +558,8 @@ class NvmeDriver {
   Completion finish_pending_locked(
       QueuePair& qp, std::unordered_map<std::uint16_t, Pending>::iterator it);
 
-  /// Closes the command's attribution entry (device report), builds the
-  /// exact wait/service breakdown for `completion` (segments sum to
+  /// Takes the device report the controller filed for the command, builds
+  /// the exact wait/service breakdown for `completion` (segments sum to
   /// latency_ns by construction) and publishes it to the per-method /
   /// per-tenant wait histograms and the wait counters. Called once on
   /// every resolution path — reaped completions and synthesized timeouts

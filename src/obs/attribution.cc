@@ -30,8 +30,8 @@ LatencyBreakdown make_additive(
     return granted;
   };
   // Waits first (they are measured directly and cannot legitimately
-  // overshoot), then delivery and reassembly, then service — the one
-  // segment an unrelated aux command's events could inflate.
+  // overshoot), then delivery and reassembly, then service — the segment
+  // whose host and device parts can overlap.
   for (const WaitSegment segment :
        {WaitSegment::kGateWait, WaitSegment::kRingWait, WaitSegment::kSlotWait,
         WaitSegment::kBellHold, WaitSegment::kDelivery,

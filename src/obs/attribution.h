@@ -11,24 +11,28 @@
 // (obs::check_breakdown_additivity enforces the invariant;
 // tests/latency_attribution_test.cc asserts zero residual at QD 1/8/32).
 //
-// Segment semantics (host marks + device report, telescoped by
+// Segment semantics (host marks + the device report the controller files
+// for every command it completes, obs::DeviceReport; telescoped by
 // make_additive so the sum is exact by construction):
 //
 //   kGateWait    admission-gate decision (tenant token bucket / budgets)
 //   kRingWait    arrival backlog: IoRequest::origin_ns -> driver entry
 //   kSlotWait    SQ-slot backpressure: first publish attempt -> slots free
 //   kBellHold    doorbell-coalescing hold: SQE pushed -> its bell rung
-//   kArbWait     doorbell -> device fetch, plus any device residency not
-//                covered by stage service or a noted reassembly wait
-//                (SQ arbitration, fault-injected completion delay)
-//   kService     host SQE build/staging + device primary-stage service
-//   kReassembly  deferred-OOO / BandSlim reassembly wait noted by the
-//                controller; inline-read ring residency on the read path
+//   kArbWait     doorbell -> SQE fetch (SQ arbitration), plus the time an
+//                injected completion delay held the CQE
+//   kService     host SQE build/staging + device service: SQE fetch ->
+//                CQE host-visible, less the reassembly wait and the hold
+//   kReassembly  reassembly wait: a deferred OOO command waiting for its
+//                chunks, or BandSlim fragment assembly (end of the
+//                header's stream setup -> its last fragment)
 //   kDelivery    CQE write -> host reap (CQ poll, doorbell, finish)
 //
-// Paths that end without a device report (timeout -> synthesized Abort
-// Requested, dropped completions) book everything after the doorbell as
-// kArbWait: the command demonstrably left the host and never came back.
+// The device report does not depend on tracing, so the breakdown is the
+// same with the trace recorder off. Paths that end without a device
+// report (timeout -> synthesized Abort Requested, dropped completions)
+// book everything after the doorbell as kArbWait: the command
+// demonstrably left the host and never came back.
 #pragma once
 
 #include <array>
@@ -78,9 +82,10 @@ struct LatencyBreakdown {
 /// ignored); each is granted from the remaining budget in a fixed order
 /// (gate, ring, slot, bell, delivery, reassembly, service) and kArbWait
 /// receives the exact remainder. On the healthy paths the marks telescope
-/// and nothing is clamped; the budget walk only guards pathological
-/// interleavings (e.g. an aux command recycling a live cid) so the
-/// additivity invariant holds unconditionally.
+/// and nothing is clamped; the budget walk only guards marks that overlap
+/// (e.g. a BandSlim header the device fetched while another thread's pump
+/// ran, before its host pushed the last fragment) so the additivity
+/// invariant holds unconditionally.
 [[nodiscard]] LatencyBreakdown make_additive(
     std::uint64_t total_ns,
     const std::array<std::uint64_t, kWaitSegmentCount>& want) noexcept;

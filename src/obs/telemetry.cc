@@ -18,12 +18,10 @@ constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 void skip_idle(TelemetrySample& sample, std::uint64_t windows) noexcept {
   sample.flow = {};
   sample.payload_bytes = 0;
-  sample.stage_count = {};
-  sample.stage_ns = {};
   sample.wait_count = 0;
   sample.wait_ns = {};
   for (QueueWindow& queue : sample.queues) {
-    queue.sq_doorbells = queue.sq_entries = queue.cq_doorbells = 0;
+    queue.sq_doorbells = queue.sq_entries = 0;
   }
   for (TenantWindow& tenant : sample.tenants) {
     tenant.admitted = tenant.rejected = tenant.payload_bytes =
@@ -93,14 +91,8 @@ void Telemetry::register_flow(LinkDir dir, TlpKind kind, const Counter* tlps,
                     Tap(data_bytes), Tap(wire_bytes)});
 }
 
-void Telemetry::register_controller(const StageCounters& stage_count,
-                                    const StageCounters& stage_ns,
-                                    const Gauge* backlog) {
+void Telemetry::register_controller(const Gauge* backlog) {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    stage_count_[i] = Tap(&stage_count[i]);
-    stage_ns_[i] = Tap(&stage_ns[i]);
-  }
   backlog_ = backlog;
 }
 
@@ -118,11 +110,10 @@ void Telemetry::register_driver(const Counter* payload_bytes,
 void Telemetry::register_queue(std::uint16_t qid, const Gauge* sq_occupancy,
                                const Gauge* inflight,
                                const Counter* sq_doorbells,
-                               const Counter* sq_entries,
-                               const Counter* cq_doorbells) {
+                               const Counter* sq_entries) {
   std::lock_guard<std::mutex> lock(mutex_);
-  queues_[qid] = {sq_occupancy, inflight, Tap(sq_doorbells), Tap(sq_entries),
-                  Tap(cq_doorbells)};
+  queues_[qid] = {sq_occupancy, inflight, Tap(sq_doorbells),
+                  Tap(sq_entries)};
 }
 
 void Telemetry::register_tenant(std::uint16_t tenant, const Counter* admitted,
@@ -167,10 +158,6 @@ void Telemetry::take_sample_locked(TelemetrySample& sample, Nanoseconds end) {
                  source.wire_bytes.take()};
   }
   sample.payload_bytes = payload_bytes_.take();
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    sample.stage_count[i] = stage_count_[i].take();
-    sample.stage_ns[i] = stage_ns_[i].take();
-  }
   sample.backlog = read(backlog_);
   sample.wait_count = waits_.take();
   for (std::size_t i = 0; i < kWaitSegmentCount; ++i) {
@@ -180,8 +167,7 @@ void Telemetry::take_sample_locked(TelemetrySample& sample, Nanoseconds end) {
   for (auto& [qid, source] : queues_) {
     sample.queues.push_back({qid, read(source.sq_occupancy),
                              read(source.inflight), source.sq_doorbells.take(),
-                             source.sq_entries.take(),
-                             source.cq_doorbells.take()});
+                             source.sq_entries.take()});
   }
   sample.tenants.clear();
   for (TenantSource& source : tenants_) {
@@ -197,8 +183,15 @@ void Telemetry::take_sample_locked(TelemetrySample& sample, Nanoseconds end) {
 }
 
 void Telemetry::close_locked(Nanoseconds end, std::uint64_t idle) {
-  if (live_ == ring_.size()) ring_.emplace_back();
-  Entry& entry = ring_[live_++];
+  if (live_ == ring_.size()) {
+    // Every slot is live: put the oldest first again and grow by one.
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    ring_.emplace_back();
+  }
+  Entry& entry = ring_[(head_ + live_++) % ring_.size()];
   take_sample_locked(entry.sample, end);
   entry.sample.index = next_index_;
   entry.idle = idle;
@@ -225,7 +218,7 @@ void Telemetry::close_locked(Nanoseconds end, std::uint64_t idle) {
 
 void Telemetry::drop_oldest_locked() {
   while (ring_windows_ > config_.max_windows) {
-    Entry& oldest = ring_.front();
+    Entry& oldest = ring_[head_];
     const std::uint64_t excess = ring_windows_ - config_.max_windows;
     std::uint64_t dropped = 1 + oldest.idle;
     if (excess < dropped) {
@@ -235,7 +228,7 @@ void Telemetry::drop_oldest_locked() {
       skip_idle(oldest.sample, excess);
       oldest.idle -= excess;
     } else {
-      ring_.pop_front();
+      head_ = (head_ + 1) % ring_.size();
       --live_;
     }
     ring_windows_ -= dropped;
@@ -276,9 +269,11 @@ void Telemetry::clear(Nanoseconds now) {
   // A dropped sample moves every baseline to the owners' current values:
   // the owners keep counting upward, only the sampling restarts.
   take_sample_locked(off_ring_, now);
-  // The next period refills the slots this one filled; spares it did
-  // not reach are freed, so one long period leaves no pool behind.
+  // The next period refills as many slots as this one filled (every slot
+  // was filled once); the rest are freed, so one long period leaves no
+  // pool behind.
   ring_.resize(live_);
+  head_ = 0;
   live_ = 0;
   ring_windows_ = 0;
   next_index_ = 0;
@@ -293,7 +288,7 @@ std::vector<TelemetrySample> Telemetry::samples() const {
   std::vector<TelemetrySample> out;
   out.reserve(ring_windows_);
   for (std::size_t e = 0; e < live_; ++e) {
-    const Entry& entry = ring_[e];
+    const Entry& entry = ring_[(head_ + e) % ring_.size()];
     out.push_back(entry.sample);
     for (std::uint64_t i = 0; i < entry.idle; ++i) {
       out.push_back(out.back());
@@ -339,10 +334,6 @@ std::vector<TelemetrySample> Telemetry::downsample(
         }
       }
       out.payload_bytes += add.payload_bytes;
-      for (std::size_t s = 0; s < kStageCount; ++s) {
-        out.stage_count[s] += add.stage_count[s];
-        out.stage_ns[s] += add.stage_ns[s];
-      }
       out.wait_count += add.wait_count;
       for (std::size_t s = 0; s < kWaitSegmentCount; ++s) {
         out.wait_ns[s] += add.wait_ns[s];
@@ -352,7 +343,6 @@ std::vector<TelemetrySample> Telemetry::downsample(
           if (target.qid == qw.qid) {
             target.sq_doorbells += qw.sq_doorbells;
             target.sq_entries += qw.sq_entries;
-            target.cq_doorbells += qw.cq_doorbells;
           }
         }
       }

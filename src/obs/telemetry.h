@@ -9,9 +9,9 @@
 //     bytes), from pcie::TrafficCounter's six (direction, TLP type)
 //     cells,
 //   * the payload bytes the host handed to the driver,
-//   * the controller's per-stage ledger (the counters behind the 0xC1
-//     log page; same taxonomy as TraceStage),
-//   * per-queue gauges (SQ occupancy, in-flight commands) and doorbell
+//   * the wait/service attribution sums of the commands the driver
+//     completed,
+//   * per-queue gauges (SQ occupancy, in-flight commands) and SQ doorbell
 //     counts of the driver's queue pairs, plus the controller's
 //     inline-chunk backlog gauge,
 // into an in-memory ring of TelemetrySample records.
@@ -40,8 +40,9 @@
 // run; every sum still telescopes.
 //
 // A sampled window allocates nothing once the ring is warm: its sample is
-// filled in place, in a ring slot an earlier window used, and clear()
-// keeps as many slots as the period it ends filled.
+// filled in place, in a ring slot an earlier window used — at capacity,
+// the slot of the window it drops — and clear() keeps as many slots as
+// the period it ends filled.
 //
 // Layering: bx_obs sits below bx_pcie, so this header cannot name
 // pcie::Direction or pcie::TlpType. LinkDir and TlpKind mirror their
@@ -116,8 +117,8 @@ struct FlowCell {
 };
 
 /// Per-queue state captured at a window boundary from the driver's queue
-/// pair: gauges are sampled (point-in-time), doorbells are deltas over the
-/// window.
+/// pair: gauges are sampled (point-in-time), SQ doorbells are deltas over
+/// the window.
 struct QueueWindow {
   std::uint16_t qid = 0;
   std::int64_t sq_occupancy = 0;
@@ -127,7 +128,6 @@ struct QueueWindow {
   /// batched submission sq_entries / sq_doorbells is the per-window
   /// coalescing factor (1.0 = no coalescing).
   std::uint64_t sq_entries = 0;
-  std::uint64_t cq_doorbells = 0;
 };
 
 /// Per-tenant state captured at a window boundary: service counters are
@@ -154,9 +154,6 @@ struct TelemetrySample {
   std::array<std::array<FlowCell, kTlpKinds>, kLinkDirs> flow{};
   /// Write-direction payload bytes the driver published during the window.
   std::uint64_t payload_bytes = 0;
-  /// Controller stage-ledger deltas (TraceStage taxonomy, I/O queues).
-  std::array<std::uint64_t, kStageCount> stage_count{};
-  std::array<std::uint64_t, kStageCount> stage_ns{};
   /// Controller inline backlog gauge at window close (BandSlim streams +
   /// deferred OOO commands + in-flight reassemblies).
   std::int64_t backlog = 0;
@@ -239,19 +236,17 @@ class Telemetry {
   /// traffic class, so a flow column is the sum over classes.
   void register_flow(LinkDir dir, TlpKind kind, const Counter* tlps,
                      const Counter* data_bytes, const Counter* wire_bytes);
-  /// The controller's per-stage ledger and its inline-backlog gauge.
-  void register_controller(const StageCounters& stage_count,
-                           const StageCounters& stage_ns,
-                           const Gauge* backlog);
+  /// The controller's inline-backlog gauge.
+  void register_controller(const Gauge* backlog);
   /// The driver's write-payload bytes and its completed-command wait
   /// breakdown sums (command count and per-segment nanoseconds).
   void register_driver(const Counter* payload_bytes, const Counter* waits,
                        const WaitCounters& wait_ns);
-  /// Queue `qid`'s occupancy gauges and doorbell counters (the driver's
-  /// QueuePair). Re-registering a qid replaces its sources.
+  /// Queue `qid`'s occupancy gauges and SQ doorbell counters (the
+  /// driver's QueuePair). Re-registering a qid replaces its sources.
   void register_queue(std::uint16_t qid, const Gauge* sq_occupancy,
                       const Gauge* inflight, const Counter* sq_doorbells,
-                      const Counter* sq_entries, const Counter* cq_doorbells);
+                      const Counter* sq_entries);
   /// Tenant `tenant`'s service counters (tenant::AdmissionController /
   /// tenant::TenantScheduler) and its in-flight-slots gauge.
   /// Re-registering a tenant replaces its sources.
@@ -310,7 +305,7 @@ class Telemetry {
   sum_flows(const std::vector<TelemetrySample>& samples);
 
   /// Merges adjacent windows until at most `max_points` remain. Sums
-  /// (flows, payload, stages, doorbells) are preserved exactly; gauges
+  /// (flows, payload, waits, doorbells) are preserved exactly; gauges
   /// keep the last-window value. Bounds the bxmon per-window table.
   [[nodiscard]] static std::vector<TelemetrySample> downsample(
       std::vector<TelemetrySample> samples, std::size_t max_points);
@@ -353,7 +348,7 @@ class Telemetry {
   struct QueueSource {
     const Gauge* sq_occupancy = nullptr;
     const Gauge* inflight = nullptr;
-    Tap sq_doorbells, sq_entries, cq_doorbells;
+    Tap sq_doorbells, sq_entries;
   };
   struct TenantSource {
     std::uint16_t tenant = 0;
@@ -385,8 +380,6 @@ class Telemetry {
 
   // Registered sources, all under mutex_.
   std::vector<FlowSource> flows_;
-  std::array<Tap, kStageCount> stage_count_{};
-  std::array<Tap, kStageCount> stage_ns_{};
   const Gauge* backlog_ = nullptr;
   Tap payload_bytes_;
   Tap waits_;
@@ -409,10 +402,12 @@ class Telemetry {
   mutable std::mutex mutex_;
   Nanoseconds window_start_ = 0;
   std::uint64_t next_index_ = 0;
-  /// The first live_ entries hold the windows, oldest first. The slots
-  /// after them are spares that close_locked() fills in place before it
-  /// grows the deque; a drop pops the front.
+  /// A circular buffer: live_ entries from ring_[head_] on, wrapping at
+  /// the end, hold the windows, oldest first. The other slots are spares
+  /// that close_locked() fills in place before it grows the ring; a drop
+  /// frees the oldest slot for the next close.
   std::deque<Entry> ring_;
+  std::size_t head_ = 0;
   std::size_t live_ = 0;
   /// Windows held by ring_: its live entries plus their idle counts.
   std::uint64_t ring_windows_ = 0;

@@ -23,54 +23,15 @@ std::string_view stage_name(TraceStage stage) noexcept {
   return "?";
 }
 
-namespace {
-
-/// Device-side primary stages whose durations make up a command's device
-/// service time. kNandIo nests inside kExec and kDoorbell/kSubmit/
-/// kCqDoorbell are host-side.
-bool is_device_service_stage(TraceStage stage) noexcept {
-  switch (stage) {
-    case TraceStage::kSqeFetch:
-    case TraceStage::kChunkFetch:
-    case TraceStage::kPrpDma:
-    case TraceStage::kSglDma:
-    case TraceStage::kExec:
-    case TraceStage::kReadChunkWrite:
-    case TraceStage::kCompletion:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 void TraceRecorder::record_run(std::span<TraceEvent> events) {
   if (!enabled() || events.empty()) return;
-  const TraceEvent& first = events.front();
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t seq = next_seq_.load(std::memory_order_relaxed);
   next_seq_.store(seq + events.size(), std::memory_order_relaxed);
   for (TraceEvent& event : events) event.seq = seq++;
-  auto it = open_.find(command_key(first.qid, first.cid));
-  if (it != open_.end()) {
-    DeviceReport& report = it->second;
-    for (const TraceEvent& event : events) {
-      BX_ASSERT(event.qid == first.qid && event.cid == first.cid);
-      if (!is_device_service_stage(event.stage)) continue;
-      report.valid = true;
-      if (event.end >= event.start) {
-        report.service_ns +=
-            static_cast<std::uint64_t>(event.end - event.start);
-      }
-      if (event.stage == TraceStage::kCompletion) {
-        report.cqe_end = event.end;
-      }
-    }
-  }
   const std::size_t kept =
       std::min<std::size_t>(events.size(), kCapacity - events_.size());
-  for (const TraceEvent& event : events.first(kept)) events_.push_back(event);
+  events_.insert(events_.end(), events.begin(), events.begin() + kept);
   if (kept < events.size()) {
     dropped_.store(dropped_.load(std::memory_order_relaxed) +
                        (events.size() - kept),
@@ -87,28 +48,19 @@ void TraceRecorder::record_in_device_context(TraceEvent event) {
   record(event);
 }
 
-void TraceRecorder::begin_command(std::uint16_t qid, std::uint16_t cid) {
-  if (!enabled()) return;
+void TraceRecorder::report_command(std::uint16_t qid, std::uint16_t cid,
+                                   const DeviceReport& report) {
   std::lock_guard<std::mutex> lock(mutex_);
-  open_[command_key(qid, cid)] = DeviceReport{};
-}
-
-void TraceRecorder::note_command_wait(std::uint16_t qid, std::uint16_t cid,
-                                      std::uint64_t wait_ns) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = open_.find(command_key(qid, cid));
-  if (it != open_.end()) it->second.wait_ns += wait_ns;
+  reports_.insert_or_assign(command_key(qid, cid), report);
 }
 
 DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
                                            std::uint16_t cid) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = open_.find(command_key(qid, cid));
-  // Unknown: the recorder was cleared mid-flight or bracketing disabled.
-  if (it == open_.end()) return {};
+  const auto it = reports_.find(command_key(qid, cid));
+  if (it == reports_.end()) return {};
   const DeviceReport report = it->second;
-  open_.erase(it);
+  reports_.erase(it);
   return report;
 }
 
@@ -137,7 +89,6 @@ void TraceRecorder::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.clear();
   dropped_.store(0, std::memory_order_relaxed);
-  open_.clear();
 }
 
 std::string TraceRecorder::dump(const std::vector<TraceEvent>& events) {

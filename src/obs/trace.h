@@ -11,20 +11,21 @@
 // primary interval and are excluded from latency accounting.
 //
 // At depth > 1 stage intervals alone cannot attribute a command's latency
-// (most of it is waiting, not service). The recorder therefore also keeps
-// a per-command attribution table — begin_command/finish_command bracket
-// each I/O command, record() accumulates its device-stage service and
-// completion times into a DeviceReport — from which the driver builds the
-// obs::LatencyBreakdown carried on every Completion (obs/attribution.h).
+// (most of it is waiting, not service). The controller therefore keeps a
+// residency record per fetched command and, as it posts the command's CQE,
+// files one DeviceReport here (report_command); the driver takes it when
+// it reaps the CQE (finish_command) and builds the obs::LatencyBreakdown
+// carried on every Completion (obs/attribution.h). Reports do not depend
+// on tracing: they are filed and taken with the recorder disabled too.
 //
-// Thread safety: the recorder is one ordered log under one leaf mutex.
-// A record numbers its events, adds their service to the open command's
-// report and appends them in one critical section, so the log is in seq
-// order as written and the multi-submitter path stays clean under TSan.
-// Device-side layers that do not know (qid, cid) — the SSD executor —
-// read them from the recorder's device context, which the controller
-// sets around executor dispatch; all device-side code runs under the
-// Testbed firmware mutex, so the context needs no atomics.
+// Thread safety: the recorder is one ordered log under one leaf mutex,
+// which also guards the filed reports. A record numbers its events and
+// appends them in one critical section, so the log is in seq order as
+// written and the multi-submitter path stays clean under TSan. Device-side
+// layers that do not know (qid, cid) — the SSD executor — read them from
+// the recorder's device context, which the controller sets around executor
+// dispatch; all device-side code runs under the Testbed firmware mutex, so
+// the context needs no atomics.
 //
 // Determinism: events carry only simulated time and the seq counter, so
 // two runs of the same seeded scenario produce byte-identical dump()
@@ -128,26 +129,30 @@ struct TraceEvent {
   std::uint64_t bytes = 0;
 };
 
-/// Device-side residency of one in-flight command, accumulated passively
-/// by the recorder from the stage events the controller/SSD layers already
-/// record, and consumed exactly once by the driver when the command
-/// completes. This is what lets the wait/service decomposition stay exact
-/// at depth without threading state through the firmware: the recorder
-/// sees every device event anyway.
+/// Device-side residency of one command, filed by the controller as it
+/// posts the command's CQE and taken exactly once by the driver when it
+/// reaps it. The controller opens the command's record at its SQE fetch,
+/// so the report covers [SQE fetch start, CQE host-visible].
 struct DeviceReport {
-  /// At least one device-stage event was observed for the command.
+  /// The controller filed a report for the command.
   bool valid = false;
-  /// End of the kCompletion event (CQE host-visible); 0 when the device
-  /// never posted one (dropped completion, abort).
+  /// End of the kCompletion event (CQE host-visible).
   Nanoseconds cqe_end = 0;
-  /// Sum of device primary-stage event durations (fetch, chunk fetch,
-  /// DMA, exec, read-chunk emission, completion post).
+  /// Device time spent serving the command: cqe_end minus the SQE fetch
+  /// start, the reassembly wait and the time an injected completion delay
+  /// held the CQE.
   std::uint64_t service_ns = 0;
-  /// Reassembly/defer wait the controller noted explicitly
-  /// (note_command_wait) — deferred-OOO chunks in flight, BandSlim
-  /// fragment assembly.
+  /// Reassembly wait (WaitSegment::kReassembly): a deferred OOO command
+  /// waiting for its chunks, or a BandSlim header waiting from the end of
+  /// its stream setup to its last fragment.
   std::uint64_t wait_ns = 0;
 };
+
+/// The key of command (qid, cid) among the commands in flight.
+constexpr std::uint32_t command_key(std::uint16_t qid,
+                                    std::uint16_t cid) noexcept {
+  return (std::uint32_t{qid} << 16) | cid;
+}
 
 /// Per-stage latency distribution of the recorded events — the
 /// "per-stage p50/p99" the benches export.
@@ -189,11 +194,10 @@ class TraceRecorder {
   /// Appends `event` (seq is assigned here). Safe from any thread.
   void record(TraceEvent event) { record_run({&event, 1}); }
 
-  /// Appends `events`, which must all belong to one (qid, cid), in order
-  /// and under consecutive seqs (assigned here, into the span): one lock
-  /// and one attribution-table lookup for the run. The controller records
-  /// a chunk run's per-chunk events this way; the result is the same as
-  /// recording them one by one.
+  /// Appends `events` in order under consecutive seqs (assigned here,
+  /// into the span), under one lock. The controller records a chunk run's
+  /// per-chunk events this way; the result is the same as recording them
+  /// one by one.
   void record_run(std::span<TraceEvent> events);
 
   /// Appends `event` with (qid, cid) filled from the device context — for
@@ -211,17 +215,15 @@ class TraceRecorder {
   void clear_device_context() noexcept { device_context_valid_ = false; }
 
   // ---- per-command attribution --------------------------------------
-  // The driver brackets every I/O command's life with begin_command /
-  // finish_command; in between, record() transparently accumulates the
-  // command's device-stage service into its table entry.
+  // Neither call checks enabled(): attribution works with tracing off.
 
-  void begin_command(std::uint16_t qid, std::uint16_t cid);
-  /// Controller-noted wait (deferred-OOO reassembly, fragment assembly)
-  /// attributed to WaitSegment::kReassembly. No-op for unknown commands.
-  void note_command_wait(std::uint16_t qid, std::uint16_t cid,
-                         std::uint64_t wait_ns);
-  /// Closes the command's table entry and returns its accumulated device
-  /// report. Unknown commands return {valid = false}.
+  /// Files the device report of command (qid, cid). The controller calls
+  /// it under the firmware mutex before the CQE becomes host-visible, so
+  /// the driver's finish_command always finds it.
+  void report_command(std::uint16_t qid, std::uint16_t cid,
+                      const DeviceReport& report);
+  /// Takes the command's filed report; {valid = false} when the device
+  /// filed none (a timed-out command, a bare controller without a driver).
   DeviceReport finish_command(std::uint16_t qid, std::uint16_t cid);
 
   /// All events kept so far, in seq order.
@@ -231,8 +233,8 @@ class TraceRecorder {
   /// far, read in place.
   [[nodiscard]] StageBreakdown stage_breakdown() const;
 
-  /// Drops all recorded events and open attribution entries (seq keeps
-  /// counting upward).
+  /// Drops all recorded events (seq keeps counting upward). Filed device
+  /// reports stay until the driver takes them.
   void clear();
 
   [[nodiscard]] std::uint64_t events_recorded() const noexcept {
@@ -244,22 +246,16 @@ class TraceRecorder {
   [[nodiscard]] static std::string dump(const std::vector<TraceEvent>& events);
 
  private:
-  static constexpr std::uint32_t command_key(std::uint16_t qid,
-                                             std::uint16_t cid) noexcept {
-    return (std::uint32_t{qid} << 16) | cid;
-  }
-
   std::atomic<bool> enabled_{true};
   // Written under mutex_; atomic so the getters read them without it.
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> dropped_{0};
 
   // One leaf lock over the log (in seq order, at most kCapacity events)
-  // and the attribution table: each open command's report, keyed
-  // (qid << 16) | cid.
+  // and the filed device reports not yet taken, keyed by command_key.
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
-  std::unordered_map<std::uint32_t, DeviceReport> open_;
+  std::unordered_map<std::uint32_t, DeviceReport> reports_;
 
   std::uint16_t device_qid_ = 0;
   std::uint16_t device_cid_ = 0;

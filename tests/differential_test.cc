@@ -2,13 +2,14 @@
 // whose configurations differ only in something that must not change what
 // the simulated system does. Each run checks every read-back against the
 // bytes written and records every completion (status, latency, DW0, bytes
-// returned), the per-class PCIe traffic, the final simulated clock and
-// the trace dump; the two runs must agree on all of them (on the trace
-// dump when both runs record one).
+// returned, wait/service breakdown), the per-class PCIe traffic, the final
+// simulated clock and the trace dump; the two runs must agree on all of
+// them (on the trace dump when both runs record one).
 //
 // Pairs:
 //   * trace recording on vs off — the recorder only observes, so turning
-//     it on may cost wall-clock time but never simulated time or bytes.
+//     it on may cost wall-clock time but never simulated time, bytes or
+//     how a command's latency is attributed.
 //   * telemetry on with 1 us windows vs off — the controller accounts a
 //     queue-local chunk run in bulk steps that end at the read closing a
 //     window, so the first run splits nearly every run into several
@@ -16,6 +17,7 @@
 //     move a single event.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -26,6 +28,7 @@
 #include "common/bytes.h"
 #include "core/testbed.h"
 #include "driver/request.h"
+#include "obs/attribution.h"
 #include "obs/trace.h"
 #include "pcie/traffic_counter.h"
 #include "test_util.h"
@@ -43,6 +46,8 @@ struct Outcome {
   Nanoseconds latency_ns = 0;
   std::uint32_t dw0 = 0;
   std::uint32_t bytes_returned = 0;
+  /// Completion::breakdown, segment by segment.
+  std::array<std::uint64_t, obs::kWaitSegmentCount> waits{};
   bool operator==(const Outcome&) const = default;
 };
 
@@ -88,7 +93,8 @@ RunRecord run_stream(const TestbedConfig& config,
   const auto note = [&record](const driver::Completion& completion) {
     record.outcomes.push_back({completion.status.encode(),
                                completion.latency_ns, completion.dw0,
-                               completion.bytes_returned});
+                               completion.bytes_returned,
+                               completion.breakdown.ns});
   };
   const auto queue_count = config.driver.io_queue_count;
 
@@ -154,7 +160,10 @@ void expect_same_run(const RunRecord& a, const RunRecord& b) {
                   << " vs " << y.status << ", latency " << x.latency_ns
                   << " vs " << y.latency_ns << " ns, dw0 " << x.dw0
                   << " vs " << y.dw0 << ", bytes returned "
-                  << x.bytes_returned << " vs " << y.bytes_returned;
+                  << x.bytes_returned << " vs " << y.bytes_returned
+                  << ", arb " << x.waits[std::size_t(obs::WaitSegment::kArbWait)]
+                  << " vs " << y.waits[std::size_t(obs::WaitSegment::kArbWait)]
+                  << " ns";
     break;
   }
   ASSERT_EQ(a.traffic.size(), b.traffic.size());

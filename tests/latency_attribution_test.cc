@@ -84,6 +84,88 @@ TEST(LatencyAttributionDirect, Qd1AllMethodsZeroResidual) {
   }
 }
 
+// At QD1 on one queue no command waits for arbitration, so the
+// controller's device report accounts for all of a write's device time,
+// traced or not: four writes in a row get identical breakdowns with
+// arb == 0, and only BandSlim's fragment assembly and an OOO command's
+// wait for its chunks book reassembly.
+TEST(LatencyAttributionDirect, Qd1WritesBookNoArbitrationTracedOrNot) {
+  for (const bool traced : {true, false}) {
+    for (const TransferMethod method : kAllMethods) {
+      for (const std::uint32_t size : {48u, 200u, 1024u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "traced " << traced << " method "
+                     << static_cast<int>(method) << " size " << size);
+        core::TestbedConfig config = test::small_testbed_config(1);
+        config.trace_enabled = traced;
+        Testbed bed(config);
+        const ByteVec payload = patterned(size);
+        std::vector<LatencyBreakdown> writes;
+        for (int i = 0; i < 4; ++i) {
+          auto completion = bed.raw_write(payload, method);
+          ASSERT_TRUE(completion.is_ok() && completion->ok());
+          writes.push_back(completion->breakdown);
+        }
+        for (std::size_t i = 1; i < writes.size(); ++i) {
+          EXPECT_EQ(writes[i].ns, writes[0].ns) << "write " << i;
+        }
+        EXPECT_EQ(writes[0].of(WaitSegment::kArbWait), 0u);
+        const bool reassembles = method == TransferMethod::kBandSlim ||
+                                 method == TransferMethod::kByteExpressOoo;
+        EXPECT_EQ(writes[0].of(WaitSegment::kReassembly) > 0, reassembles);
+        if (size == 200 && method == TransferMethod::kBandSlim) {
+          EXPECT_EQ(writes[0].of(WaitSegment::kReassembly), 11'724u);
+        }
+        if (size == 200 && method == TransferMethod::kByteExpressOoo) {
+          EXPECT_EQ(writes[0].of(WaitSegment::kReassembly), 10'955u);
+        }
+      }
+    }
+  }
+}
+
+// A completion an injected delay holds (shorter than the command timeout,
+// so no Abort) books the hold as arb and keeps the service, reassembly
+// and delivery of an undelayed write, traced or not.
+TEST(LatencyAttributionDirect, DelayedCompletionBooksTheHoldAsArb) {
+  constexpr Nanoseconds kDelay = 20'000;
+  for (const bool traced : {true, false}) {
+    for (const TransferMethod method :
+         {TransferMethod::kPrp, TransferMethod::kByteExpress}) {
+      SCOPED_TRACE(testing::Message() << "traced " << traced << " method "
+                                      << static_cast<int>(method));
+      core::TestbedConfig config = test::small_testbed_config(1);
+      config.trace_enabled = traced;
+      config.faults.completion_delay = 1.0;  // forces injector construction
+      Testbed bed(config);
+      fault::FaultPolicy policy;
+      policy.delay_ns = kDelay;
+      bed.fault_injector()->set_policy(policy);
+      const ByteVec payload = patterned(200);
+      auto undelayed = bed.raw_write(payload, method);
+      ASSERT_TRUE(undelayed.is_ok() && undelayed->ok());
+      bed.fault_injector()->arm(fault::FaultKind::kCompletionDelay);
+      auto delayed = bed.raw_write(payload, method);
+      ASSERT_TRUE(delayed.is_ok() && delayed->ok());
+      EXPECT_EQ(bed.metrics().counter_value("ctrl.completions_delayed"), 1u);
+      EXPECT_EQ(bed.metrics().counter_value("driver.timeouts"), 0u);
+
+      const LatencyBreakdown& want = undelayed->breakdown;
+      const LatencyBreakdown& got = delayed->breakdown;
+      EXPECT_EQ(want.of(WaitSegment::kArbWait), 0u);
+      EXPECT_GE(got.of(WaitSegment::kArbWait), kDelay);
+      EXPECT_EQ(got.of(WaitSegment::kArbWait),
+                delayed->latency_ns - undelayed->latency_ns);
+      for (const WaitSegment segment :
+           {WaitSegment::kService, WaitSegment::kReassembly,
+            WaitSegment::kDelivery}) {
+        EXPECT_EQ(got.of(segment), want.of(segment))
+            << obs::wait_segment_name(segment);
+      }
+    }
+  }
+}
+
 TEST(LatencyAttributionDirect, DepthSweepZeroResidual) {
   for (const std::uint32_t depth : {1u, 8u, 32u}) {
     for (const TransferMethod method : kAllMethods) {

@@ -199,20 +199,18 @@ struct AllSources {
       }
     }
     telemetry.register_driver(&payload, &waits, wait_ns);
-    telemetry.register_controller(stage_count, stage_ns, &backlog);
+    telemetry.register_controller(&backlog);
     telemetry.register_queue(1, &sq_occupancy, &inflight, &sq_doorbells,
-                             &sq_entries, &cq_doorbells);
+                             &sq_entries);
     telemetry.register_tenant(1, &admitted, &rejected, &tenant_payload,
                               &completions, &inflight_slots);
     telemetry.register_policy(&policy_inline, &policy_dma, &policy_rejects,
                               &shedding);
     counters.push_back(&payload);
-    for (obs::Counter& counter : stage_count) counters.push_back(&counter);
-    for (obs::Counter& counter : stage_ns) counters.push_back(&counter);
     counters.push_back(&waits);
     for (obs::Counter& counter : wait_ns) counters.push_back(&counter);
     counters.insert(counters.end(),
-                    {&sq_doorbells, &sq_entries, &cq_doorbells, &admitted,
+                    {&sq_doorbells, &sq_entries, &admitted,
                      &rejected, &tenant_payload, &completions,
                      &policy_inline, &policy_dma, &policy_rejects});
   }
@@ -241,10 +239,9 @@ struct AllSources {
       flows;
   obs::Counter payload, waits;
   obs::WaitCounters wait_ns;
-  obs::StageCounters stage_count, stage_ns;
   obs::Gauge backlog;
   obs::Gauge sq_occupancy, inflight;
-  obs::Counter sq_doorbells, sq_entries, cq_doorbells;
+  obs::Counter sq_doorbells, sq_entries;
   obs::Counter admitted, rejected, tenant_payload, completions;
   obs::Gauge inflight_slots;
   obs::Counter policy_inline, policy_dma, policy_rejects;
@@ -261,12 +258,10 @@ std::vector<std::uint64_t> deltas(const TelemetrySample& s) {
     }
   }
   out.push_back(s.payload_bytes);
-  out.insert(out.end(), s.stage_count.begin(), s.stage_count.end());
-  out.insert(out.end(), s.stage_ns.begin(), s.stage_ns.end());
   out.push_back(s.wait_count);
   out.insert(out.end(), s.wait_ns.begin(), s.wait_ns.end());
   for (const obs::QueueWindow& q : s.queues) {
-    out.insert(out.end(), {q.sq_doorbells, q.sq_entries, q.cq_doorbells});
+    out.insert(out.end(), {q.sq_doorbells, q.sq_entries});
   }
   for (const obs::TenantWindow& t : s.tenants) {
     out.insert(out.end(),
@@ -405,12 +400,12 @@ TEST(TelemetryIdleTest, ReusedSlotsKeepNothingOfTheirLastWindow) {
         : telemetry(tiny_config(100, /*max_windows=*/3)),
           sources(telemetry) {
       telemetry.register_queue(2, &sq_occupancy, &inflight, &sq_doorbells,
-                               &sq_entries, &cq_doorbells);
+                               &sq_entries);
     }
     Telemetry telemetry;
     AllSources sources;
     obs::Gauge sq_occupancy, inflight;
-    obs::Counter sq_doorbells, sq_entries, cq_doorbells;
+    obs::Counter sq_doorbells, sq_entries;
   };
   Sampler busy, idle;
   for (Nanoseconds end = 100; end <= 400; end += 100) {
@@ -547,51 +542,15 @@ TEST(TelemetryTestbedTest, MultiQueueQd4ReconcilesExactly) {
   // counters() does not reset the BAR counters, so compare run deltas via
   // the telemetry re-baseline: sums start at zero after reset.)
   std::uint64_t sq_doorbells[5] = {};
-  std::uint64_t cq_doorbells[5] = {};
   for (const TelemetrySample& s : samples) {
     for (const obs::QueueWindow& q : s.queues) {
       ASSERT_LE(q.qid, 4);
       sq_doorbells[q.qid] += q.sq_doorbells;
-      cq_doorbells[q.qid] += q.cq_doorbells;
     }
   }
   std::uint64_t sq_total = 0;
-  for (std::uint16_t qid = 1; qid <= 4; ++qid) {
-    sq_total += sq_doorbells[qid];
-    EXPECT_EQ(cq_doorbells[qid], kOps / 4)
-        << "every command completes once on q" << qid;
-  }
+  for (std::uint16_t qid = 1; qid <= 4; ++qid) sq_total += sq_doorbells[qid];
   EXPECT_EQ(sq_total, kOps) << "one SQ ring per inline command";
-}
-
-TEST(TelemetryTestbedTest, StageWindowsReconcileWithStageLog) {
-  core::TestbedConfig config = test::small_testbed_config();
-  config.telemetry.window_ns = 2'000;
-  Testbed bed(config);
-
-  ByteVec payload(200);
-  fill_pattern(payload, 7);
-  for (int i = 0; i < 25; ++i) {
-    auto completion =
-        bed.raw_write(payload, TransferMethod::kByteExpress, 1);
-    ASSERT_TRUE(completion.is_ok() && completion->ok());
-  }
-  bed.telemetry().flush(bed.clock().now());
-
-  const nvme::StageStatsLog& log = bed.controller().stage_stats();
-  std::uint64_t fetch_count = 0, fetch_ns = 0, chunk_count = 0,
-                completion_count = 0;
-  for (const TelemetrySample& s : bed.telemetry().samples()) {
-    fetch_count += s.stage_count[std::size_t(obs::TraceStage::kSqeFetch)];
-    fetch_ns += s.stage_ns[std::size_t(obs::TraceStage::kSqeFetch)];
-    chunk_count += s.stage_count[std::size_t(obs::TraceStage::kChunkFetch)];
-    completion_count +=
-        s.stage_count[std::size_t(obs::TraceStage::kCompletion)];
-  }
-  EXPECT_EQ(fetch_count, log.sqe_fetch.count);
-  EXPECT_EQ(fetch_ns, log.sqe_fetch.total_ns);
-  EXPECT_EQ(chunk_count, log.chunk_fetch.count);
-  EXPECT_EQ(completion_count, log.completion.count);
 }
 
 // ByteExpress-R reverse-direction conservation: over a run of inline
@@ -666,11 +625,11 @@ TEST(TelemetryTestbedTest, InlineReadWindowsReconcileUpstreamMwrExactly) {
 
 // The controller accounts a queue-local chunk run in bulk steps, and a
 // step ends at the read whose completion closes a telemetry window. Every
-// window must still hold exactly the chunk reads and kChunkFetch ledger
-// entries a read-at-a-time fetch leaves in it: the adaptive policy's EWMAs
-// read each window's link utilization. One 4 KiB ByteExpress write on the
-// paper testbed spans windows 7-28 of 2 us each; the per-window vectors
-// below were recorded with the read-at-a-time fetch.
+// window must still hold exactly the chunk reads a read-at-a-time fetch
+// leaves in it: the adaptive policy's EWMAs read each window's link
+// utilization. One 4 KiB ByteExpress write on the paper testbed spans
+// windows 7-28 of 2 us each; the per-window vector below was recorded
+// with the read-at-a-time fetch.
 TEST(TelemetryTestbedTest, ChunkRunWindowsCloseAtTheSameRead) {
   core::TestbedConfig config;
   config.telemetry.window_ns = 2'000;
@@ -687,18 +646,11 @@ TEST(TelemetryTestbedTest, ChunkRunWindowsCloseAtTheSameRead) {
   const std::vector<std::uint64_t> want_mrd_up = {
       1, 1, 0, 1, 0, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3,
       3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 0};
-  const std::vector<std::uint64_t> want_chunks = {
-      0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 3, 3, 3, 3, 3,
-      3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 0};
   std::vector<std::uint64_t> mrd_up;
-  std::vector<std::uint64_t> chunks;
   for (const TelemetrySample& s : bed.telemetry().samples()) {
     mrd_up.push_back(s.of(LinkDir::kUpstream, TlpKind::kMRd).tlps);
-    chunks.push_back(
-        s.stage_count[std::size_t(obs::TraceStage::kChunkFetch)]);
   }
   EXPECT_EQ(mrd_up, want_mrd_up);
-  EXPECT_EQ(chunks, want_chunks);
 }
 
 TEST(TelemetryTestbedTest, ResetCountersRestartsSampling) {

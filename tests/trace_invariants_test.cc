@@ -327,10 +327,12 @@ TEST(TraceRecorderLog, FullLogCountsDropsAndClearKeepsNumbering) {
 }
 
 // Four threads record at once, each on its own qid. A record numbers its
-// run, adds it to the open command's report and appends it in one
-// critical section, so the log's seqs rise by exactly 1 from event to
-// event, each thread's events keep the order that thread recorded them
-// in, and every finish_command returns exactly its own command's service.
+// run and appends it in one critical section, so the log's seqs rise by
+// exactly 1 from event to event and each thread's events keep the order
+// that thread recorded them in. Each thread also files a device report
+// per command, as the controller does, and takes it back, as the driver
+// does: every finish_command returns exactly the report filed for that
+// command, and a second take finds none.
 TEST(TraceRecorderLog, ConcurrentRunsStayOrderedAndAttributed) {
   constexpr std::uint16_t kThreads = 4;
   constexpr std::uint16_t kCommands = 5'000;
@@ -348,7 +350,6 @@ TEST(TraceRecorderLog, ConcurrentRunsStayOrderedAndAttributed) {
       Rng rng(0x7ace + t);
       Nanoseconds now = 0;
       for (std::uint16_t cid = 0; cid < kCommands; ++cid) {
-        recorder.begin_command(qid, cid);
         std::array<TraceEvent, 3> run{};
         const auto n = static_cast<std::size_t>(rng.next_in(1, 3));
         std::uint64_t service = 0;
@@ -364,8 +365,15 @@ TEST(TraceRecorderLog, ConcurrentRunsStayOrderedAndAttributed) {
           service += static_cast<std::uint64_t>(event.end - event.start);
         }
         recorder.record_run({run.data(), n});
-        const obs::DeviceReport report = recorder.finish_command(qid, cid);
-        if (!report.valid || report.service_ns != service) ++wrong;
+        const obs::DeviceReport filed{true, now, service, rng.next_below(64)};
+        recorder.report_command(qid, cid, filed);
+        const obs::DeviceReport taken = recorder.finish_command(qid, cid);
+        if (!taken.valid || taken.cqe_end != filed.cqe_end ||
+            taken.service_ns != filed.service_ns ||
+            taken.wait_ns != filed.wait_ns ||
+            recorder.finish_command(qid, cid).valid) {
+          ++wrong;
+        }
       }
     });
   }

@@ -115,23 +115,21 @@ bool write_file(const std::string& path, const std::string& content) {
 }
 
 /// The count knob `name` (default `fallback`) as a T. A value below
-/// `min`, above `max` or beyond T's range is refused: prints why and exits
-/// 2, before anything is built. Config::get_int is signed, so without the
-/// check a negative count wraps to a huge one.
+/// `min`, above `max` or beyond T's range is refused (Config::get_int_in):
+/// prints why and exits 2, before anything is built.
 template <typename T>
 T count_knob(const Config& config, const char* name, std::int64_t fallback,
              std::int64_t min = 0,
              std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
   const auto top = static_cast<std::int64_t>(std::min<std::uint64_t>(
       static_cast<std::uint64_t>(max), std::numeric_limits<T>::max()));
-  const std::int64_t value = config.get_int(name, fallback);
-  if (value < min || value > top) {
-    std::fprintf(stderr, "bxmon: %s must be %s %lld\n", name,
-                 value < min ? ">=" : "<=",
-                 static_cast<long long>(value < min ? min : top));
+  const StatusOr<std::int64_t> value =
+      config.get_int_in(name, fallback, min, top);
+  if (!value.is_ok()) {
+    std::fprintf(stderr, "bxmon: %s\n", value.status().message().c_str());
     std::exit(2);
   }
-  return static_cast<T>(value);
+  return static_cast<T>(*value);
 }
 
 /// The `window=` knob, in simulated ns. A window shorter than 1 ns never
