@@ -88,22 +88,25 @@ core::TestbedConfig BenchEnv::testbed_config() const {
       knob(config, "queues", 2, 1, controller::Controller::kMaxQueues - 1));
   testbed.driver.io_queue_depth =
       static_cast<std::uint32_t>(knob(config, "depth", 256, 2, 65'536));
-  testbed.driver.hybrid_threshold_bytes =
-      static_cast<std::uint32_t>(config.get_int("hybrid.threshold", 256));
+  testbed.driver.hybrid_threshold_bytes = static_cast<std::uint32_t>(
+      knob(config, "hybrid.threshold", 256, 0,
+           std::numeric_limits<std::uint32_t>::max()));
 
   // OpenSSD-like geometry scaled to keep the FTL map small: 2 GiB of 4 KiB
-  // pages across 32 dies.
+  // pages across 32 dies. Each count must be at least 1 (the NAND model
+  // and the KV partition assert it); 64 x 64 dies keeps dies() in 32 bits.
   testbed.ssd.geometry.channels =
-      static_cast<std::uint32_t>(config.get_int("nand.channels", 8));
+      static_cast<std::uint32_t>(knob(config, "nand.channels", 8, 1, 64));
   testbed.ssd.geometry.ways =
-      static_cast<std::uint32_t>(config.get_int("nand.ways", 4));
-  testbed.ssd.geometry.blocks_per_die =
-      static_cast<std::uint32_t>(config.get_int("nand.blocks", 128));
-  testbed.ssd.geometry.pages_per_block =
-      static_cast<std::uint32_t>(config.get_int("nand.pages", 128));
+      static_cast<std::uint32_t>(knob(config, "nand.ways", 4, 1, 64));
+  testbed.ssd.geometry.blocks_per_die = static_cast<std::uint32_t>(
+      knob(config, "nand.blocks", 128, 1, 65'536));
+  testbed.ssd.geometry.pages_per_block = static_cast<std::uint32_t>(
+      knob(config, "nand.pages", 128, 1, 65'536));
 
   testbed.ssd.kv.flush_threshold_bytes = static_cast<std::size_t>(
-      config.get_int("kv.flush_threshold", 1 << 20));
+      knob(config, "kv.flush_threshold", 1 << 20, 0,
+           std::numeric_limits<std::int64_t>::max()));
   return testbed;
 }
 

@@ -19,10 +19,7 @@ std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) noexcept {
 
 }  // namespace
 
-LatencyHistogram::LatencyHistogram()
-    // +2 range groups: the linear sub-16 region plus the top range that
-    // holds values with the MSB at bit 63.
-    : buckets_(static_cast<std::size_t>(kRanges + 2) * kSubBuckets, 0) {}
+LatencyHistogram::LatencyHistogram() = default;
 
 std::size_t LatencyHistogram::bucket_index(std::uint64_t value) noexcept {
   if (value < kSubBuckets) return static_cast<std::size_t>(value);
@@ -32,7 +29,7 @@ std::size_t LatencyHistogram::bucket_index(std::uint64_t value) noexcept {
       (value >> (msb - kSubBucketBits)) & (kSubBuckets - 1));
   // range <= 63 - kSubBucketBits + 1 = kRanges + 1, so the largest index
   // (UINT64_MAX's) is (kRanges + 2) * kSubBuckets - 1 — the final bucket
-  // the constructor allocates. The BX_ASSERT in record_n backstops this.
+  // of kBuckets. The BX_ASSERT in record_n backstops this.
   return static_cast<std::size_t>(range) * kSubBuckets + sub + kSubBuckets;
 }
 
@@ -54,6 +51,7 @@ void LatencyHistogram::record(std::uint64_t value) noexcept {
 void LatencyHistogram::record_n(std::uint64_t value,
                                 std::uint64_t count) noexcept {
   if (count == 0) return;
+  if (buckets_.empty()) buckets_.assign(kBuckets, 0);
   const std::size_t index = bucket_index(value);
   BX_ASSERT(index < buckets_.size());
   buckets_[index] = saturating_add(buckets_[index], count);
@@ -64,6 +62,8 @@ void LatencyHistogram::record_n(std::uint64_t value,
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
+  if (other.buckets_.empty()) return;  // never recorded into: nothing to add
+  if (buckets_.empty()) buckets_.assign(kBuckets, 0);
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] = saturating_add(buckets_[i], other.buckets_[i]);
   }

@@ -24,6 +24,8 @@ namespace bx {
 
 class LatencyHistogram {
  public:
+  /// Empty, with no buckets: they are allocated at the first record or
+  /// merge, so a histogram nothing records into costs a few words.
   LatencyHistogram();
 
   /// Records `value` (`count` times). The value sum saturates at
@@ -48,6 +50,10 @@ class LatencyHistogram {
   static constexpr int kSubBucketBits = 4;  // 16 linear sub-buckets per decade
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
   static constexpr int kRanges = 64 - kSubBucketBits;
+  // +2 range groups: the linear sub-16 region plus the top range that
+  // holds values with the MSB at bit 63.
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kRanges + 2) * kSubBuckets;
 
   static std::size_t bucket_index(std::uint64_t value) noexcept;
   static std::uint64_t bucket_midpoint(std::size_t index) noexcept;

@@ -101,7 +101,6 @@ void Controller::fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
   const Nanoseconds fw_ns = config_.timing.chunk_fetch_fw_ns;
   const Nanoseconds copy_ns = config_.timing.chunk_copy_ns;
   const bool traced = tracer_ != nullptr && tracer_->enabled();
-  run_events_.clear();
   std::uint32_t fetched = 0;
   while (fetched < chunks) {
     // One DMA read covers `batch` consecutive SQ entries and is followed
@@ -137,7 +136,7 @@ void Controller::fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
           const auto index =
               static_cast<std::uint32_t>(fetched + r * batch + i);
           end += copy_ns;
-          obs::TraceEvent& e = run_events_.emplace_back();
+          obs::TraceEvent e;
           e.stage = obs::TraceStage::kChunkFetch;
           e.start = start;
           e.end = end;
@@ -148,13 +147,13 @@ void Controller::fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
           e.bytes = std::min<std::uint64_t>(
               inw::kRawChunkCapacity,
               payload.size() - std::uint64_t{index} * inw::kRawChunkCapacity);
+          tracer_->stage(e);
           start = end;
         }
       }
     }
     fetched += static_cast<std::uint32_t>(reads * batch);
   }
-  if (traced) tracer_->record_run(run_events_);
 }
 
 void Controller::set_queue_arbitration(std::uint16_t qid,
@@ -184,7 +183,7 @@ int Controller::pick() {
   if (urgent_queues_ > 0) {
     bool any_urgent = false;
     bool any_normal = false;
-    for (std::uint16_t qid = 1; qid < kMaxQueues; ++qid) {
+    for (std::uint16_t qid = 1; qid < queue_end_; ++qid) {
       if (available(qid) == 0) continue;
       (arb_[qid].urgent ? any_urgent : any_normal) = true;
     }
@@ -224,7 +223,7 @@ int Controller::pick() {
     }
     return -1;
   };
-  const int next = pass_turn(turn.qid + 1, kMaxQueues);
+  const int next = pass_turn(turn.qid + 1, queue_end_);
   return next >= 0 ? next : pass_turn(1, turn.qid + 1);
 }
 
@@ -235,9 +234,12 @@ bool Controller::poll_once() {
   const bool recovered = injector_ != nullptr && service_fault_recovery();
 
   const int pick_qid = pick();
-  if (pick_qid < 0) return recovered;
-  serve(static_cast<std::uint16_t>(pick_qid));
-  return true;
+  if (pick_qid >= 0) serve(static_cast<std::uint16_t>(pick_qid));
+  // Events of commands that did not complete in this step (a BandSlim
+  // header waiting for its fragments, a fragment, an OOO chunk, a
+  // diverted completion); a completed command's went with its report.
+  if (tracer_ != nullptr) tracer_->record_staged();
+  return pick_qid >= 0 || recovered;
 }
 
 bool Controller::service_fault_recovery() {
@@ -920,18 +922,23 @@ void Controller::post_completion(std::uint16_t qid,
     const Nanoseconds cqe_end = link_.clock().now();
     const std::uint64_t hold = r.held_at != 0 ? cpl_start - r.held_at : 0;
     if (tracer_ != nullptr) {
+      // One recorder call: the command's staged stage events (its
+      // fetches, chunk run, DMA, the SSD's kNandIo, exec, completion)
+      // and its report.
       tracer_->report_command(
           qid, sqe.cid,
           {true, cqe_end, cqe_end - r.fetch_start - r.wait_ns - hold,
            r.wait_ns});
     }
     residency_.erase(record);
+  } else if (tracer_ != nullptr) {
+    tracer_->record_staged();
   }
   // The CQE becomes host-visible only after the kCompletion event is
   // recorded and the device report filed, so a concurrently polling host
   // always observes both before it can reap the CQE (trace invariant 5
   // relies on this order).
-  memory_.write_object(cqe_addr, cqe);
+  nvme::post_cqe(memory_, cqe_addr, cqe);
   completions_posted_.increment();
 }
 
@@ -1010,7 +1017,7 @@ void Controller::record_stage(const obs::TraceEvent& event) {
     stage_count_[i].increment();
     stage_ns_[i].add(event.end - event.start);
   }
-  if (tracer_ != nullptr && tracer_->enabled()) tracer_->record(event);
+  if (tracer_ != nullptr) tracer_->stage(event);
 }
 
 bool Controller::abort_command(std::uint16_t sqid, std::uint16_t cid) {
@@ -1107,6 +1114,7 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
         break;
       }
       sqs_[qid] = SqState{true, sqe.dptr1, depth, cqid, 0};
+      queue_end_ = std::max<std::uint16_t>(queue_end_, qid + 1);
       break;
     }
     case nvme::AdminOpcode::kDeleteIoSq: {

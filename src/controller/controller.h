@@ -90,7 +90,8 @@ class Controller {
   /// One firmware scheduling round: arbitrates among the SQs with pending
   /// doorbells (see set_queue_arbitration) and processes at most one
   /// command (with all of its chunks/fragments). Returns true if any work
-  /// was done.
+  /// was done. Its trace events reach the recorder with the report of the
+  /// command they complete, or together at the end of the round.
   bool poll_once();
 
   /// Drains all pending work.
@@ -277,7 +278,7 @@ class Controller {
   /// `payload` (its inline length): one copy out of the ring, then per
   /// run step one link read_n(), one clock advance for the firmware and
   /// copy time between its reads, and the kChunkFetch ledger; the
-  /// per-chunk trace events go to the tracer in one record_run().
+  /// per-chunk trace events are staged with the command's others.
   void fetch_chunk_run(std::uint16_t qid, std::uint16_t cid,
                        ByteSpan payload);
 
@@ -377,7 +378,8 @@ class Controller {
   void add_wait(std::uint16_t qid, std::uint16_t cid, Nanoseconds since);
 
   /// Accumulates a device-side stage interval into the stage ledger
-  /// (I/O queues only) and forwards it to the tracer when enabled.
+  /// (I/O queues only) and stages it with the tracer (recorded with the
+  /// command's report, or at the end of the poll_once() step).
   void record_stage(const obs::TraceEvent& event);
 
   /// Executes any deferred OOO commands whose payloads completed.
@@ -398,6 +400,9 @@ class Controller {
   ClassTurn turn_[2];
   /// Queues set urgent; while 0 a pick is one scan of the normal class.
   std::uint32_t urgent_queues_ = 0;
+  /// One past the highest qid CreateIoSq has created: the arbiter scans
+  /// qids below it only.
+  std::uint16_t queue_end_ = 1;
   std::vector<std::uint64_t> grants_;
   /// Consecutive urgent grants taken while a normal candidate waited.
   std::uint32_t urgent_run_ = 0;
@@ -439,8 +444,6 @@ class Controller {
   // Updated by poll_once(); sampled by the telemetry windows.
   obs::Gauge inline_backlog_;
   obs::TraceRecorder* tracer_ = nullptr;
-  /// fetch_chunk_run()'s per-chunk trace events, reused across commands.
-  std::vector<obs::TraceEvent> run_events_;
 
   fault::FaultInjector* injector_ = nullptr;
   std::vector<DelayedCompletion> delayed_;

@@ -42,6 +42,7 @@ ReassemblyEngine::Slot* ReassemblyEngine::acquire(
       slot.bitmap.assign((total_chunks + 63) / 64, 0);
       slot.staging.assign(
           std::size_t{total_chunks} * inw::kOooChunkCapacity, 0);
+      ++in_flight_;
       return &slot;
     }
   }
@@ -111,9 +112,7 @@ StatusOr<ByteVec> ReassemblyEngine::take(std::uint32_t payload_id,
   }
   ByteVec out(slot->staging.begin(),
               slot->staging.begin() + static_cast<std::ptrdiff_t>(length));
-  slot->in_use = false;
-  slot->staging.clear();
-  slot->bitmap.clear();
+  release(*slot);
   return out;
 }
 
@@ -124,9 +123,7 @@ std::vector<std::uint32_t> ReassemblyEngine::evict_expired(Nanoseconds now) {
     if (slot.in_use && now > slot.last_update_ns &&
         now - slot.last_update_ns > config_.ttl_ns) {
       evicted.push_back(slot.payload_id);
-      slot.in_use = false;
-      slot.staging.clear();
-      slot.bitmap.clear();
+      release(slot);
     }
   }
   return evicted;
@@ -134,17 +131,14 @@ std::vector<std::uint32_t> ReassemblyEngine::evict_expired(Nanoseconds now) {
 
 void ReassemblyEngine::drop(std::uint32_t payload_id) noexcept {
   Slot* slot = find(payload_id);
-  if (slot != nullptr) {
-    slot->in_use = false;
-    slot->staging.clear();
-    slot->bitmap.clear();
-  }
+  if (slot != nullptr) release(*slot);
 }
 
-std::uint32_t ReassemblyEngine::in_flight() const noexcept {
-  std::uint32_t count = 0;
-  for (const auto& slot : slots_) count += slot.in_use ? 1 : 0;
-  return count;
+void ReassemblyEngine::release(Slot& slot) noexcept {
+  slot.in_use = false;
+  slot.staging.clear();
+  slot.bitmap.clear();
+  --in_flight_;
 }
 
 std::size_t ReassemblyEngine::tracking_sram_bytes() const noexcept {

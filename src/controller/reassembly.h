@@ -63,7 +63,11 @@ class ReassemblyEngine {
   /// Drops a payload's state (command aborted).
   void drop(std::uint32_t payload_id) noexcept;
 
-  [[nodiscard]] std::uint32_t in_flight() const noexcept;
+  /// Payloads tracked now: kept at slot take and release, so a read
+  /// costs no scan.
+  [[nodiscard]] std::uint32_t in_flight() const noexcept {
+    return in_flight_;
+  }
 
   /// Approximate SRAM bytes used by tracking state (not the DRAM staging):
   /// the quantity §3.3.2 argues stays small.
@@ -84,9 +88,12 @@ class ReassemblyEngine {
   const Slot* find(std::uint32_t payload_id) const noexcept;
   Slot* acquire(std::uint32_t payload_id,
                 std::uint16_t total_chunks) noexcept;
+  /// Frees an in-use slot.
+  void release(Slot& slot) noexcept;
 
   Config config_;
   std::vector<Slot> slots_;
+  std::uint32_t in_flight_ = 0;
 };
 
 /// Driver-side counterpart of ReassemblyEngine for ByteExpress-R inline

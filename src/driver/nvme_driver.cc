@@ -166,7 +166,16 @@ DmaBuffer& NvmeDriver::read_ring_for_test(std::uint16_t qid) {
 void NvmeDriver::bind_metrics(obs::MetricsRegistry& metrics) {
   metrics_ = &metrics;
   submissions_metric_ = &metrics.counter("driver.submissions");
-  submit_cost_metric_ = &metrics.histogram("driver.submit_cost_ns");
+  // The driver's histograms are recorded per queue, under a lock the
+  // recording path already holds; the registry merges the queues on read.
+  // A reader sees the queues init_io_queues() created.
+  metrics.histogram("driver.submit_cost_ns")
+      .set_source([this](LatencyHistogram& out) {
+        for (const auto& qp : io_queues_) {
+          std::lock_guard<std::mutex> lock(qp->sq->lock());
+          out.merge(qp->submit_cost);
+        }
+      });
   metrics.expose_counter("driver.timeouts", &timeouts_);
   metrics.expose_counter("driver.aborts_sent", &aborts_sent_);
   metrics.expose_counter("driver.retries", &retries_);
@@ -194,9 +203,9 @@ void NvmeDriver::bind_metrics(obs::MetricsRegistry& metrics) {
   metrics.expose_gauge("driver.doorbells_per_kop", &doorbells_per_kop_);
   batch_size_metric_ = &metrics.histogram("driver.batch_size");
   // Per-method wait-breakdown histograms, "driver.wait.<method>.<segment>".
-  // kHybrid and kAuto resolve before submission so their rows stay
-  // unbound — completed commands land in their resolved method's row.
-  for (std::size_t m = 0; m < wait_hists_.size(); ++m) {
+  // kHybrid and kAuto resolve before submission so they get no name —
+  // completed commands land in their resolved method's row.
+  for (std::size_t m = 0; m < kMethods; ++m) {
     const auto method = static_cast<TransferMethod>(m);
     if (method == TransferMethod::kHybrid ||
         method == TransferMethod::kAuto) {
@@ -205,9 +214,15 @@ void NvmeDriver::bind_metrics(obs::MetricsRegistry& metrics) {
     const std::string prefix =
         "driver.wait." + std::string(transfer_method_name(method)) + ".";
     for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
-      wait_hists_[m][s] = &metrics.histogram(
-          prefix + std::string(obs::wait_segment_name(
-                       static_cast<obs::WaitSegment>(s))));
+      metrics
+          .histogram(prefix + std::string(obs::wait_segment_name(
+                                  static_cast<obs::WaitSegment>(s))))
+          .set_source([this, m, s](LatencyHistogram& out) {
+            for (const auto& qp : io_queues_) {
+              std::lock_guard<std::mutex> lock(qp->pending_mutex);
+              out.merge(qp->waits[m][s]);
+            }
+          });
     }
   }
 }
@@ -219,32 +234,52 @@ void NvmeDriver::set_telemetry(obs::Telemetry* telemetry) {
   }
 }
 
-void NvmeDriver::ring_sq_traced(std::uint16_t qid, std::uint32_t tail,
-                                std::uint64_t entries, std::uint16_t cid,
-                                std::uint8_t flags) {
+void NvmeDriver::ring_sq(QueuePair& qp, std::uint64_t entries,
+                         std::uint16_t cid, std::uint8_t flags,
+                         std::span<const Prepared> published) {
+  const std::uint16_t qid = qp.sq->qid();
+  const std::uint32_t tail = qp.sq->tail();
+  const Nanoseconds bell = link_.clock().now();
+  link_.mmio_write32(pcie::TrafficClass::kDoorbell);
   if (tracer_ != nullptr && tracer_->enabled()) {
     // Recorded *before* the BAR write: once the device can see the tail,
-    // the publish event is already in the trace, so a fetch recorded by
-    // the firmware always carries a later seq than the doorbell that
-    // published the entry (the invariant checker relies on this under
-    // OS-thread schedules).
-    obs::TraceEvent event;
-    event.stage = obs::TraceStage::kDoorbell;
-    event.start = event.end = link_.clock().now();
-    event.flags = flags;
-    event.qid = qid;
-    event.cid = cid;
-    event.slot = tail;
-    event.aux = entries;
-    tracer_->record(event);
+    // the doorbell and the submissions it closes are already in the trace,
+    // so a fetch recorded by the firmware always carries a later seq (the
+    // invariant checker relies on this under OS-thread schedules).
+    std::vector<obs::TraceEvent>& events = qp.bell_events;
+    events.clear();
+    obs::TraceEvent& doorbell = events.emplace_back();
+    doorbell.stage = obs::TraceStage::kDoorbell;
+    doorbell.start = doorbell.end = bell;
+    doorbell.flags = flags;
+    doorbell.qid = qid;
+    doorbell.cid = cid;
+    doorbell.slot = tail;
+    doorbell.aux = entries;
+    for (const Prepared& entry : published) {
+      if (!entry.records_submit) continue;
+      const Prepared& command =
+          entry.submit_of != nullptr ? *entry.submit_of : entry;
+      obs::TraceEvent& event = events.emplace_back();
+      event.stage = obs::TraceStage::kSubmit;
+      event.start = command.submit_time;
+      event.end = link_.clock().now();
+      event.qid = qid;
+      event.cid = command.sqe.cid;
+      event.flags = command.submit_flags;
+      event.aux = static_cast<std::uint64_t>(command.resolved.method);
+      if (command.request != nullptr) {
+        event.tenant = command.request->tenant;
+        event.bytes = command.request->write_data.size();
+      }
+    }
+    tracer_->record_run(events);
   }
-  doorbell_.ring_sq_tail(qid, tail);
+  bar_.set_sq_tail(qid, tail);
   // Doorbell accounting counts BAR writes, not commands: a coalesced
   // batch bumps sq_doorbells once while sq_entries advances by the whole
-  // run (the PR 1 counters assumed one ring per submit; batching broke
-  // that assumption, so the books are kept here, at the single place
-  // every SQ ring goes through).
-  QueuePair& qp = queue(qid);
+  // run (one ring per submit stopped being true with batching, so the
+  // books are kept here, at the single place every SQ ring goes through).
   qp.sq_doorbells.increment();
   qp.sq_entries.add(entries);
   if (qid != 0) {
@@ -552,15 +587,16 @@ Status NvmeDriver::attach_data_sgl(nvme::SubmissionQueueEntry& sqe,
   return Status::ok();
 }
 
-std::uint16_t NvmeDriver::register_pending(QueuePair& qp, Pending pending) {
+void NvmeDriver::register_pending(QueuePair& qp, Pending pending,
+                                  Prepared& command) {
   std::lock_guard<std::mutex> lock(qp.pending_mutex);
   std::uint16_t cid;
   do {
     cid = qp.next_cid.fetch_add(1, std::memory_order_relaxed);
   } while (qp.pending.count(cid) != 0);
-  qp.pending.emplace(cid, std::move(pending));
+  command.sqe.cid = cid;
+  command.pending = &qp.pending.emplace(cid, std::move(pending)).first->second;
   qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
-  return cid;
 }
 
 std::uint16_t NvmeDriver::allocate_stream_id() noexcept {
@@ -671,6 +707,7 @@ StatusOr<NvmeDriver::Prepared> NvmeDriver::prepare(
   if (config_.command_timeout_ns > 0) {
     pending.deadline_ns = entry_time + config_.command_timeout_ns;
   }
+  command.deadline_ns = pending.deadline_ns;
 
   // ByteExpress-R: claim the completion-ring slots before staging. A
   // full ring is not an error — the read falls back to the PRP/SGL
@@ -735,7 +772,7 @@ StatusOr<NvmeDriver::Prepared> NvmeDriver::prepare(
   }
   pending.gate_wait_ns =
       static_cast<std::uint64_t>(link_.clock().now() - gate_start);
-  sqe.cid = register_pending(qp, std::move(pending));
+  register_pending(qp, std::move(pending), command);
   return command;
 }
 
@@ -746,6 +783,7 @@ std::size_t NvmeDriver::push_run(QueuePair& qp, std::span<Prepared> commands,
   std::size_t pushed = 0;
   std::uint64_t entries = 0;
   std::uint8_t bell_flags = 0;
+  bool closes_io = false;
   while (pushed < commands.size() && commands[pushed].slots > 0 &&
          qp.sq->free_slots() >= commands[pushed].slots) {
     Prepared& command = commands[pushed++];
@@ -764,17 +802,21 @@ std::size_t NvmeDriver::push_run(QueuePair& qp, std::span<Prepared> commands,
       qp.commands.increment();
       total_commands_.increment();
     }
+    closes_io |= command.records_submit;
   }
   if (pushed == 0) return 0;
-  qp.sq_occupancy.set(qp.sq->occupancy());
-  last_submit_cost_ns_.store(link_.clock().now() - start,
-                             std::memory_order_relaxed);
+  qp.sq_occupancy.add(static_cast<std::int64_t>(entries));
+  const Nanoseconds cost = link_.clock().now() - start;
+  last_submit_cost_ns_.store(cost, std::memory_order_relaxed);
+  if (closes_io && qp.sq->qid() != 0) {
+    qp.submit_cost.record(static_cast<std::uint64_t>(cost));
+  }
   // ONE doorbell for every SQE and chunk of the run, rung while still
   // holding the ring lock: if the doorbell moved outside, a submitter that
   // pushed a later tail could ring first and a stale earlier tail would
   // then regress the BAR register, hiding entries from the device.
-  ring_sq_traced(qp.sq->qid(), qp.sq->tail(), entries,
-                 commands[pushed - 1].sqe.cid, bell_flags);
+  ring_sq(qp, entries, commands[pushed - 1].sqe.cid, bell_flags,
+          commands.first(pushed));
   // The shared bell closes every command's coalescing hold: a command
   // pushed early in the run waited under the bell while the rest of the
   // run was laid down (kBellHold).
@@ -812,6 +854,8 @@ Status NvmeDriver::publish_bandslim(QueuePair& qp, Prepared& command) {
   header.slots = 1;
   const std::uint32_t embedded =
       nvme::bandslim::encode_header(header.sqe, stream, payload);
+  // The command's submission closes at its last piece's doorbell.
+  header.records_submit = embedded == payload.size();
   BX_RETURN_IF_ERROR(push_one(qp, header));
   command.marks = header.marks;
 
@@ -819,6 +863,7 @@ Status NvmeDriver::publish_bandslim(QueuePair& qp, Prepared& command) {
   // (§3.2: "payload fragments must be sent through serialized CMDs").
   Prepared fragment;
   fragment.submit_flags = obs::kFlagAuxCommand;
+  fragment.submit_of = &command;
   std::uint32_t offset = embedded;
   std::uint16_t index = 0;
   while (offset < payload.size()) {
@@ -830,6 +875,7 @@ Status NvmeDriver::publish_bandslim(QueuePair& qp, Prepared& command) {
     wire.length = static_cast<std::uint32_t>(std::min<std::size_t>(
         nvme::bandslim::kFragmentCapacity, payload.size() - offset));
     wire.last = offset + wire.length == payload.size();
+    fragment.records_submit = wire.last;
     fragment.sqe = nvme::bandslim::encode_fragment(
         wire, /*cid=*/0, payload.subspan(offset, wire.length));
     BX_RETURN_IF_ERROR(push_one(qp, fragment));
@@ -874,47 +920,21 @@ Status NvmeDriver::publish(QueuePair& qp, std::span<Prepared> commands,
       }
     }
     if (batched) batched_commands_.add(run);
-    if (submit_cost_metric_ != nullptr) {
-      submit_cost_metric_->record(
-          static_cast<std::uint64_t>(last_submit_cost()));
-    }
-    note_published(qp, commands.subspan(done, run));
+    note_published(commands.subspan(done, run));
     done += run;
   }
   return Status::ok();
 }
 
-void NvmeDriver::note_published(QueuePair& qp,
-                                std::span<const Prepared> commands) {
-  {
-    // Publish the attribution marks into the registered pendings. The
-    // device may already have completed a command (reap sets done but
-    // never erases; only the waiter erases, and no handle has been
-    // returned yet), so every entry is still present.
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    for (const Prepared& command : commands) {
-      auto it = qp.pending.find(command.sqe.cid);
-      if (it != qp.pending.end()) it->second.marks = command.marks;
-    }
-  }
+void NvmeDriver::note_published(std::span<const Prepared> commands) {
   for (const Prepared& command : commands) {
+    // The device may already have completed the command, but only the
+    // handle's waiter finishes (and erases) a pending, and no handle has
+    // been returned yet: the node is still there, and nothing else reads
+    // its marks.
+    command.pending->marks = command.marks;
     const IoRequest* request = command.request;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      obs::TraceEvent event;
-      event.stage = obs::TraceStage::kSubmit;
-      event.start = command.submit_time;
-      event.end = link_.clock().now();
-      event.qid = qp.sq->qid();
-      event.cid = command.sqe.cid;
-      event.flags = command.submit_flags;
-      event.aux = static_cast<std::uint64_t>(command.resolved.method);
-      if (request != nullptr) {
-        event.tenant = request->tenant;
-        event.bytes = request->write_data.size();
-      }
-      tracer_->record(event);
-    }
-    if (request == nullptr) continue;  // admin commands stop at the trace
+    if (request == nullptr) continue;  // admin commands
     if (nvme::is_write_direction(request->opcode)) {
       payload_bytes_.add(request->write_data.size());
     }
@@ -943,7 +963,7 @@ StatusOr<Submitted> NvmeDriver::submit(const IoRequest& request,
   BX_RETURN_IF_ERROR(command.status());
   BX_RETURN_IF_ERROR(publish(queue(qid), {&*command, 1}, /*batched=*/false));
   return Submitted{qid, command->sqe.cid, command->submit_time,
-                   command->resolved};
+                   command->deadline_ns, command->resolved};
 }
 
 StatusOr<NvmeDriver::BatchResult> NvmeDriver::submit_batch(
@@ -970,7 +990,8 @@ StatusOr<NvmeDriver::BatchResult> NvmeDriver::submit_batch(
   result.handles.reserve(commands.size());
   for (const Prepared& command : commands) {
     result.handles.push_back(Submitted{qid, command.sqe.cid,
-                                       command.submit_time, command.resolved});
+                                       command.submit_time,
+                                       command.deadline_ns, command.resolved});
     result.entries += command.slots;
   }
   result.doorbells = bar_.sq_doorbell_writes(qid) - bells_before;
@@ -1029,10 +1050,11 @@ void NvmeDriver::consume_inline_read_locked(QueuePair& qp,
 
 Completion NvmeDriver::finish_pending_locked(
     QueuePair& qp, std::unordered_map<std::uint16_t, Pending>::iterator it) {
-  const std::uint16_t cid = it->first;
   Pending pending = std::move(it->second);
   gate_release(pending, /*completed=*/true);
   qp.pending.erase(it);
+  qp.reaped.store(qp.reaped.load(std::memory_order_relaxed) - 1,
+                  std::memory_order_relaxed);
   qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
   if (pending.inline_read) {
     if (pending.cqe.status().is_success()) {
@@ -1066,19 +1088,16 @@ Completion NvmeDriver::finish_pending_locked(
     }
     completion.bytes_returned = returned;
   }
-  attribute_completion(qp.sq->qid(), cid, pending, completion);
+  attribute_completion(qp, pending, completion);
   return completion;
 }
 
-void NvmeDriver::attribute_completion(std::uint16_t qid, std::uint16_t cid,
-                                      const Pending& pending,
+void NvmeDriver::attribute_completion(QueuePair& qp, const Pending& pending,
                                       Completion& completion) {
   const auto total = static_cast<std::uint64_t>(completion.latency_ns);
-  // Take the device report the controller filed as it posted the CQE.
-  // Lock order: pending_mutex -> TraceRecorder mutex (never the reverse).
-  const obs::DeviceReport report =
-      tracer_ != nullptr ? tracer_->finish_command(qid, cid)
-                         : obs::DeviceReport{};
+  // The device report the controller filed as it posted the CQE, taken
+  // when the CQE was reaped.
+  const obs::DeviceReport& report = pending.report;
 
   std::array<std::uint64_t, obs::kWaitSegmentCount> want{};
   const auto seg = [](obs::WaitSegment s) {
@@ -1128,14 +1147,11 @@ void NvmeDriver::attribute_completion(std::uint16_t qid, std::uint16_t cid,
   }
   completion.breakdown = obs::make_additive(total, want);
 
+  const std::uint16_t qid = qp.sq->qid();
   if (qid == 0) return;  // admin: attributed but not published
-  const auto method_index = static_cast<std::size_t>(pending.method);
-  if (method_index < wait_hists_.size()) {
-    for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
-      if (wait_hists_[method_index][s] != nullptr) {
-        wait_hists_[method_index][s]->record(completion.breakdown.ns[s]);
-      }
-    }
+  auto& waits = qp.waits[static_cast<std::size_t>(pending.method)];
+  for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
+    waits[s].record(completion.breakdown.ns[s]);
   }
   if (pending.tenant != 0 && metrics_ != nullptr) {
     const std::string prefix =
@@ -1173,33 +1189,41 @@ StatusOr<Completion> NvmeDriver::wait(const Submitted& handle) {
           : 10000;
   std::uint64_t idle_spins = 0;
   for (;;) {
-    Nanoseconds deadline = 0;
-    {
+    // Another reap (another thread's, or this thread's while it waited on
+    // another handle) may have completed the command already. Only then is
+    // there a done pending to find; an idle pass looks regardless, which
+    // is where a handle the driver does not know surfaces.
+    if (idle_spins > 0 || qp.reaped.load(std::memory_order_relaxed) > 0) {
       std::lock_guard<std::mutex> lock(qp.pending_mutex);
       auto it = qp.pending.find(handle.cid);
       if (it == qp.pending.end()) {
         return internal_error("waiting on unknown cid");
       }
       if (it->second.done) return finish_pending_locked(qp, it);
-      deadline = it->second.deadline_ns;
     }
-    if (deadline != 0 && link_.clock().now() >= deadline) {
+    if (handle.deadline_ns != 0 &&
+        link_.clock().now() >= handle.deadline_ns) {
       return recover_timed_out(qp, handle);
     }
     const bool progressed = pump_once();
-    poll_completions(handle.qid);
+    const Reaped& reaped = pop_completions(qp);
     if (!progressed) {
-      if (deadline != 0) {
+      if (handle.deadline_ns != 0) {
         // Device silent while a deadline is armed: move sim-time forward
         // so the timeout can fire (the clock only advances with work).
         link_.clock().advance(config_.poll_idle_advance_ns);
       }
       if (++idle_spins > idle_spin_limit) {
+        mark_reaped(qp, reaped, nullptr);
         return internal_error("device made no progress while waiting");
       }
     } else {
       idle_spins = 0;
     }
+    // The command finishes after the whole drain (and any idle advance),
+    // as it would on the next pass, but under the reap's pending_mutex
+    // hold.
+    if (auto done = mark_reaped(qp, reaped, &handle)) return *std::move(done);
   }
 }
 
@@ -1330,6 +1354,8 @@ StatusOr<Completion> NvmeDriver::recover_timed_out(QueuePair& qp,
   // report and everything after the doorbell books as controller
   // residency (kArbWait).
   it->second.done = true;
+  qp.reaped.store(qp.reaped.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   it->second.cqe.set_status(
       nvme::StatusField::generic(nvme::GenericStatus::kAbortRequested));
   return finish_pending_locked(qp, it);
@@ -1337,47 +1363,71 @@ StatusOr<Completion> NvmeDriver::recover_timed_out(QueuePair& qp,
 
 std::size_t NvmeDriver::poll_completions(std::uint16_t qid) {
   QueuePair& qp = queue(qid);
+  const Reaped& reaped = pop_completions(qp);
+  mark_reaped(qp, reaped, nullptr);
+  return reaped.cqes.size();
+}
+
+const NvmeDriver::Reaped& NvmeDriver::pop_completions(QueuePair& qp) {
+  thread_local Reaped reaped;
+  reaped.cqes.clear();
+  reaped.events.clear();
+  const std::uint16_t qid = qp.sq->qid();
   // Serialize CQ consumption: wait() callers on the same queue all poll
   // while spinning, and peek/pop/head-doorbell must be one atomic step.
   std::lock_guard<std::mutex> cq_lock(qp.cq_mutex);
-  std::size_t reaped = 0;
   nvme::CompletionQueueEntry cqe;
   while (qp.cq->peek(cqe)) {
     const Nanoseconds handle_start = link_.clock().now();
     qp.cq->pop();
     link_.clock().advance(config_.timing.completion_handle_ns);
     doorbell_.ring_cq_head(qid, qp.cq->head());
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      obs::TraceEvent event;
-      event.stage = obs::TraceStage::kCqDoorbell;
-      event.start = handle_start;
-      event.end = link_.clock().now();
-      event.qid = qid;
-      event.cid = cqe.cid;
-      event.slot = qp.cq->head();
-      tracer_->record(event);
-    }
-    reap_one(qp, cqe);
-    ++reaped;
+    // The CQE's SQ head frees ring slots. The reaps of a queue serialize
+    // on cq_mutex, so the head has one writer; submitters read it under
+    // the SQ lock with acquire.
+    const std::uint32_t consumed = qp.sq->note_head(cqe.sq_head);
+    qp.sq_occupancy.add(-static_cast<std::int64_t>(consumed));
+    obs::TraceEvent& event = reaped.events.emplace_back();
+    event.stage = obs::TraceStage::kCqDoorbell;
+    event.start = handle_start;
+    event.end = link_.clock().now();
+    event.qid = qid;
+    event.cid = cqe.cid;
+    event.slot = qp.cq->head();
+    reaped.cqes.push_back(cqe);
+  }
+  if (reaped.cqes.empty()) return reaped;
+  reaped.reports.assign(reaped.cqes.size(), obs::DeviceReport{});
+  if (tracer_ != nullptr) {
+    tracer_->finish_commands(reaped.events, reaped.reports);
   }
   return reaped;
 }
 
-void NvmeDriver::reap_one(QueuePair& qp,
-                          const nvme::CompletionQueueEntry& cqe) {
-  {
-    std::lock_guard<std::mutex> lock(qp.sq->lock());
-    qp.sq->note_head(cqe.sq_head);
-    qp.sq_occupancy.set(qp.sq->occupancy());
-  }
+std::optional<Completion> NvmeDriver::mark_reaped(QueuePair& qp,
+                                                  const Reaped& reaped,
+                                                  const Submitted* waiter) {
+  if (reaped.cqes.empty()) return std::nullopt;
   std::lock_guard<std::mutex> lock(qp.pending_mutex);
-  auto it = qp.pending.find(cqe.cid);
-  if (it == qp.pending.end()) {
-    BX_LOG_WARN << "completion for unknown cid " << cqe.cid;
-    return;
+  for (std::size_t i = 0; i < reaped.cqes.size(); ++i) {
+    const nvme::CompletionQueueEntry& cqe = reaped.cqes[i];
+    auto it = qp.pending.find(cqe.cid);
+    if (it == qp.pending.end()) {
+      BX_LOG_WARN << "completion for unknown cid " << cqe.cid;
+      continue;
+    }
+    it->second.cqe = cqe;
+    it->second.report = reaped.reports[i];
+    if (!it->second.done) {
+      it->second.done = true;
+      qp.reaped.store(qp.reaped.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+    }
   }
-  it->second.cqe = cqe;
-  it->second.done = true;
+  if (waiter == nullptr) return std::nullopt;
+  auto it = qp.pending.find(waiter->cid);
+  if (it == qp.pending.end() || !it->second.done) return std::nullopt;
+  return finish_pending_locked(qp, it);
 }
 
 StatusOr<Completion> NvmeDriver::execute(const IoRequest& request,
@@ -1494,8 +1544,9 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
       target.sq->push_slot({slot.raw, sizeof(slot.raw)});
       offset += take;
     }
-    last_submit_cost_ns_.store(link_.clock().now() - start,
-                               std::memory_order_relaxed);
+    const Nanoseconds cost = link_.clock().now() - start;
+    last_submit_cost_ns_.store(cost, std::memory_order_relaxed);
+    home.submit_cost.record(static_cast<std::uint64_t>(cost));
     command.marks.push_end_ns = link_.clock().now();
     home.commands.increment();
     total_commands_.increment();
@@ -1509,24 +1560,22 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
       published[qids[i % qids.size()]] += 1;
     }
 
-    // One doorbell per touched queue, rung while the locks are held.
+    // One doorbell per touched queue, rung while the locks are held; the
+    // last one closes the submission.
     for (const std::uint16_t qid : ordered) {
       QueuePair& touched = queue(qid);
-      touched.sq_occupancy.set(touched.sq->occupancy());
-      ring_sq_traced(qid, touched.sq->tail(), published[qid],
-                     command.sqe.cid, obs::kFlagOooCommand);
+      touched.sq_occupancy.add(static_cast<std::int64_t>(published[qid]));
+      ring_sq(touched, published[qid], command.sqe.cid, obs::kFlagOooCommand,
+              qid == ordered.back() ? std::span<const Prepared>(&command, 1)
+                                    : std::span<const Prepared>());
     }
     // The command is only fully handed off once every stripe queue's bell
     // has rung; until then the earlier bells coalesce under the lock hold.
     command.marks.bell_end_ns = link_.clock().now();
   }
-  if (submit_cost_metric_ != nullptr) {
-    submit_cost_metric_->record(
-        static_cast<std::uint64_t>(last_submit_cost()));
-  }
-  note_published(home, {&command, 1});
+  note_published({&command, 1});
   return wait(Submitted{qids.front(), command.sqe.cid, command.submit_time,
-                        command.resolved});
+                        command.deadline_ns, command.resolved});
 }
 
 StatusOr<Completion> NvmeDriver::execute_admin(
@@ -1537,14 +1586,14 @@ StatusOr<Completion> NvmeDriver::execute_admin(
   Pending initial;
   initial.submit_time_ns = command.submit_time;
   command.sqe = sqe;
-  command.sqe.cid = register_pending(admin_, std::move(initial));
+  register_pending(admin_, std::move(initial), command);
   const Status status = push_one(admin_, command);
   if (!status.is_ok()) {
     abandon(admin_, {&command, 1});
     return status;
   }
-  note_published(admin_, {&command, 1});
-  return wait(Submitted{0, command.sqe.cid, command.submit_time, {}});
+  note_published({&command, 1});
+  return wait(Submitted{0, command.sqe.cid, command.submit_time, 0, {}});
 }
 
 bool NvmeDriver::pump_once() { return pump_ ? pump_() : false; }

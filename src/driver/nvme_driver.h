@@ -28,11 +28,13 @@
 //
 //   cq_mutex  ->  SqRing::lock()  ->  pending_mutex
 //
-// (Most paths hold only one of them at a time; poll_completions() is the
-// one path that nests all three.) execute_ooo_striped() is the only path
-// holding several queues' SQ locks at once; it acquires them in ascending
-// qid order. Doorbells are rung while the ring lock is held, so BAR tail
-// values never regress when two submitters race.
+// (A reap releases cq_mutex before it takes pending_mutex; only
+// execute_ooo_striped() nests, abandoning a command that does not fit
+// under its SQ locks.) It is also the only path holding several queues'
+// SQ locks at once; it acquires them in ascending qid order. Doorbells are rung while the ring lock is held, so BAR tail
+// values never regress when two submitters race. A submission takes its
+// pending_mutex once (CID registration) and its SQ lock once per doorbell
+// run; a reap takes cq_mutex once and pending_mutex once.
 // Command/stream/payload identifiers come from atomic allocators.
 #pragma once
 
@@ -42,12 +44,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "driver/method_policy.h"
@@ -349,8 +353,13 @@ class NvmeDriver {
   };
 
   struct Pending {
+    /// Set by the reap that took the CQE (or by a synthesized Abort);
+    /// QueuePair::reaped counts the done pendings not yet finished.
     bool done = false;
     nvme::CompletionQueueEntry cqe{};
+    /// The controller's device report, taken when the CQE was reaped
+    /// ({valid = false} when it filed none).
+    obs::DeviceReport report{};
     Nanoseconds submit_time_ns = 0;
     /// Sim-time after which wait() times the command out (0 = never; the
     /// admin queue and timeout-disabled configs).
@@ -380,6 +389,9 @@ class NvmeDriver {
     TransferMethod method = TransferMethod::kPrp;
     std::uint64_t gate_wait_ns = 0;
     std::uint64_t ring_wait_ns = 0;
+    /// Written after the doorbell, without pending_mutex, by the
+    /// submitting thread: only the handle's waiter reads them, and it has
+    /// no handle before the submission returns.
     SubmitMarks marks;
   };
 
@@ -398,8 +410,29 @@ class NvmeDriver {
     /// kSubmit flags; the OOO/auxiliary bits also go on the doorbell.
     std::uint8_t submit_flags = 0;
     Nanoseconds submit_time = 0;
+    Nanoseconds deadline_ns = 0;
     SubmitMarks marks{};
+    /// The registered pending (its map node stays put until the waiter
+    /// erases it), so the marks reach it without pending_mutex.
+    Pending* pending = nullptr;
+    /// Whether the doorbell that publishes this entry records a kSubmit
+    /// event, and whose: this entry's own, or `submit_of`'s when set (a
+    /// BandSlim command's last fragment closes that command's submission;
+    /// its header and earlier fragments record none).
+    bool records_submit = true;
+    const Prepared* submit_of = nullptr;
   };
+
+  /// CQEs one reap popped, with their kCqDoorbell events and the device
+  /// reports taken for them, index-aligned. Per thread, reused.
+  struct Reaped {
+    std::vector<nvme::CompletionQueueEntry> cqes;
+    std::vector<obs::TraceEvent> events;
+    std::vector<obs::DeviceReport> reports;
+  };
+
+  /// Rows of the per-queue wait histograms: every TransferMethod.
+  static constexpr std::size_t kMethods = 7;
 
   struct QueuePair {
     std::unique_ptr<nvme::SqRing> sq;
@@ -411,13 +444,29 @@ class NvmeDriver {
     /// Serializes CQ consumption (peek/pop/head doorbell) across the many
     /// threads that may poll the same queue while waiting.
     std::mutex cq_mutex;
-    /// Guards `pending` (and the CID-uniqueness check).
+    /// Guards `pending` (and the CID-uniqueness check) and `waits`.
     std::mutex pending_mutex;
     std::unordered_map<std::uint16_t, Pending> pending;
+    /// Pendings marked done and not yet finished. Written under
+    /// pending_mutex; wait() reads it without the lock to skip looking up
+    /// a command no reap can have completed yet (a stale 0 costs one more
+    /// pump-and-reap pass, never a missed completion).
+    std::atomic<std::uint32_t> reaped{0};
+    /// The wait-breakdown histograms of this queue's completed commands,
+    /// [TransferMethod][segment], recorded under pending_mutex by
+    /// attribute_completion(); the registry's
+    /// driver.wait.<method>.<segment> histograms merge every queue's.
+    std::array<std::array<LatencyHistogram, obs::kWaitSegmentCount>,
+               kMethods>
+        waits;
+    /// Cost of each doorbell run that closes I/O submissions
+    /// (driver.submit_cost_ns), recorded under the SQ lock.
+    LatencyHistogram submit_cost;
     /// Component-owned occupancy gauges, published via expose_gauge() and
-    /// sampled by Telemetry at window close. sq_occupancy mirrors
-    /// SqRing::occupancy() (updated under the SQ lock); inflight mirrors
-    /// pending.size() (updated under pending_mutex).
+    /// sampled by Telemetry at window close. sq_occupancy tracks
+    /// SqRing::occupancy() by adds: a push adds its slots under the SQ
+    /// lock, a reap subtracts the head's advance under cq_mutex. inflight
+    /// mirrors pending.size() (updated under pending_mutex).
     obs::Gauge sq_occupancy;
     obs::Gauge inflight;
     /// Consecutive failed inline attempts on this queue (graceful
@@ -453,6 +502,8 @@ class NvmeDriver {
     obs::Counter sq_doorbells;
     obs::Counter sq_entries;
     obs::Counter commands;
+    /// ring_sq()'s trace run, reused under the SQ lock.
+    std::vector<obs::TraceEvent> bell_events;
   };
 
   [[nodiscard]] QueuePair& queue(std::uint16_t qid);
@@ -476,15 +527,16 @@ class NvmeDriver {
 
   /// Atomically allocates a CID unique among `qp`'s in-flight commands and
   /// registers `pending` under it — one pending_mutex hold, so two racing
-  /// submitters can never be handed the same CID.
-  std::uint16_t register_pending(QueuePair& qp, Pending pending);
-  /// Records the kDoorbell point event *before* the BAR write (so trace
-  /// order matches device-visible publish order) and rings the SQ tail.
-  /// `entries` is how many ring slots this doorbell publishes. Call with
-  /// the SQ lock held, like a bare ring_sq_tail().
-  void ring_sq_traced(std::uint16_t qid, std::uint32_t tail,
-                      std::uint64_t entries, std::uint16_t cid,
-                      std::uint8_t flags);
+  /// submitters can never be handed the same CID. Sets `command`'s SQE
+  /// CID and pending pointer.
+  void register_pending(QueuePair& qp, Pending pending, Prepared& command);
+  /// Rings `qp`'s SQ tail doorbell for `entries` slots: the MMIO's link
+  /// cost, then one recorder call with the kDoorbell event and the kSubmit
+  /// events of `published` (each records_submit entry's), then the BAR
+  /// write — so every event is in the trace before the device can fetch
+  /// what the bell publishes. Call with the SQ lock held.
+  void ring_sq(QueuePair& qp, std::uint64_t entries, std::uint16_t cid,
+               std::uint8_t flags, std::span<const Prepared> published);
 
   /// Atomic BandSlim stream-id allocation (never returns 0).
   std::uint16_t allocate_stream_id() noexcept;
@@ -514,7 +566,8 @@ class NvmeDriver {
   /// One run: under one SQ lock hold, pushes the longest prefix of
   /// `commands` that fits the ring (stopping at BandSlim) and rings one
   /// doorbell for it. Returns how many commands it published (0 = the
-  /// first does not fit yet); slot waits are measured from `since`.
+  /// first does not fit yet); slot waits are measured from `since`. A run
+  /// that closes an I/O submission records its cost in submit_cost.
   std::size_t push_run(QueuePair& qp, std::span<Prepared> commands,
                        Nanoseconds since);
   /// Publishes `command` alone in its own run, draining until it fits.
@@ -526,8 +579,8 @@ class NvmeDriver {
   /// own run; the final fragment's marks close the command.
   Status publish_bandslim(QueuePair& qp, Prepared& command);
   /// After a command's doorbell: publishes its marks into the pending and
-  /// records its kSubmit event, payload bytes and submission counters.
-  void note_published(QueuePair& qp, std::span<const Prepared> commands);
+  /// counts its payload bytes and submission. Takes no lock.
+  void note_published(std::span<const Prepared> commands);
   /// Undoes prepare() for commands that never (fully) reached the ring:
   /// pays back gate admissions and inline-read slots, erases the pendings.
   void abandon(QueuePair& qp, std::span<const Prepared> commands);
@@ -550,7 +603,18 @@ class NvmeDriver {
   /// Runs one admin command synchronously.
   StatusOr<Completion> execute_admin(nvme::SubmissionQueueEntry sqe);
 
-  void reap_one(QueuePair& qp, const nvme::CompletionQueueEntry& cqe);
+  /// The CQ half of a reap: under one cq_mutex hold, pops every ready
+  /// CQE of `qp`, ringing a CQ-head doorbell and noting the SQ head for
+  /// each, then files their kCqDoorbell events and takes their device
+  /// reports in one recorder call. Returns this thread's Reaped, valid
+  /// until its next reap.
+  const Reaped& pop_completions(QueuePair& qp);
+  /// The pending half: under one pending_mutex hold, marks the commands of
+  /// `reaped` done. When `waiter` is done by then (reaped now or earlier),
+  /// finishes it too and returns its completion. No lock when `reaped` is
+  /// empty.
+  std::optional<Completion> mark_reaped(QueuePair& qp, const Reaped& reaped,
+                                        const Submitted* waiter);
   bool pump_once();
 
   /// Builds the Completion for a done Pending and erases it. Call with
@@ -558,14 +622,14 @@ class NvmeDriver {
   Completion finish_pending_locked(
       QueuePair& qp, std::unordered_map<std::uint16_t, Pending>::iterator it);
 
-  /// Takes the device report the controller filed for the command, builds
-  /// the exact wait/service breakdown for `completion` (segments sum to
-  /// latency_ns by construction) and publishes it to the per-method /
-  /// per-tenant wait histograms and the wait counters. Called once on
-  /// every resolution path — reaped completions and synthesized timeouts
-  /// alike.
-  void attribute_completion(std::uint16_t qid, std::uint16_t cid,
-                            const Pending& pending, Completion& completion);
+  /// Builds the exact wait/service breakdown for `completion` from the
+  /// pending's marks and device report (segments sum to latency_ns by
+  /// construction) and publishes it to the queue's per-method and the
+  /// per-tenant wait histograms and the wait counters. Called once, under
+  /// pending_mutex, on every resolution path — reaped completions and
+  /// synthesized timeouts alike.
+  void attribute_completion(QueuePair& qp, const Pending& pending,
+                            Completion& completion);
 
   /// Timeout path of wait(): sends an Abort admin command for the stuck
   /// (qid, cid), reaps any completion that raced the abort, and otherwise
@@ -611,7 +675,6 @@ class NvmeDriver {
   obs::MetricsRegistry* metrics_ = nullptr;
   // Registry-owned metrics, cached by bind_metrics(); null when unbound.
   obs::Counter* submissions_metric_ = nullptr;
-  obs::Histogram* submit_cost_metric_ = nullptr;
 
   // Component-owned recovery counters (always live; exposed as driver.*
   // and faults.* by bind_metrics). The faults_* trio classifies every
@@ -658,14 +721,6 @@ class NvmeDriver {
   obs::Counter payload_bytes_;
   obs::Counter waits_;
   obs::WaitCounters wait_ns_;
-
-  /// Per-method x per-segment wait-breakdown histograms
-  /// ("driver.wait.<method>.<segment>", registry-owned, cached by
-  /// bind_metrics; null when unbound). Indexed [TransferMethod][segment];
-  /// kHybrid and kAuto resolve before submission so their rows stay
-  /// empty (commands land in their resolved method's row).
-  std::array<std::array<obs::Histogram*, obs::kWaitSegmentCount>, 7>
-      wait_hists_{};
 };
 
 }  // namespace bx::driver

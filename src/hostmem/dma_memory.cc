@@ -1,5 +1,6 @@
 #include "hostmem/dma_memory.h"
 
+#include <atomic>
 #include <cstring>
 
 namespace bx {
@@ -72,18 +73,37 @@ void DmaMemory::free_pages(std::uint64_t addr, std::uint64_t pages) noexcept {
 
 Byte* DmaMemory::page_for(std::uint64_t addr) noexcept {
   const std::uint64_t page_no = addr / kHostPageSize;
-  auto it = pages_.find(page_no);
-  if (it == pages_.end()) {
-    auto page = std::make_unique<Byte[]>(kHostPageSize);
-    std::memset(page.get(), 0, kHostPageSize);
-    it = pages_.emplace(page_no, std::move(page)).first;
+  if (page_no < kLeafPages * kLeaves) {
+    const Leaf* leaf =
+        directory_[page_no / kLeafPages].load(std::memory_order_acquire);
+    if (leaf != nullptr) {
+      Byte* page =
+          (*leaf)[page_no % kLeafPages].load(std::memory_order_acquire);
+      if (page != nullptr) return page;
+    }
   }
-  return it->second.get();
+  return materialize(page_no);
+}
+
+Byte* DmaMemory::materialize(std::uint64_t page_no) noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto [it, inserted] = pages_.try_emplace(page_no);
+  if (inserted) it->second = std::make_unique<Byte[]>(kHostPageSize);
+  Byte* page = it->second.get();
+  if (page_no < kLeafPages * kLeaves) {
+    std::atomic<Leaf*>& slot = directory_[page_no / kLeafPages];
+    Leaf* leaf = slot.load(std::memory_order_relaxed);
+    if (leaf == nullptr) {
+      leaf = leaves_.emplace_back(std::make_unique<Leaf>()).get();
+      slot.store(leaf, std::memory_order_release);
+    }
+    (*leaf)[page_no % kLeafPages].store(page, std::memory_order_release);
+  }
+  return page;
 }
 
 void DmaMemory::write(std::uint64_t addr, ConstByteSpan data) noexcept {
   BX_ASSERT_MSG(addr != 0 || data.empty(), "write to null DMA address");
-  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t done = 0;
   while (done < data.size()) {
     const std::uint64_t current = addr + done;
@@ -97,7 +117,6 @@ void DmaMemory::write(std::uint64_t addr, ConstByteSpan data) noexcept {
 
 void DmaMemory::read(std::uint64_t addr, ByteSpan out) noexcept {
   BX_ASSERT_MSG(addr != 0 || out.empty(), "read from null DMA address");
-  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t done = 0;
   while (done < out.size()) {
     const std::uint64_t current = addr + done;
@@ -107,6 +126,23 @@ void DmaMemory::read(std::uint64_t addr, ByteSpan out) noexcept {
     std::memcpy(out.data() + done, page_for(current) + in_page, chunk);
     done += chunk;
   }
+}
+
+std::uint32_t DmaMemory::load_acquire(std::uint64_t addr) noexcept {
+  BX_ASSERT(addr != 0 && is_aligned(addr, sizeof(std::uint32_t)));
+  auto* word = reinterpret_cast<std::uint32_t*>(page_for(addr) +
+                                                addr % kHostPageSize);
+  return std::atomic_ref<std::uint32_t>(*word).load(
+      std::memory_order_acquire);
+}
+
+void DmaMemory::store_release(std::uint64_t addr,
+                              std::uint32_t value) noexcept {
+  BX_ASSERT(addr != 0 && is_aligned(addr, sizeof(std::uint32_t)));
+  auto* word = reinterpret_cast<std::uint32_t*>(page_for(addr) +
+                                                addr % kHostPageSize);
+  std::atomic_ref<std::uint32_t>(*word).store(value,
+                                              std::memory_order_release);
 }
 
 std::size_t DmaMemory::resident_pages() const noexcept {

@@ -1,6 +1,7 @@
 #include "nvme/queue.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 namespace bx::nvme {
@@ -15,8 +16,7 @@ SqRing::SqRing(DmaMemory& memory, std::uint16_t qid, std::uint32_t depth)
 
 std::uint32_t SqRing::free_slots() const noexcept {
   // Ring with one reserved gap: when tail is just behind head, it is full.
-  const std::uint32_t used = (tail_ + depth_ - head_cache_) % depth_;
-  return depth_ - 1 - used;
+  return depth_ - 1 - occupancy();
 }
 
 void SqRing::push_slot(ConstByteSpan slot64) noexcept {
@@ -60,11 +60,30 @@ CqRing::CqRing(DmaMemory& memory, std::uint16_t qid, std::uint32_t depth)
   BX_ASSERT_MSG(depth >= 2, "CQ depth must be at least 2");
 }
 
+namespace {
+
+// The CQE's last dword: CID in the low half, status and phase tag above.
+constexpr std::uint64_t kPhaseDword = offsetof(CompletionQueueEntry, cid);
+static_assert(kPhaseDword + sizeof(std::uint32_t) == kCqeSize);
+
+}  // namespace
+
+void post_cqe(DmaMemory& memory, std::uint64_t addr,
+              const CompletionQueueEntry& cqe) noexcept {
+  const auto* raw = reinterpret_cast<const Byte*>(&cqe);
+  memory.write(addr, {raw, kPhaseDword});
+  std::uint32_t dword = 0;
+  std::memcpy(&dword, raw + kPhaseDword, sizeof(dword));
+  memory.store_release(addr + kPhaseDword, dword);
+}
+
 bool CqRing::peek(CompletionQueueEntry& out) noexcept {
-  const auto cqe =
-      memory_.read_object<CompletionQueueEntry>(slot_addr(head_));
-  if (cqe.phase() != expected_phase_) return false;
-  out = cqe;
+  const std::uint64_t addr = slot_addr(head_);
+  const std::uint32_t dword = memory_.load_acquire(addr + kPhaseDword);
+  if (((dword >> 16) & 1u) != (expected_phase_ ? 1u : 0u)) return false;
+  auto* raw = reinterpret_cast<Byte*>(&out);
+  memory_.read(addr, {raw, kPhaseDword});
+  std::memcpy(raw + kPhaseDword, &dword, sizeof(dword));
   return true;
 }
 

@@ -7,6 +7,7 @@
 // guarantees the chunks land contiguously after the SQE.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -30,7 +31,8 @@ class SqRing {
     return ring_.addr() + std::uint64_t{index} * kSqeSize;
   }
 
-  // --- host-side cursor management (call with the lock held) ---
+  // --- host-side cursor management (call with the lock held, except
+  // note_head()) ---
 
   [[nodiscard]] std::uint32_t tail() const noexcept { return tail_; }
 
@@ -39,10 +41,9 @@ class SqRing {
   [[nodiscard]] std::uint32_t free_slots() const noexcept;
 
   /// Occupied slots from the host's view: pushed entries the device has
-  /// not yet consumed per the cached head (SQEs + inline chunks). Feeds
-  /// the per-queue telemetry gauge.
+  /// not yet consumed per the cached head (SQEs + inline chunks).
   [[nodiscard]] std::uint32_t occupancy() const noexcept {
-    return (tail_ + depth_ - head_cache_) % depth_;
+    return (tail_ + depth_ - head_cache()) % depth_;
   }
 
   /// Writes one 64-byte slot at the tail and advances it.
@@ -54,10 +55,18 @@ class SqRing {
   /// the tail by raw_chunks_for(payload.size()) slots.
   void push_chunks(ConstByteSpan payload) noexcept;
 
-  /// Host learns the device's SQ head from CQE.sq_head.
-  void note_head(std::uint32_t head) noexcept { head_cache_ = head; }
+  /// Host learns the device's SQ head from CQE.sq_head; returns how many
+  /// slots the head advanced. The reaping thread calls it without the
+  /// lock (one reaper at a time), so the cached head is an atomic: a
+  /// release store here, acquire loads by the submitters that reuse the
+  /// freed slots.
+  std::uint32_t note_head(std::uint32_t head) noexcept {
+    const std::uint32_t old = head_cache_.load(std::memory_order_relaxed);
+    head_cache_.store(head, std::memory_order_release);
+    return (head + depth_ - old) % depth_;
+  }
   [[nodiscard]] std::uint32_t head_cache() const noexcept {
-    return head_cache_;
+    return head_cache_.load(std::memory_order_acquire);
   }
 
   /// Lifetime count of slots pushed (SQEs + inline chunks); the trace
@@ -76,10 +85,17 @@ class SqRing {
   std::uint32_t depth_;
   DmaBuffer ring_;
   std::mutex mutex_;
-  std::uint32_t tail_ = 0;        // host writes here
-  std::uint32_t head_cache_ = 0;  // last head reported by the device
+  std::uint32_t tail_ = 0;  // host writes here
+  std::atomic<std::uint32_t> head_cache_{0};  // last head the device reported
   std::uint64_t slots_pushed_ = 0;
 };
+
+/// Writes `cqe` at `addr` the way the controller posts it: the first 12
+/// bytes as a plain copy, then the dword holding the CID, status and
+/// phase tag with a release store, so a host that loads that dword with
+/// acquire (CqRing::peek) and sees the new phase reads the whole entry.
+void post_cqe(DmaMemory& memory, std::uint64_t addr,
+              const CompletionQueueEntry& cqe) noexcept;
 
 class CqRing {
  public:
@@ -98,7 +114,8 @@ class CqRing {
   // --- host-side consumption ---
 
   /// Non-destructively checks whether a new CQE is available at the head
-  /// (phase tag matches the expected phase).
+  /// (phase tag matches the expected phase). The phase dword is loaded
+  /// with acquire before the rest of the entry is read (post_cqe).
   [[nodiscard]] bool peek(CompletionQueueEntry& out) noexcept;
 
   /// Consumes the CQE at the head; caller must have seen peek() == true.

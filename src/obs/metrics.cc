@@ -72,8 +72,13 @@ std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
+  // Histograms are read after the registry lock drops: a histogram's
+  // source takes its owner's locks, and an owner may look a metric up
+  // while holding one (the driver under pending_mutex). Registry-owned
+  // histograms are never removed, so the pointers stay valid.
+  std::vector<std::pair<std::string, const Histogram*>> histograms;
+  std::unique_lock<std::mutex> lock(mutex_);
   // std::map iteration is name-sorted, which keeps consumers deterministic;
   // merge owned and exposed metrics into one sorted stream per family.
   snap.counters.reserve(counters_.size() + exposed_counters_.size());
@@ -94,8 +99,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   std::sort(snap.gauges.begin(), snap.gauges.end());
 
-  snap.histograms.reserve(histograms_.size());
+  histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
+    histograms.emplace_back(name, h.get());
+  }
+  lock.unlock();
+  snap.histograms.reserve(histograms.size());
+  for (const auto& [name, h] : histograms) {
     snap.histograms.emplace_back(name, h->snapshot());
   }
   return snap;

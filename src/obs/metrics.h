@@ -16,7 +16,9 @@
 // Histograms are lock-striped (one mutex + LatencyHistogram per stripe,
 // hashed by thread), so concurrent recorders on hot per-command paths
 // contend only when they share a stripe; snapshot() merges the stripes
-// into one exact LatencyHistogram.
+// into one exact LatencyHistogram. An owner that records under a lock of
+// its own keeps its LatencyHistograms and attaches a source instead
+// (Histogram::set_source), which every read merges in.
 #pragma once
 
 #include <array>
@@ -76,29 +78,32 @@ class Gauge {
 
 class Histogram {
  public:
+  /// Merges an owner's own histograms into `out`, taking whatever locks
+  /// guard them. Called by every read, with no registry lock held.
+  using Source = std::function<void(LatencyHistogram& out)>;
+
   void record(std::uint64_t value) noexcept {
     Stripe& stripe = stripes_[stripe_index()];
     std::lock_guard<std::mutex> lock(stripe.mutex);
     stripe.histogram.record(value);
   }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    std::uint64_t total = 0;
-    for (const Stripe& stripe : stripes_) {
-      std::lock_guard<std::mutex> lock(stripe.mutex);
-      total += stripe.histogram.count();
-    }
-    return total;
-  }
-  /// Exact merge of all stripes — identical distribution to the former
-  /// single-mutex histogram (stripes share the bucket layout).
+  [[nodiscard]] std::uint64_t count() const { return snapshot().count(); }
+  /// Exact merge of all stripes and the source — identical distribution
+  /// to the former single-mutex histogram (they share the bucket layout).
   [[nodiscard]] LatencyHistogram snapshot() const {
     LatencyHistogram merged;
     for (const Stripe& stripe : stripes_) {
       std::lock_guard<std::mutex> lock(stripe.mutex);
       merged.merge(stripe.histogram);
     }
+    if (source_) source_(merged);
     return merged;
   }
+  /// Publishes an owner's histograms under this one's name: the histogram
+  /// analog of MetricsRegistry::expose_counter, for owners whose writers
+  /// record under a lock they already hold (the driver's per-queue wait
+  /// histograms). Assembly-time only; reset() does not clear the source.
+  void set_source(Source source) { source_ = std::move(source); }
   void reset() noexcept {
     for (Stripe& stripe : stripes_) {
       std::lock_guard<std::mutex> lock(stripe.mutex);
@@ -119,6 +124,7 @@ class Histogram {
   }
 
   std::array<Stripe, kStripes> stripes_;
+  Source source_;
 };
 
 /// A name-sorted point-in-time copy of a registry's metrics (owned and

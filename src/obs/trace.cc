@@ -23,9 +23,7 @@ std::string_view stage_name(TraceStage stage) noexcept {
   return "?";
 }
 
-void TraceRecorder::record_run(std::span<TraceEvent> events) {
-  if (!enabled() || events.empty()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
+void TraceRecorder::append_locked(std::span<TraceEvent> events) {
   std::uint64_t seq = next_seq_.load(std::memory_order_relaxed);
   next_seq_.store(seq + events.size(), std::memory_order_relaxed);
   for (TraceEvent& event : events) event.seq = seq++;
@@ -39,29 +37,51 @@ void TraceRecorder::record_run(std::span<TraceEvent> events) {
   }
 }
 
-void TraceRecorder::record_in_device_context(TraceEvent event) {
-  if (!enabled()) return;
-  if (device_context_valid_) {
-    event.qid = device_qid_;
-    event.cid = device_cid_;
-  }
-  record(event);
+void TraceRecorder::record_run(std::span<TraceEvent> events) {
+  if (!enabled() || events.empty()) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  append_locked(events);
+}
+
+void TraceRecorder::record_staged() {
+  if (staged_.empty()) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  append_locked(staged_);
+  staged_.clear();
 }
 
 void TraceRecorder::report_command(std::uint16_t qid, std::uint16_t cid,
                                    const DeviceReport& report) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (!staged_.empty()) {
+    append_locked(staged_);
+    staged_.clear();
+  }
   reports_.insert_or_assign(command_key(qid, cid), report);
+}
+
+DeviceReport TraceRecorder::take_report_locked(std::uint32_t key) {
+  const auto it = reports_.find(key);
+  if (it == reports_.end()) return {};
+  const DeviceReport report = it->second;
+  reports_.erase(it);
+  return report;
 }
 
 DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
                                            std::uint16_t cid) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = reports_.find(command_key(qid, cid));
-  if (it == reports_.end()) return {};
-  const DeviceReport report = it->second;
-  reports_.erase(it);
-  return report;
+  return take_report_locked(command_key(qid, cid));
+}
+
+void TraceRecorder::finish_commands(std::span<TraceEvent> events,
+                                    std::span<DeviceReport> reports) {
+  BX_ASSERT(reports.size() == events.size());
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    reports[i] = take_report_locked(command_key(events[i].qid, events[i].cid));
+  }
+  if (enabled()) append_locked(events);
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {

@@ -1,7 +1,8 @@
 // Structured command tracing for the simulated NVMe pipeline.
 //
 // Every instrumented layer (driver, controller, SSD executor) appends
-// TraceEvents to one TraceRecorder owned by the Testbed. An event is an
+// TraceEvents to one TraceRecorder owned by the Testbed; the device layers
+// stage theirs and file them with the command's report in one call. An event is an
 // *interval* [start, end] of simulated time attributed to one pipeline
 // stage of one command, keyed by (qid, cid). The "primary" stages tile a
 // command's end-to-end latency with no gaps or overlaps, so summing the
@@ -25,7 +26,7 @@
 // layers that do not know (qid, cid) — the SSD executor — read them from
 // the recorder's device context, which the controller sets around executor
 // dispatch; all device-side code runs under the Testbed firmware mutex, so
-// the context needs no atomics.
+// the context and the staged events need no lock of their own.
 //
 // Determinism: events carry only simulated time and the seq counter, so
 // two runs of the same seeded scenario produce byte-identical dump()
@@ -200,9 +201,34 @@ class TraceRecorder {
   /// one by one.
   void record_run(std::span<TraceEvent> events);
 
-  /// Appends `event` with (qid, cid) filled from the device context — for
+  // ---- device side: one recorder call per command ---------------------
+  // The device layers (controller, SSD executor) run under the Testbed
+  // firmware mutex. They stage their events instead of recording each
+  // one; report_command() appends the staged events together with the
+  // command's report, before its CQE becomes host-visible, and
+  // record_staged() appends what a firmware step staged for commands that
+  // did not complete in it. In a serial run nothing records between the
+  // staging and the append, so the log is the one recording each event
+  // at once would give.
+
+  /// Stages `event` for the next report_command() or record_staged()
+  /// (dropped while disabled). Device side only.
+  void stage(const TraceEvent& event) {
+    if (enabled()) staged_.push_back(event);
+  }
+
+  /// stage() with (qid, cid) filled from the device context — for
   /// device-side layers below the controller (e.g. the SSD executor).
-  void record_in_device_context(TraceEvent event);
+  void stage_in_device_context(TraceEvent event) {
+    if (device_context_valid_) {
+      event.qid = device_qid_;
+      event.cid = device_cid_;
+    }
+    stage(event);
+  }
+
+  /// Appends the staged events, under one lock. No-op when none are.
+  void record_staged();
 
   /// The (qid, cid) the device firmware is currently executing. Set by the
   /// controller around executor dispatch; only touched under the firmware
@@ -215,16 +241,23 @@ class TraceRecorder {
   void clear_device_context() noexcept { device_context_valid_ = false; }
 
   // ---- per-command attribution --------------------------------------
-  // Neither call checks enabled(): attribution works with tracing off.
+  // None of these calls checks enabled(): attribution works with tracing
+  // off.
 
-  /// Files the device report of command (qid, cid). The controller calls
-  /// it under the firmware mutex before the CQE becomes host-visible, so
-  /// the driver's finish_command always finds it.
+  /// Appends the staged events and files the device report of command
+  /// (qid, cid), under one lock. The controller calls it under the
+  /// firmware mutex before the CQE becomes host-visible, so the driver
+  /// always finds the report when it reaps the CQE.
   void report_command(std::uint16_t qid, std::uint16_t cid,
                       const DeviceReport& report);
   /// Takes the command's filed report; {valid = false} when the device
   /// filed none (a timed-out command, a bare controller without a driver).
   DeviceReport finish_command(std::uint16_t qid, std::uint16_t cid);
+  /// The driver's reap of a CQ drain, under one lock: appends `events`
+  /// (its kCqDoorbell events, when enabled) and takes the report of each
+  /// event's (qid, cid) into the same index of `reports`.
+  void finish_commands(std::span<TraceEvent> events,
+                       std::span<DeviceReport> reports);
 
   /// All events kept so far, in seq order.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
@@ -251,12 +284,20 @@ class TraceRecorder {
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> dropped_{0};
 
+  /// Numbers `events` and appends them to the log; mutex_ held.
+  void append_locked(std::span<TraceEvent> events);
+  /// Takes command (qid, cid)'s filed report; mutex_ held.
+  DeviceReport take_report_locked(std::uint32_t key);
+
   // One leaf lock over the log (in seq order, at most kCapacity events)
   // and the filed device reports not yet taken, keyed by command_key.
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
   std::unordered_map<std::uint32_t, DeviceReport> reports_;
 
+  // Device side, under the firmware mutex: events staged since the last
+  // report_command() or record_staged().
+  std::vector<TraceEvent> staged_;
   std::uint16_t device_qid_ = 0;
   std::uint16_t device_cid_ = 0;
   bool device_context_valid_ = false;

@@ -1,7 +1,5 @@
 #include "pcie/link.h"
 
-#include <cmath>
-
 #include "common/bytes.h"
 
 namespace bx::pcie {
@@ -24,15 +22,13 @@ double LinkConfig::bytes_per_ns() const noexcept {
 
 PcieLink::PcieLink(const LinkConfig& config, SimClock& clock,
                    TrafficCounter& counter) noexcept
-    : config_(config), clock_(clock), counter_(counter) {
+    : config_(config),
+      bytes_per_ns_(config.bytes_per_ns()),
+      clock_(clock),
+      counter_(counter) {
   BX_ASSERT(config.generation >= 1 && config.generation <= 5);
   BX_ASSERT(config.lanes > 0);
   BX_ASSERT(config.max_payload_size >= 64);
-}
-
-Nanoseconds PcieLink::serialize_time(std::uint64_t wire_bytes) const noexcept {
-  return static_cast<Nanoseconds>(
-      std::llround(double(wire_bytes) / config_.bytes_per_ns()));
 }
 
 // pcie::Direction / TlpType share numeric values with obs::LinkDir /
@@ -124,14 +120,9 @@ Nanoseconds PcieLink::read_n(Direction data_dir, TrafficClass cls,
                              const ReadCost& cost,
                              std::uint64_t count) noexcept {
   BX_ASSERT(count > 0);
-  const Direction req_dir = data_dir == Direction::kUpstream
-                                ? Direction::kDownstream
-                                : Direction::kUpstream;
-  counter_.record(req_dir, cls, TlpType::kMemoryRead, count * cost.requests,
-                  0, count * cost.request_wire);
-  counter_.record(data_dir, cls, TlpType::kCompletion,
-                  count * cost.completions, count * cost.data_bytes,
-                  count * cost.completion_wire);
+  counter_.record_read(data_dir, cls, count * cost.requests,
+                       count * cost.request_wire, count * cost.completions,
+                       count * cost.data_bytes, count * cost.completion_wire);
   Nanoseconds t = count * cost.ns;
   if (injector_ != nullptr) {
     // A replay resends the first completion TLP.

@@ -15,6 +15,7 @@
 // Reads pay the round trip (request out, completions back).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/sim_clock.h"
@@ -74,8 +75,8 @@ class PcieLink {
   /// The TLPs, wire bytes and round trip of one read of `data_bytes`.
   [[nodiscard]] ReadCost read_cost(std::uint64_t data_bytes) const noexcept;
 
-  /// `count` reads of `cost` in one step: one TrafficCounter record per
-  /// TLP type, one clock advance of `count` round trips (plus any
+  /// `count` reads of `cost` in one step: one TrafficCounter record of
+  /// their MRd and CplD TLPs, one clock advance of `count` round trips (plus any
   /// replays, still drawn once per read), then one telemetry roll.
   /// Returns the elapsed link time. Windows close only at that roll, so
   /// the caller keeps every read but the last short of the next close
@@ -104,7 +105,10 @@ class PcieLink {
 
   /// Wire time for `wire_bytes` at this link's rate, without side effects.
   [[nodiscard]] Nanoseconds serialize_time(std::uint64_t wire_bytes)
-      const noexcept;
+      const noexcept {
+    return static_cast<Nanoseconds>(
+        std::llround(double(wire_bytes) / bytes_per_ns_));
+  }
 
   /// Registers the TrafficCounter's six (direction, TLP type) cells with
   /// `telemetry` as the flows of their direction and TLP kind
@@ -130,6 +134,8 @@ class PcieLink {
                            std::uint64_t wire_bytes) noexcept;
 
   LinkConfig config_;
+  /// config_.bytes_per_ns(), computed once: the config never changes.
+  double bytes_per_ns_;
   SimClock& clock_;
   TrafficCounter& counter_;
   obs::Telemetry* telemetry_ = nullptr;

@@ -57,6 +57,27 @@ void TrafficCounter::record(Direction dir, TrafficClass cls, TlpType type,
   add(totals_, tlps, data_bytes, wire_bytes);
 }
 
+void TrafficCounter::record_read(Direction data_dir, TrafficClass cls,
+                                 std::uint64_t requests,
+                                 std::uint64_t request_wire,
+                                 std::uint64_t completions,
+                                 std::uint64_t data_bytes,
+                                 std::uint64_t completion_wire) noexcept {
+  const auto data = static_cast<std::size_t>(data_dir);
+  const std::size_t request = 1 - data;
+  const auto c = static_cast<std::size_t>(cls);
+  BX_ASSERT(data < 2 && c < kClasses);
+  constexpr auto kMRd = static_cast<std::size_t>(TlpType::kMemoryRead);
+  constexpr auto kCpl = static_cast<std::size_t>(TlpType::kCompletion);
+  std::lock_guard<std::mutex> lock(writer_);
+  add(by_class_[request][c], requests, 0, request_wire);
+  add(by_type_[request][kMRd], requests, 0, request_wire);
+  add(by_class_[data][c], completions, data_bytes, completion_wire);
+  add(by_type_[data][kCpl], completions, data_bytes, completion_wire);
+  add(totals_, requests + completions, data_bytes,
+      request_wire + completion_wire);
+}
+
 TrafficCell TrafficCounter::cell(Direction dir,
                                  TrafficClass cls) const noexcept {
   return read(

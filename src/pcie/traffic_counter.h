@@ -80,6 +80,15 @@ class TrafficCounter {
               std::uint64_t tlps, std::uint64_t data_bytes,
               std::uint64_t wire_bytes) noexcept;
 
+  /// The TLPs of memory reads whose data travels on `data_dir`, under one
+  /// lock: `requests` MRd TLPs on the opposite direction, `completions`
+  /// CplD TLPs carrying `data_bytes` on `data_dir` — the two record()s a
+  /// read is, in one step.
+  void record_read(Direction data_dir, TrafficClass cls,
+                   std::uint64_t requests, std::uint64_t request_wire,
+                   std::uint64_t completions, std::uint64_t data_bytes,
+                   std::uint64_t completion_wire) noexcept;
+
   /// One (direction, class) cell, over every TLP type.
   [[nodiscard]] TrafficCell cell(Direction dir,
                                  TrafficClass cls) const noexcept;

@@ -97,7 +97,7 @@ void SsdDevice::record_nand(Nanoseconds start, std::uint64_t bytes,
   e.end = clock_.now();
   e.aux = read ? 1 : 0;
   e.bytes = bytes;
-  tracer_->record_in_device_context(e);
+  tracer_->stage_in_device_context(e);
 }
 
 ExecResult SsdDevice::execute(const nvme::SubmissionQueueEntry& sqe,

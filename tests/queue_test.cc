@@ -1,7 +1,11 @@
 // SQ/CQ ring mechanics: wraparound, the one-slot-gap full rule, phase-tag
 // tracking across CQ laps — the machinery ByteExpress's in-queue payload
-// depends on.
+// depends on — and the CQE's phase dword as the publication point between
+// a posting thread and a reaping one.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "hostmem/dma_memory.h"
 #include "nvme/queue.h"
@@ -159,6 +163,51 @@ TEST(CqRingTest, StaleEntryFromPreviousLapIsNotVisible) {
   memory.write_object(cq.slot_addr(0), stale);
   CompletionQueueEntry seen;
   EXPECT_FALSE(cq.peek(seen));
+}
+
+// A device thread posts CQEs with post_cqe() while the host thread peeks
+// and pops them, over several phase laps of a small ring. The host sees
+// each entry whole (dw0 and sq_head match its cid) the moment its phase
+// dword flips; under TSan (the tsan label) the acquire load in peek()
+// orders the plain read of the first 12 bytes after the device's writes.
+TEST(CqRingTest, PostedEntriesArriveWholeAcrossThreads) {
+  DmaMemory memory;
+  constexpr std::uint32_t kDepth = 4;
+  constexpr std::uint16_t kEntries = 4000;
+  CqRing cq(memory, 1, kDepth);
+  std::atomic<std::uint32_t> popped{0};
+  std::thread device([&] {
+    bool phase = true;
+    std::uint32_t tail = 0;
+    for (std::uint16_t cid = 0; cid < kEntries; ++cid) {
+      // Never overrun the host: at most depth - 1 entries outstanding.
+      while (cid - popped.load(std::memory_order_acquire) >= kDepth - 1) {
+      }
+      CompletionQueueEntry cqe;
+      cqe.dw0 = 0x1000u + cid;
+      cqe.sq_head = static_cast<std::uint16_t>(cid * 3);
+      cqe.cid = cid;
+      cqe.set_phase(phase);
+      post_cqe(memory, cq.slot_addr(tail), cqe);
+      tail = (tail + 1) % kDepth;
+      if (tail == 0) phase = !phase;
+    }
+  });
+  int torn = 0;
+  for (std::uint16_t cid = 0; cid < kEntries; ++cid) {
+    CompletionQueueEntry seen;
+    while (!cq.peek(seen)) {
+    }
+    const CompletionQueueEntry entry = cq.pop();
+    if (seen.cid != cid || seen.dw0 != 0x1000u + cid ||
+        seen.sq_head != static_cast<std::uint16_t>(cid * 3) ||
+        entry.dw0 != seen.dw0) {
+      ++torn;
+    }
+    popped.store(cid + 1u, std::memory_order_release);
+  }
+  device.join();
+  EXPECT_EQ(torn, 0);
 }
 
 }  // namespace
