@@ -264,7 +264,7 @@ void NvmeDriver::ring_sq(QueuePair& qp, std::uint64_t entries,
       event.stage = obs::TraceStage::kSubmit;
       event.start = command.submit_time;
       event.end = link_.clock().now();
-      event.qid = qid;
+      event.qid = command.qid;
       event.cid = command.sqe.cid;
       event.flags = command.submit_flags;
       event.aux = static_cast<std::uint64_t>(command.resolved.method);
@@ -595,6 +595,7 @@ void NvmeDriver::register_pending(QueuePair& qp, Pending pending,
     cid = qp.next_cid.fetch_add(1, std::memory_order_relaxed);
   } while (qp.pending.count(cid) != 0);
   command.sqe.cid = cid;
+  command.qid = qp.sq->qid();
   command.pending = &qp.pending.emplace(cid, std::move(pending)).first->second;
   qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
 }
@@ -707,7 +708,6 @@ StatusOr<NvmeDriver::Prepared> NvmeDriver::prepare(
   if (config_.command_timeout_ns > 0) {
     pending.deadline_ns = entry_time + config_.command_timeout_ns;
   }
-  command.deadline_ns = pending.deadline_ns;
 
   // ByteExpress-R: claim the completion-ring slots before staging. A
   // full ring is not an error — the read falls back to the PRP/SGL
@@ -963,7 +963,7 @@ StatusOr<Submitted> NvmeDriver::submit(const IoRequest& request,
   BX_RETURN_IF_ERROR(command.status());
   BX_RETURN_IF_ERROR(publish(queue(qid), {&*command, 1}, /*batched=*/false));
   return Submitted{qid, command->sqe.cid, command->submit_time,
-                   command->deadline_ns, command->resolved};
+                   command->resolved};
 }
 
 StatusOr<NvmeDriver::BatchResult> NvmeDriver::submit_batch(
@@ -990,8 +990,7 @@ StatusOr<NvmeDriver::BatchResult> NvmeDriver::submit_batch(
   result.handles.reserve(commands.size());
   for (const Prepared& command : commands) {
     result.handles.push_back(Submitted{qid, command.sqe.cid,
-                                       command.submit_time,
-                                       command.deadline_ns, command.resolved});
+                                       command.submit_time, command.resolved});
     result.entries += command.slots;
   }
   result.doorbells = bar_.sq_doorbell_writes(qid) - bells_before;
@@ -1053,8 +1052,6 @@ Completion NvmeDriver::finish_pending_locked(
   Pending pending = std::move(it->second);
   gate_release(pending, /*completed=*/true);
   qp.pending.erase(it);
-  qp.reaped.store(qp.reaped.load(std::memory_order_relaxed) - 1,
-                  std::memory_order_relaxed);
   qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
   if (pending.inline_read) {
     if (pending.cqe.status().is_success()) {
@@ -1189,41 +1186,36 @@ StatusOr<Completion> NvmeDriver::wait(const Submitted& handle) {
           : 10000;
   std::uint64_t idle_spins = 0;
   for (;;) {
-    // Another reap (another thread's, or this thread's while it waited on
-    // another handle) may have completed the command already. Only then is
-    // there a done pending to find; an idle pass looks regardless, which
-    // is where a handle the driver does not know surfaces.
-    if (idle_spins > 0 || qp.reaped.load(std::memory_order_relaxed) > 0) {
+    Nanoseconds deadline = 0;
+    {
       std::lock_guard<std::mutex> lock(qp.pending_mutex);
       auto it = qp.pending.find(handle.cid);
       if (it == qp.pending.end()) {
         return internal_error("waiting on unknown cid");
       }
       if (it->second.done) return finish_pending_locked(qp, it);
+      deadline = it->second.deadline_ns;
     }
-    if (handle.deadline_ns != 0 &&
-        link_.clock().now() >= handle.deadline_ns) {
+    if (deadline != 0 && link_.clock().now() >= deadline) {
       return recover_timed_out(qp, handle);
     }
     const bool progressed = pump_once();
-    const Reaped& reaped = pop_completions(qp);
+    // Device silent while a deadline is armed: the reap moves sim-time
+    // forward after its drain so the timeout can fire (the clock only
+    // advances with work). The command finishes in the reap, after the
+    // whole drain and that advance, as it would on the next pass.
+    std::optional<Completion> done;
+    reap(qp,
+         !progressed && deadline != 0 ? config_.poll_idle_advance_ns : 0,
+         &handle, &done);
+    if (done) return *std::move(done);
     if (!progressed) {
-      if (handle.deadline_ns != 0) {
-        // Device silent while a deadline is armed: move sim-time forward
-        // so the timeout can fire (the clock only advances with work).
-        link_.clock().advance(config_.poll_idle_advance_ns);
-      }
       if (++idle_spins > idle_spin_limit) {
-        mark_reaped(qp, reaped, nullptr);
         return internal_error("device made no progress while waiting");
       }
     } else {
       idle_spins = 0;
     }
-    // The command finishes after the whole drain (and any idle advance),
-    // as it would on the next pass, but under the reap's pending_mutex
-    // hold.
-    if (auto done = mark_reaped(qp, reaped, &handle)) return *std::move(done);
   }
 }
 
@@ -1354,28 +1346,27 @@ StatusOr<Completion> NvmeDriver::recover_timed_out(QueuePair& qp,
   // report and everything after the doorbell books as controller
   // residency (kArbWait).
   it->second.done = true;
-  qp.reaped.store(qp.reaped.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
   it->second.cqe.set_status(
       nvme::StatusField::generic(nvme::GenericStatus::kAbortRequested));
   return finish_pending_locked(qp, it);
 }
 
 std::size_t NvmeDriver::poll_completions(std::uint16_t qid) {
-  QueuePair& qp = queue(qid);
-  const Reaped& reaped = pop_completions(qp);
-  mark_reaped(qp, reaped, nullptr);
-  return reaped.cqes.size();
+  return reap(queue(qid));
 }
 
-const NvmeDriver::Reaped& NvmeDriver::pop_completions(QueuePair& qp) {
-  thread_local Reaped reaped;
-  reaped.cqes.clear();
-  reaped.events.clear();
+std::size_t NvmeDriver::reap(QueuePair& qp, Nanoseconds idle_advance,
+                             const Submitted* waiter,
+                             std::optional<Completion>* finished) {
   const std::uint16_t qid = qp.sq->qid();
   // Serialize CQ consumption: wait() callers on the same queue all poll
   // while spinning, and peek/pop/head-doorbell must be one atomic step.
+  // The marks below are made before the lock drops, so a waiter that
+  // finds the CQ empty finds its popped command done.
   std::lock_guard<std::mutex> cq_lock(qp.cq_mutex);
+  Reaped& reaped = qp.reaped;
+  reaped.cqes.clear();
+  reaped.events.clear();
   nvme::CompletionQueueEntry cqe;
   while (qp.cq->peek(cqe)) {
     const Nanoseconds handle_start = link_.clock().now();
@@ -1396,38 +1387,34 @@ const NvmeDriver::Reaped& NvmeDriver::pop_completions(QueuePair& qp) {
     event.slot = qp.cq->head();
     reaped.cqes.push_back(cqe);
   }
-  if (reaped.cqes.empty()) return reaped;
-  reaped.reports.assign(reaped.cqes.size(), obs::DeviceReport{});
-  if (tracer_ != nullptr) {
-    tracer_->finish_commands(reaped.events, reaped.reports);
+  const std::size_t popped = reaped.cqes.size();
+  if (popped > 0) {
+    reaped.reports.assign(popped, obs::DeviceReport{});
+    if (tracer_ != nullptr) {
+      tracer_->finish_commands(reaped.events, reaped.reports);
+    }
   }
-  return reaped;
-}
+  if (idle_advance > 0) link_.clock().advance(idle_advance);
+  if (popped == 0) return 0;
 
-std::optional<Completion> NvmeDriver::mark_reaped(QueuePair& qp,
-                                                  const Reaped& reaped,
-                                                  const Submitted* waiter) {
-  if (reaped.cqes.empty()) return std::nullopt;
   std::lock_guard<std::mutex> lock(qp.pending_mutex);
-  for (std::size_t i = 0; i < reaped.cqes.size(); ++i) {
-    const nvme::CompletionQueueEntry& cqe = reaped.cqes[i];
-    auto it = qp.pending.find(cqe.cid);
+  for (std::size_t i = 0; i < popped; ++i) {
+    auto it = qp.pending.find(reaped.cqes[i].cid);
     if (it == qp.pending.end()) {
-      BX_LOG_WARN << "completion for unknown cid " << cqe.cid;
+      BX_LOG_WARN << "completion for unknown cid " << reaped.cqes[i].cid;
       continue;
     }
-    it->second.cqe = cqe;
+    it->second.cqe = reaped.cqes[i];
     it->second.report = reaped.reports[i];
-    if (!it->second.done) {
-      it->second.done = true;
-      qp.reaped.store(qp.reaped.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
+    it->second.done = true;
+  }
+  if (waiter != nullptr) {
+    auto it = qp.pending.find(waiter->cid);
+    if (it != qp.pending.end() && it->second.done) {
+      *finished = finish_pending_locked(qp, it);
     }
   }
-  if (waiter == nullptr) return std::nullopt;
-  auto it = qp.pending.find(waiter->cid);
-  if (it == qp.pending.end() || !it->second.done) return std::nullopt;
-  return finish_pending_locked(qp, it);
+  return popped;
 }
 
 StatusOr<Completion> NvmeDriver::execute(const IoRequest& request,
@@ -1561,7 +1548,8 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     }
 
     // One doorbell per touched queue, rung while the locks are held; the
-    // last one closes the submission.
+    // last one closes the submission (its kSubmit stays keyed by the home
+    // queue, where the CQE arrives).
     for (const std::uint16_t qid : ordered) {
       QueuePair& touched = queue(qid);
       touched.sq_occupancy.add(static_cast<std::int64_t>(published[qid]));
@@ -1575,7 +1563,7 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
   }
   note_published({&command, 1});
   return wait(Submitted{qids.front(), command.sqe.cid, command.submit_time,
-                        command.deadline_ns, command.resolved});
+                        command.resolved});
 }
 
 StatusOr<Completion> NvmeDriver::execute_admin(
@@ -1593,7 +1581,7 @@ StatusOr<Completion> NvmeDriver::execute_admin(
     return status;
   }
   note_published({&command, 1});
-  return wait(Submitted{0, command.sqe.cid, command.submit_time, 0, {}});
+  return wait(Submitted{0, command.sqe.cid, command.submit_time, {}});
 }
 
 bool NvmeDriver::pump_once() { return pump_ ? pump_() : false; }

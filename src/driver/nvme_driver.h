@@ -28,11 +28,13 @@
 //
 //   cq_mutex  ->  SqRing::lock()  ->  pending_mutex
 //
-// (A reap releases cq_mutex before it takes pending_mutex; only
-// execute_ooo_striped() nests, abandoning a command that does not fit
-// under its SQ locks.) It is also the only path holding several queues'
-// SQ locks at once; it acquires them in ascending qid order. Doorbells are rung while the ring lock is held, so BAR tail
-// values never regress when two submitters race. A submission takes its
+// (A reap takes pending_mutex inside its cq_mutex hold, so a CQE is
+// marked done before another thread can find the CQ empty;
+// execute_ooo_striped() abandons a command that does not fit under its
+// SQ locks.) execute_ooo_striped() is the only path holding several
+// queues' SQ locks at once; it acquires them in ascending qid order.
+// Doorbells are rung while the ring lock is held, so BAR tail values
+// never regress when two submitters race. A submission takes its
 // pending_mutex once (CID registration) and its SQ lock once per doorbell
 // run; a reap takes cq_mutex once and pending_mutex once.
 // Command/stream/payload identifiers come from atomic allocators.
@@ -353,8 +355,7 @@ class NvmeDriver {
   };
 
   struct Pending {
-    /// Set by the reap that took the CQE (or by a synthesized Abort);
-    /// QueuePair::reaped counts the done pendings not yet finished.
+    /// Set by the reap that took the CQE (or by a synthesized Abort).
     bool done = false;
     nvme::CompletionQueueEntry cqe{};
     /// The controller's device report, taken when the CQE was reaped
@@ -410,8 +411,10 @@ class NvmeDriver {
     /// kSubmit flags; the OOO/auxiliary bits also go on the doorbell.
     std::uint8_t submit_flags = 0;
     Nanoseconds submit_time = 0;
-    Nanoseconds deadline_ns = 0;
     SubmitMarks marks{};
+    /// The queue whose pending map holds the command, where its CQE
+    /// arrives and its kSubmit is keyed (a striped command's home queue).
+    std::uint16_t qid = 0;
     /// The registered pending (its map node stays put until the waiter
     /// erases it), so the marks reach it without pending_mutex.
     Pending* pending = nullptr;
@@ -424,7 +427,7 @@ class NvmeDriver {
   };
 
   /// CQEs one reap popped, with their kCqDoorbell events and the device
-  /// reports taken for them, index-aligned. Per thread, reused.
+  /// reports taken for them, index-aligned.
   struct Reaped {
     std::vector<nvme::CompletionQueueEntry> cqes;
     std::vector<obs::TraceEvent> events;
@@ -444,14 +447,11 @@ class NvmeDriver {
     /// Serializes CQ consumption (peek/pop/head doorbell) across the many
     /// threads that may poll the same queue while waiting.
     std::mutex cq_mutex;
+    /// reap()'s buffers, reused under cq_mutex.
+    Reaped reaped;
     /// Guards `pending` (and the CID-uniqueness check) and `waits`.
     std::mutex pending_mutex;
     std::unordered_map<std::uint16_t, Pending> pending;
-    /// Pendings marked done and not yet finished. Written under
-    /// pending_mutex; wait() reads it without the lock to skip looking up
-    /// a command no reap can have completed yet (a stale 0 costs one more
-    /// pump-and-reap pass, never a missed completion).
-    std::atomic<std::uint32_t> reaped{0};
     /// The wait-breakdown histograms of this queue's completed commands,
     /// [TransferMethod][segment], recorded under pending_mutex by
     /// attribute_completion(); the registry's
@@ -528,13 +528,14 @@ class NvmeDriver {
   /// Atomically allocates a CID unique among `qp`'s in-flight commands and
   /// registers `pending` under it — one pending_mutex hold, so two racing
   /// submitters can never be handed the same CID. Sets `command`'s SQE
-  /// CID and pending pointer.
+  /// CID, qid and pending pointer.
   void register_pending(QueuePair& qp, Pending pending, Prepared& command);
   /// Rings `qp`'s SQ tail doorbell for `entries` slots: the MMIO's link
   /// cost, then one recorder call with the kDoorbell event and the kSubmit
-  /// events of `published` (each records_submit entry's), then the BAR
-  /// write — so every event is in the trace before the device can fetch
-  /// what the bell publishes. Call with the SQ lock held.
+  /// events of `published` (each records_submit entry's, keyed by its
+  /// command's qid: a striped command's last bell may ring another queue),
+  /// then the BAR write — so every event is in the trace before the
+  /// device can fetch what the bell publishes. Call with the SQ lock held.
   void ring_sq(QueuePair& qp, std::uint64_t entries, std::uint16_t cid,
                std::uint8_t flags, std::span<const Prepared> published);
 
@@ -603,18 +604,17 @@ class NvmeDriver {
   /// Runs one admin command synchronously.
   StatusOr<Completion> execute_admin(nvme::SubmissionQueueEntry sqe);
 
-  /// The CQ half of a reap: under one cq_mutex hold, pops every ready
-  /// CQE of `qp`, ringing a CQ-head doorbell and noting the SQ head for
-  /// each, then files their kCqDoorbell events and takes their device
-  /// reports in one recorder call. Returns this thread's Reaped, valid
-  /// until its next reap.
-  const Reaped& pop_completions(QueuePair& qp);
-  /// The pending half: under one pending_mutex hold, marks the commands of
-  /// `reaped` done. When `waiter` is done by then (reaped now or earlier),
-  /// finishes it too and returns its completion. No lock when `reaped` is
-  /// empty.
-  std::optional<Completion> mark_reaped(QueuePair& qp, const Reaped& reaped,
-                                        const Submitted* waiter);
+  /// One reap of `qp`, under one cq_mutex hold: pops every ready CQE,
+  /// ringing a CQ-head doorbell and noting the SQ head for each; files
+  /// their kCqDoorbell events and takes their device reports in one
+  /// recorder call; advances the clock by `idle_advance`; then, when it
+  /// popped any, marks their commands done under one pending_mutex hold
+  /// taken inside it. If `waiter`'s command is done by then (reaped now
+  /// or earlier), finishes it there and stores its completion in
+  /// `*finished`. Returns how many CQEs it popped.
+  std::size_t reap(QueuePair& qp, Nanoseconds idle_advance = 0,
+                   const Submitted* waiter = nullptr,
+                   std::optional<Completion>* finished = nullptr);
   bool pump_once();
 
   /// Builds the Completion for a done Pending and erases it. Call with

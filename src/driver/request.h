@@ -115,8 +115,6 @@ struct Submitted {
   std::uint16_t qid = 0;
   std::uint16_t cid = 0;
   Nanoseconds submit_time_ns = 0;
-  /// Sim-time after which wait() times the command out (0 = never).
-  Nanoseconds deadline_ns = 0;
   /// The method this attempt was submitted with; the retry tail
   /// (NvmeDriver::wait_resolved) classifies the attempt by it.
   ResolvedMethod resolved{};

@@ -68,12 +68,6 @@ DeviceReport TraceRecorder::take_report_locked(std::uint32_t key) {
   return report;
 }
 
-DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
-                                           std::uint16_t cid) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return take_report_locked(command_key(qid, cid));
-}
-
 void TraceRecorder::finish_commands(std::span<TraceEvent> events,
                                     std::span<DeviceReport> reports) {
   BX_ASSERT(reports.size() == events.size());

@@ -15,7 +15,7 @@
 // (most of it is waiting, not service). The controller therefore keeps a
 // residency record per fetched command and, as it posts the command's CQE,
 // files one DeviceReport here (report_command); the driver takes it when
-// it reaps the CQE (finish_command) and builds the obs::LatencyBreakdown
+// it reaps the CQE (finish_commands) and builds the obs::LatencyBreakdown
 // carried on every Completion (obs/attribution.h). Reports do not depend
 // on tracing: they are filed and taken with the recorder disabled too.
 //
@@ -250,12 +250,11 @@ class TraceRecorder {
   /// always finds the report when it reaps the CQE.
   void report_command(std::uint16_t qid, std::uint16_t cid,
                       const DeviceReport& report);
-  /// Takes the command's filed report; {valid = false} when the device
-  /// filed none (a timed-out command, a bare controller without a driver).
-  DeviceReport finish_command(std::uint16_t qid, std::uint16_t cid);
   /// The driver's reap of a CQ drain, under one lock: appends `events`
   /// (its kCqDoorbell events, when enabled) and takes the report of each
-  /// event's (qid, cid) into the same index of `reports`.
+  /// event's (qid, cid) into the same index of `reports` — {valid =
+  /// false} when the device filed none (a timed-out command, a bare
+  /// controller without a driver).
   void finish_commands(std::span<TraceEvent> events,
                        std::span<DeviceReport> reports);
 

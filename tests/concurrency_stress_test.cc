@@ -230,6 +230,40 @@ TEST(ConcurrencyStressTest, ConcurrentExecutesAcrossQueuesAllComplete) {
   }
 }
 
+TEST(ConcurrencyStressTest, TwoWaitersPerQueueNeverTimeOut) {
+  // Two threads wait on each of 4 queues, so each reap can pop the other
+  // waiter's CQE. A reap marks what it popped done before it releases
+  // cq_mutex: the other waiter either finds its command done or blocks
+  // on the reap, and never spins idle (advancing the sim clock toward the
+  // 50 ms default timeout) on a command already taken off the CQ.
+  Testbed bed(test::small_testbed_config(4, 128));
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto qid = static_cast<std::uint16_t>(1 + t % 4);
+      const ByteVec payload(64, static_cast<Byte>(t));
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        auto completion = bed.raw_write(
+            payload, driver::TransferMethod::kByteExpress, qid);
+        if (!completion.is_ok() || !completion->ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(bed.metrics().counter_value("driver.timeouts"), 0u);
+  EXPECT_EQ(bed.metrics().counter_value("driver.aborts_sent"), 0u);
+  EXPECT_EQ(bed.metrics().counter_value("driver.retries"), 0u);
+  for (std::uint16_t qid = 1; qid <= 4; ++qid) {
+    EXPECT_EQ(bed.driver().pending_count_for_test(qid), 0u);
+  }
+}
+
 // ------------------------------------- mixed-direction inline stress
 
 // Deterministic value for (thread, key) so concurrent readers can verify

@@ -84,6 +84,39 @@ TEST(TraceInvariants, SingleCommandPerMethodPassesStrictCheck) {
   }
 }
 
+// A striped OOO command rings one doorbell per stripe queue, and the last
+// bell records its kSubmit. The kSubmit is keyed by the home queue, where
+// its CQE and kCompletion arrive, whichever queue rings last.
+TEST(TraceInvariants, StripedOooCommandPassesStrictCheck) {
+  auto config = test::small_testbed_config(/*io_queues=*/3);
+  Testbed bed(config);
+  const ByteVec payload = patterned(300);
+  for (const std::vector<std::uint16_t>& stripe :
+       {std::vector<std::uint16_t>{1, 2}, std::vector<std::uint16_t>{3, 1}}) {
+    driver::IoRequest request;
+    request.opcode = nvme::IoOpcode::kVendorRawWrite;
+    request.method = TransferMethod::kByteExpressOoo;
+    request.write_data = payload;
+    auto completion = bed.driver().execute_ooo_striped(request, stripe);
+    ASSERT_TRUE(completion.is_ok() && completion->ok());
+  }
+  const std::vector<TraceEvent> events = bed.trace().snapshot();
+  TraceCheckOptions options;
+  options.queue_depth = config.driver.io_queue_depth;
+  const TraceCheckResult result = obs::check_trace_invariants(events, options);
+  EXPECT_TRUE(result.ok()) << diagnose(result, events);
+  EXPECT_EQ(result.submits, result.completions);
+
+  std::vector<std::uint16_t> striped_submit_qids;
+  for (const TraceEvent& event : events) {
+    if (event.stage == TraceStage::kSubmit &&
+        (event.flags & obs::kFlagOooCommand) != 0) {
+      striped_submit_qids.push_back(event.qid);
+    }
+  }
+  EXPECT_EQ(striped_submit_qids, (std::vector<std::uint16_t>{1, 3}));
+}
+
 // The deterministic cooperative stress schedules (the PR-1 harness) keep
 // every invariant across mixed methods, queues and submitters.
 TEST(TraceInvariants, CooperativeStressSchedulesPass) {
@@ -330,9 +363,10 @@ TEST(TraceRecorderLog, FullLogCountsDropsAndClearKeepsNumbering) {
 // run and appends it in one critical section, so the log's seqs rise by
 // exactly 1 from event to event and each thread's events keep the order
 // that thread recorded them in. Each thread also files a device report
-// per command, as the controller does, and takes it back, as the driver
-// does: every finish_command returns exactly the report filed for that
-// command, and a second take finds none.
+// per command, as the controller does, and takes it back with a
+// kCqDoorbell event, as the driver's reap does: every finish_commands
+// returns exactly the report filed for that command, and a second take
+// finds none.
 TEST(TraceRecorderLog, ConcurrentRunsStayOrderedAndAttributed) {
   constexpr std::uint16_t kThreads = 4;
   constexpr std::uint16_t kCommands = 5'000;
@@ -367,11 +401,21 @@ TEST(TraceRecorderLog, ConcurrentRunsStayOrderedAndAttributed) {
         recorder.record_run({run.data(), n});
         const obs::DeviceReport filed{true, now, service, rng.next_below(64)};
         recorder.report_command(qid, cid, filed);
-        const obs::DeviceReport taken = recorder.finish_command(qid, cid);
+        const auto take = [&] {
+          std::array<TraceEvent, 1> reap{};
+          reap[0].stage = TraceStage::kCqDoorbell;
+          reap[0].qid = qid;
+          reap[0].cid = cid;
+          reap[0].aux = count++;
+          reap[0].start = reap[0].end = now;
+          std::array<obs::DeviceReport, 1> report{};
+          recorder.finish_commands(reap, report);
+          return report[0];
+        };
+        const obs::DeviceReport taken = take();
         if (!taken.valid || taken.cqe_end != filed.cqe_end ||
             taken.service_ns != filed.service_ns ||
-            taken.wait_ns != filed.wait_ns ||
-            recorder.finish_command(qid, cid).valid) {
+            taken.wait_ns != filed.wait_ns || take().valid) {
           ++wrong;
         }
       }
